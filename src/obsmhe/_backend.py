@@ -2,7 +2,8 @@
 
 Imports the compiled extension when available, otherwise the pure-Python
 fallback. Set OBSMHE_FORCE_PYTHON=1 to force the fallback (used by the
-backend-equivalence tests and the benchmark).
+backend-equivalence tests). The obsbench benchmark never sets it: it runs
+whichever backend imports and reports it.
 """
 
 import os

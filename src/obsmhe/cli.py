@@ -22,6 +22,7 @@ conditions failed, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys as _sys
@@ -215,11 +216,13 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(c) if not isinstance(c, str) else c
-                              for c in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """CSV with `_fmt` numbers; a cell holding a comma, quote or newline
+    (such as a failure message) is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row]
+                         for row in rows)
 
 
 def _jsonable(obj):
@@ -327,7 +330,7 @@ def cmd_mhe_run(cfg: dict, out: Path, threads: int) -> int:
     for r in results:
         if r.solution is None:
             any_failed = True
-            rows.append([r.t, "nan", "nan", 0, False, r.failure.split(":")[0]])
+            rows.append([r.t, "nan", "nan", 0, False, r.failure])
         else:
             s = r.solution
             rows.append([r.t, s.error_to_reference, s.grad_norm, s.iterations,

@@ -25,6 +25,7 @@ from .ode_core import (
     flow_and_stm,
     noise_sensitivity,
     perturbed_flow,
+    stack_rows,
 )
 
 
@@ -59,11 +60,11 @@ def simpson_weights(grid: TimeGrid) -> Array:
 
 
 def _outputs(sys: ControlSystem, xs: Array, us: Array) -> Array:
-    return np.stack([np.asarray(sys.h(x, u), dtype=float) for x, u in zip(xs, us)])
+    return stack_rows((sys.h(x, u) for x, u in zip(xs, us)), len(xs))
 
 
 def _output_jacobians(sys: ControlSystem, xs: Array, us: Array) -> Array:
-    return np.stack([np.asarray(sys.dh_dx(x, u), dtype=float) for x, u in zip(xs, us)])
+    return stack_rows((sys.dh_dx(x, u) for x, u in zip(xs, us)), len(xs))
 
 
 def fd_step(point: Array, eps: float = 1e-5) -> float:

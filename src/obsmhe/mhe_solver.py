@@ -306,9 +306,9 @@ def _uniform_noise(rng: np.random.Generator, t0: float, h: float, n: int,
     return SampledSignal(t0, h, (mag / nrm) * d)
 
 
-def _hphi_sup(sys: ControlSystem, xs: Array, ps: Array) -> float:
-    return max(float(np.linalg.norm(sys.dh_dx(x) @ p, 2))
-               for x, p in zip(xs, ps))
+def _hphi_sup(sys: ControlSystem, xs: Array, us: Array, ps: Array) -> float:
+    return max(float(np.linalg.norm(sys.dh_dx(x, u) @ p, 2))
+               for x, u, p in zip(xs, us, ps))
 
 
 def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
@@ -335,7 +335,8 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     mu_t *= 2.0
 
     xs, ps = flow_and_stm(sys, t - T, t, center, u, win)
-    hphi = _hphi_sup(sys, xs, ps)
+    us = u.at_nodes(win)
+    hphi = _hphi_sup(sys, xs, us, ps)
     c1 = 2.0 * T * hphi
 
     rng = np.random.default_rng(seed)
@@ -350,8 +351,8 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
             e[j] = 1.0
             dw = SampledSignal.constant(e, 0.0, t, full.h)
             zs[:, :, j] = noise_sensitivity(sys, t, x0, u, w, dw, full)[-(win.n_steps + 1):]
-        sup = max(float(np.linalg.norm(sys.dh_dx(xh), 2) * np.linalg.norm(z, 2))
-                  for xh, z in zip(xt, zs))
+        sup = max(float(np.linalg.norm(sys.dh_dx(xh, uh), 2) * np.linalg.norm(z, 2))
+                  for xh, uh, z in zip(xt, us, zs))
         c2 = max(c2, 2.0 * T * hphi * sup)
     return NonuniformStabilityAudit(t=t, T=T, nu=nu, mu_t=mu_t, C1_t=c1, C2_t=c2)
 

@@ -2,6 +2,10 @@
 
 Everything here is immutable after construction and every operation is a
 pure function of its inputs, so all of it is safe to call concurrently.
+Input evaluators must therefore be pure functions of s: the RK4 stage
+inputs and the node inputs of an InputSignal come from a bounded,
+thread-safe, process-wide memo of read-only arrays, so a span staged once
+is not evaluated again while it stays in the memo.
 
 Integration is fixed-step classical RK4 on a uniform grid. Piecewise
 inputs are evaluated per step from the piece active on the open step, so
@@ -11,8 +15,9 @@ breakpoints off the grid raise GridMismatch.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +27,37 @@ from .errors import DomainViolation, GridMismatch
 Array = np.ndarray
 
 _NODE_TOL = 1e-9
+# Entries per memo of InputSignal staging. The windows and flows of one
+# certificate, solve or audit restage a handful of spans over and over;
+# eight entries already hit as often as an unbounded memo would.
+_MEMO_ENTRIES = 8
+
+
+def _fill(out: Optional[Array], i: int, row, n: int) -> Array:
+    """Write `row` as row i of an (n, ...) float array allocated from the
+    first row's shape; returns the array.
+
+    As with np.stack, a row of another shape raises ValueError instead of
+    being broadcast into place.
+    """
+    row = np.asarray(row, dtype=float)
+    if out is None:
+        out = np.empty((n,) + row.shape)
+    elif row.shape != out.shape[1:]:
+        raise ValueError(f"row {i} has shape {row.shape}, "
+                         f"expected {out.shape[1:]}")
+    out[i] = row
+    return out
+
+
+def stack_rows(rows: Iterable, n: int) -> Array:
+    """np.stack of the n rows, filled into one preallocated float array."""
+    out = None
+    for i, row in enumerate(rows):
+        out = _fill(out, i, row, n)
+    if out is None:
+        raise ValueError("need at least one row to stack")
+    return out
 
 
 @dataclass(frozen=True)
@@ -134,12 +170,20 @@ class InputSignal:
     `pieces` is an ordered tuple of (start_time, evaluator); the first
     start must be <= 0 so the signal is defined for every s >= 0. `bound`
     is an optional sup-norm bound checked on every evaluated sample.
+
+    Evaluators must be pure functions of s. `stage_values` and `at_nodes`
+    return read-only arrays from a bounded, thread-safe, process-wide memo
+    keyed on the exact signal and span, so repeated stagings of a span
+    reuse one evaluation. A bound violation raises on every call; it is
+    never cached.
     """
 
     pieces: tuple[tuple[float, Callable[[float], Array]], ...]
     bound: Optional[float] = None
 
     def __post_init__(self):
+        # The memo keys on the signal, so the pieces must be hashable.
+        object.__setattr__(self, "pieces", tuple((s, ev) for s, ev in self.pieces))
         if not self.pieces:
             raise ValueError("input signal needs at least one piece")
         starts = [s for s, _ in self.pieces]
@@ -181,26 +225,35 @@ class InputSignal:
         """Right-continuous evaluation at time s."""
         return self._checked(self._piece_at(s)(s), s)
 
+    @functools.lru_cache(maxsize=_MEMO_ENTRIES)
     def at_nodes(self, grid: TimeGrid) -> Array:
-        return np.stack([self.at(s) for s in grid.nodes])
+        """Right-continuous values at every grid node (read-only, memoized)."""
+        us = stack_rows((self.at(s) for s in grid.nodes), grid.n_steps + 1)
+        us.flags.writeable = False
+        return us
 
+    @functools.lru_cache(maxsize=_MEMO_ENTRIES)
     def stage_values(self, t0: float, h: float, n: int) -> tuple[Array, Array, Array]:
         """Per-step RK4 stage inputs: start, midpoint and end of each step.
 
         All three stages use the piece active on the open step (so the end
         value is the one-sided limit from inside the step), which keeps
-        RK4 at full order when breakpoints sit on nodes.
+        RK4 at full order when breakpoints sit on nodes. The arrays are
+        read-only and memoized on (signal, t0, h, n).
         """
-        u0 = []
-        um = []
-        u1 = []
+        if n < 1:
+            raise ValueError("stage_values needs at least one step")
+        u0 = um = u1 = None
         for i in range(n):
             a = t0 + i * h
-            ev = self._piece_at(a + 0.5 * h)
-            u0.append(self._checked(ev(a), a))
-            um.append(self._checked(ev(a + 0.5 * h), a + 0.5 * h))
-            u1.append(self._checked(ev(a + h), a + h))
-        return np.stack(u0), np.stack(um), np.stack(u1)
+            mid, end = a + 0.5 * h, a + h
+            ev = self._piece_at(mid)
+            u0 = _fill(u0, i, self._checked(ev(a), a), n)
+            um = _fill(um, i, self._checked(ev(mid), mid), n)
+            u1 = _fill(u1, i, self._checked(ev(end), end), n)
+        for stage in (u0, um, u1):
+            stage.flags.writeable = False
+        return u0, um, u1
 
     def check_breakpoints_on(self, grid: TimeGrid) -> None:
         for b in self.breakpoints:

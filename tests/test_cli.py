@@ -4,6 +4,7 @@ Each test writes a JSON config into a temp dir, invokes cli.main() in
 process, and checks the exit code plus the emitted artifacts.
 """
 
+import csv
 import json
 
 import numpy as np
@@ -80,6 +81,13 @@ def test_mhe_run_exit_1_when_windows_fail(tmp_path):
     assert code == 1
     rep = json.loads((out / "mhe_report.json").read_text())
     assert rep["n_failed"] == 2
+    with open(out / "windows.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    for row in rows:  # the full reason, commas included, in one cell
+        assert row["status"].startswith(
+            "MaxItersExceeded: no convergence in 0 iterations")
+        assert "tol=" in row["status"]
 
 
 def test_stability_audit_passes_on_circle(tmp_path):

@@ -1,12 +1,16 @@
 """Grids, signals, and the RK4 integration layer."""
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from obsmhe import (ControlSystem, DomainViolation, GridMismatch, InputSignal,
                     NoiseSignals, SampledSignal, TimeGrid, ZERO_NOISE,
-                    check_jacobians, flow, flow_and_stm, noise_sensitivity,
-                    perturbed_flow, stm)
+                    check_jacobians, cum_output_error, flow, flow_and_stm,
+                    gauss_newton_term, noise_sensitivity, perturbed_flow, stm)
 
 
 def linear_system(a):
@@ -62,6 +66,12 @@ def test_input_constant_and_bound():
     bounded = InputSignal.from_callable(lambda s: np.array([2.0 * s]), bound=1.0)
     with pytest.raises(DomainViolation):
         bounded.at(1.0)
+    g = TimeGrid.with_step(0.0, 1.0, 0.25)
+    for _ in range(2):  # a violation is never memoized
+        with pytest.raises(DomainViolation):
+            bounded.stage_values(g.t_start, g.h, g.n_steps)
+        with pytest.raises(DomainViolation):
+            bounded.at_nodes(g)
 
 
 def test_input_stage_values_respect_breakpoints():
@@ -73,6 +83,77 @@ def test_input_stage_values_respect_breakpoints():
     np.testing.assert_array_equal(u0[:, 0], [1.0, 1.0, 3.0, 3.0])
     np.testing.assert_array_equal(u1[:, 0], [1.0, 1.0, 3.0, 3.0])
     assert u.at(0.5)[0] == 3.0  # right-continuous
+    # The second call is served by the memo: the same read-only arrays,
+    # equal bit for bit to an uncached evaluation.
+    again = u.stage_values(g.t_start, g.h, g.n_steps)
+    uncached = InputSignal.stage_values.__wrapped__(u, g.t_start, g.h, g.n_steps)
+    for memo, first, fresh in zip(again, (u0, um, u1), uncached):
+        assert memo is first and not memo.flags.writeable
+        assert memo.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError):
+        u0[0, 0] = 0.0
+    nodes = u.at_nodes(g)
+    assert nodes is u.at_nodes(g) and not nodes.flags.writeable
+    assert nodes.tobytes() == np.stack([u.at(s) for s in g.nodes]).tobytes()
+    np.testing.assert_array_equal(nodes[:, 0], [1.0, 1.0, 3.0, 3.0, 3.0])
+
+
+def test_input_memo_holds_at_most_its_capacity():
+    u = InputSignal.from_callable(lambda s: np.array([s]))
+    memos = (InputSignal.stage_values, InputSignal.at_nodes)
+    cap = max(memo.cache_info().maxsize for memo in memos)
+    for n in range(1, cap + 4):
+        u.stage_values(0.0, 0.1, n)
+        u.at_nodes(TimeGrid(0.0, 1.0, n))
+    for memo in memos:
+        assert memo.cache_info().currsize <= memo.cache_info().maxsize
+
+
+def test_input_memo_is_consistent_under_threads():
+    # More threads than cores and more spans than entries, so lookups,
+    # insertions and evictions interleave; every result must still equal
+    # an uncached evaluation.
+    u = InputSignal.from_callable(lambda s: np.array([np.sin(s), s]))
+    spans = [(0.1 * k, 0.01, 20 + k) for k in range(12)]
+    expected = {span: InputSignal.stage_values.__wrapped__(u, *span) for span in spans}
+    errors = []
+
+    def work(offset):
+        for i in range(60):
+            span = spans[(i + offset) % len(spans)]
+            got = u.stage_values(*span)
+            if any(a.tobytes() != b.tobytes() for a, b in zip(got, expected[span])):
+                errors.append(span)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
+@pytest.mark.parametrize("callback", ["h", "dh_dx"])
+def test_wrong_shaped_output_rejected_not_broadcast(callback):
+    # x' = -x from x = 1 leaves x > 0.9 after the first few nodes; from
+    # then on the callback returns a scalar, which must not fill a row.
+    bad = {"h": lambda x, u=None: x if x[0] > 0.9 else float(x[0]),
+           "dh_dx": lambda x, u=None: np.eye(1) if x[0] > 0.9 else 1.0}
+    sys_ = dataclasses.replace(linear_system([[-1.0]]), **{callback: bad[callback]})
+    u = InputSignal.constant([0.0])
+    g = TimeGrid.with_step(0.0, 1.0, 0.01)
+    xi = np.array([1.0])
+    with pytest.raises(ValueError, match="shape"):
+        if callback == "h":
+            cum_output_error(sys_, 0.0, 1.0, xi, xi, u, g)
+        else:
+            gauss_newton_term(sys_, 0.0, 1.0, xi, u, g)
 
 
 def test_input_breakpoint_off_grid_rejected():

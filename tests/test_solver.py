@@ -5,6 +5,8 @@ reference equals twice the closed-form Grammian), so convergence, error
 magnitudes, and audit constants can all be checked against oracles.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,17 @@ def test_nonuniform_audit_bounds_actual_error(circ, x0, grid6):
     v = SampledSignal.constant(np.array([nu]), 1.0, 2.0, grid6.h)
     sol = solve_pmhe(sys_, x0, u, 2.0, 1.0, NoiseSignals(v=v), OPTS, grid6)
     assert sol.error_to_reference <= a.K_t * nu
+
+
+def test_nonuniform_audit_passes_inputs_to_dh_dx(spi, x0):
+    # A system whose dh_dx requires u, as the ControlSystem contract allows.
+    sys_, u = spi
+    dh = sys_.dh_dx
+    strict = dataclasses.replace(sys_, dh_dx=lambda x, u: dh(x, u))
+    grid = TimeGrid.with_step(0.0, 3.0, 0.01)
+    a = audit_nonuniform_stability(sys_, x0, u, 3.0, 2.0, 1e-3, grid)
+    b = audit_nonuniform_stability(strict, x0, u, 3.0, 2.0, 1e-3, grid)
+    assert a == b
 
 
 def test_nonuniform_audit_rejects_singular_window(cst, x0):
