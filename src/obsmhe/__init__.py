@@ -10,8 +10,9 @@ scenario with closed-form Grammian eigenvalue oracles.
 
 from ._backend import BACKEND
 from .errors import (BoundaryStuck, CertificationInconclusive, ConditionsFailed,
-                     ConfigError, DomainViolation, EigFailure, GridMismatch,
-                     MaxItersExceeded, ObsMheError, SingularWindow, Unbounded)
+                     ConfigError, DimensionMismatch, DomainViolation, EigFailure,
+                     GridMismatch, MaxItersExceeded, ObsMheError, SingularWindow,
+                     Unbounded)
 from .ode_core import (ControlSystem, InputSignal, NoiseSignals, SampledSignal,
                        TimeGrid, ZERO_NOISE, check_jacobians, flow,
                        flow_and_stm, noise_sensitivity, perturbed_flow, stm)
@@ -38,7 +39,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND", "__version__",
     # errors
-    "ObsMheError", "DomainViolation", "GridMismatch", "EigFailure",
+    "ObsMheError", "DomainViolation", "GridMismatch", "DimensionMismatch",
+    "EigFailure",
     "Unbounded", "CertificationInconclusive", "SingularWindow",
     "MaxItersExceeded", "BoundaryStuck", "ConditionsFailed", "ConfigError",
     # ode core

@@ -186,22 +186,26 @@ PRESETS = {
 }
 
 
+# Input laws by kind, each built from (landmark, x0, scenario parameters).
+INPUT_LAWS = {
+    "circ": lambda l, x0, p: u_circ(l, x0, p["omega"]),
+    "cst": lambda l, x0, p: u_cst(l, x0, p.get("sigma", 1.0)),
+    "spi": lambda l, x0, p: u_spi(l, x0, p["omega"], p["alpha"]),
+}
+
+
+def scenario_from_params(p: dict) -> tuple[ControlSystem, Array, InputSignal]:
+    """(system, x0, input) from preset-style parameters: landmark, x0, the
+    input kind and the parameters of its law."""
+    landmark = np.asarray(p["landmark"], dtype=float)
+    x0 = np.asarray(p["x0"], dtype=float)
+    return bearing_system(landmark), x0, INPUT_LAWS[p["input"]](landmark, x0, p)
+
+
 def preset_scenario(name: str) -> tuple[ControlSystem, BearingScenario, InputSignal, dict]:
     """Instantiate a stock scenario: (system, scenario, input, parameters)."""
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     p = dict(PRESETS[name])
-    landmark = np.asarray(p["landmark"], dtype=float)
-    x0 = np.asarray(p["x0"], dtype=float)
-    sys = bearing_system(landmark)
-    sc = BearingScenario(landmark, x0)
-    kind = p["input"]
-    if kind == "circ":
-        u = u_circ(landmark, x0, p["omega"])
-    elif kind == "cst":
-        u = u_cst(landmark, x0, p["sigma"])
-    elif kind == "spi":
-        u = u_spi(landmark, x0, p["omega"], p["alpha"])
-    else:  # pragma: no cover - presets are defined above
-        raise ValueError(f"unknown input kind {kind!r}")
-    return sys, sc, u, p
+    sys, x0, u = scenario_from_params(p)
+    return sys, BearingScenario(np.asarray(p["landmark"], dtype=float), x0), u, p

@@ -26,15 +26,15 @@ import csv
 import json
 import math
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import bearing
-from .errors import ConditionsFailed, ConfigError, ObsMheError, SingularWindow
-from .grammian import certify_weak_regular_persistence, observability_grammian
+from .errors import (CertificationInconclusive, ConditionsFailed, ConfigError,
+                     ObsMheError, SingularWindow)
+from .grammian import certify_weak_regular_persistence
 from .mhe_solver import SolverOptions, audit_uniform_stability, rolling_estimate
 from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals,
                        SampledSignal, TimeGrid, ZERO_NOISE, flow)
@@ -87,6 +87,8 @@ def normalize_config(raw: dict) -> dict:
         expanded.update({k: v for k, v in system.items() if k != "preset"})
         expanded["preset"] = name
         system = expanded
+        _require(system.get("input") in bearing.INPUT_LAWS, "system.input",
+                 f"unknown input kind {system.get('input')!r}")
     elif system.get("name") not in SYSTEM_FACTORIES:
         raise ConfigError("system must name a preset or a registered factory",
                           field="system")
@@ -136,19 +138,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> dict:
 def build_scenario(cfg: dict) -> tuple[ControlSystem, Array, InputSignal]:
     system = cfg["system"]
     if "preset" in system:
-        landmark = np.asarray(system["landmark"], dtype=float)
-        x0 = np.asarray(system["x0"], dtype=float)
-        sys = bearing.bearing_system(landmark)
-        kind = system["input"]
-        if kind == "circ":
-            u = bearing.u_circ(landmark, x0, system["omega"])
-        elif kind == "cst":
-            u = bearing.u_cst(landmark, x0, system.get("sigma", 1.0))
-        elif kind == "spi":
-            u = bearing.u_spi(landmark, x0, system["omega"], system["alpha"])
-        else:
-            raise ConfigError(f"unknown input kind {kind!r}", field="system.input")
-        return sys, x0, u
+        return bearing.scenario_from_params(system)
     return SYSTEM_FACTORIES[system["name"]](system)
 
 
@@ -249,7 +239,7 @@ def write_json(path: Path, payload: dict) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
+def cmd_simulate(cfg: dict, out: Path) -> int:
     sys_, x0, u = build_scenario(cfg)
     tg = cfg["t_grid"]
     t_end = float(tg["stop"])
@@ -267,31 +257,28 @@ def cmd_simulate(cfg: dict, out: Path, threads: int) -> int:
     return 0
 
 
-def cmd_grammian_scan(cfg: dict, out: Path, threads: int) -> int:
+def _write_scan(out: Path, windows) -> None:
+    """scan.csv: one (t, min_eig, max_eig) row per scanned window."""
+    write_csv(out / "scan.csv", ["t", "min_eig", "max_eig"], windows)
+
+
+def cmd_grammian_scan(cfg: dict, out: Path) -> int:
     sys_, x0, u = build_scenario(cfg)
     T = float(cfg["T"])
     ts = t_grid_values(cfg)
     _require(ts[0] >= T, "t_grid.start", "every window end must satisfy t >= T")
-    grid = TimeGrid.with_step(0.0, ts[-1], cfg["grid_step"])
-    xs = flow(sys_, 0.0, ts[-1], x0, u, grid)
-
-    def one(t: float):
-        return observability_grammian(sys_, t, T, xs[grid.index_of(t - T)], u, grid)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(one, ts))
-    else:
-        reports = [one(t) for t in ts]
-    write_csv(out / "scan.csv", ["t", "min_eig", "max_eig"],
-              [[r.t, r.min_eig, r.max_eig] for r in reports])
-
     au = cfg["audit"]
-    cert = certify_weak_regular_persistence(
-        sys_, x0, u, T, ts, cfg["grid_step"],
-        mu_threshold=au["mu_threshold"], boundedness_radius=au["R"],
-        n_ball_samples=int(au["n_ball_samples"]), seed=int(au["seed"]),
-        singular_tol=au["singular_tol"], witness_step=au["witness_step"])
+    try:
+        cert = certify_weak_regular_persistence(
+            sys_, x0, u, T, ts, cfg["grid_step"],
+            mu_threshold=au["mu_threshold"], boundedness_radius=au["R"],
+            n_ball_samples=int(au["n_ball_samples"]), seed=int(au["seed"]),
+            singular_tol=au["singular_tol"], witness_step=au["witness_step"])
+    except CertificationInconclusive as exc:
+        _write_scan(out, ((r.t, r.min_eig, r.max_eig) for r in exc.windows))
+        raise
+    windows = list(zip(cert.t_grid, cert.min_eigs, cert.max_eigs))
+    _write_scan(out, windows)
     payload = {
         "config": cfg,
         "verdict": cert.verdict.value,
@@ -306,13 +293,13 @@ def cmd_grammian_scan(cfg: dict, out: Path, threads: int) -> int:
             "witness_cost": cert.evidence.witness_cost,
         },
         "windows": [{"t": t, "min_eig": lo, "max_eig": hi}
-                    for t, lo, hi in zip(cert.t_grid, cert.min_eigs, cert.max_eigs)],
+                    for t, lo, hi in windows],
     }
     write_json(out / "certificate.json", payload)
     return 0
 
 
-def cmd_mhe_run(cfg: dict, out: Path, threads: int) -> int:
+def cmd_mhe_run(cfg: dict, out: Path) -> int:
     sys_, x0, u = build_scenario(cfg)
     T = float(cfg["T"])
     ts = t_grid_values(cfg)
@@ -347,7 +334,7 @@ def cmd_mhe_run(cfg: dict, out: Path, threads: int) -> int:
     return 1 if any_failed else 0
 
 
-def cmd_stability_audit(cfg: dict, out: Path, threads: int) -> int:
+def cmd_stability_audit(cfg: dict, out: Path) -> int:
     sys_, x0, u = build_scenario(cfg)
     T = float(cfg["T"])
     ts = t_grid_values(cfg)
@@ -401,7 +388,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for window fan-out")
+                        help="accepted for older command lines; has no effect")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the noise and audit seeds")
     args = parser.parse_args(argv)
@@ -412,7 +399,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         print(f"[obsmhe] {args.command}: expanded config = "
               f"{json.dumps(_jsonable(cfg), sort_keys=True)}", file=_sys.stderr)
-        return _COMMANDS[args.command](cfg, out, max(1, args.threads))
+        return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         loc = f" (field: {exc.field})" if getattr(exc, "field", "") else ""
         print(f"[obsmhe] config error: {exc}{loc}", file=_sys.stderr)

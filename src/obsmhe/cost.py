@@ -25,6 +25,7 @@ from .ode_core import (
     flow_and_stm,
     noise_sensitivity,
     perturbed_flow,
+    require_width,
     stack_rows,
 )
 
@@ -72,16 +73,19 @@ def fd_step(point: Array, eps: float = 1e-5) -> float:
     return eps * max(1.0, float(np.linalg.norm(point)))
 
 
-def fd_gradient(fn: Callable[[Array], float], x: Array, eps: Optional[float] = None) -> Array:
-    """Central finite differences of a scalar function."""
+def fd_gradient(fn: Callable[[Array], Array], x: Array, eps: Optional[float] = None) -> Array:
+    """Central finite differences of fn at x, one column per coordinate of x:
+    the gradient of a scalar fn, the Jacobian of a vector fn."""
     x = np.asarray(x, dtype=float)
     step = fd_step(x) if eps is None else eps
-    g = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        e = np.zeros(x.shape[0])
-        e[i] = step
-        g[i] = (fn(x + e) - fn(x - e)) / (2.0 * step)
-    return g
+    return np.stack([(fn(x + e) - fn(x - e)) / (2.0 * step)
+                     for e in step * np.eye(x.shape[0])], axis=-1)
+
+
+def fd_hessian(grad: Callable[[Array], Array], x: Array) -> Array:
+    """Symmetrized central finite differences of an analytic gradient."""
+    h = fd_gradient(grad, x)
+    return 0.5 * (h + h.T)
 
 
 def cum_output_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
@@ -145,17 +149,7 @@ def hess_cum_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
         return 2.0 * gauss_newton_term(sys, t1, t2, xi2, u, grid)
     if mode != "full_fd":
         raise ValueError(f"unknown hessian mode {mode!r}")
-    xi2 = np.asarray(xi2, dtype=float)
-    step = fd_step(xi2)
-    n = xi2.shape[0]
-    hess = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
-        gp = grad_cum_error(sys, t1, t2, xi1, xi2 + e, u, grid)
-        gm = grad_cum_error(sys, t1, t2, xi1, xi2 - e, u, grid)
-        hess[i] = (gp - gm) / (2.0 * step)
-    return 0.5 * (hess + hess.T)
+    return fd_hessian(lambda z: grad_cum_error(sys, t1, t2, xi1, z, u, grid), xi2)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +173,7 @@ def perturbed_reference(sys: ControlSystem, t: float, T: float, x0: Array,
     window's step, so process noise accumulated before the window is
     accounted for.
     """
+    require_width(eta.v, sys.n_y, "measurement noise v")
     win = _window_grid(t, T, grid)
     full = TimeGrid.with_step(0.0, t, win.h)
     xs_full = perturbed_flow(sys, 0.0, t, x0, u, eta.w, full)
@@ -246,6 +241,7 @@ def grad_sensitivity_v(sys: ControlSystem, t: float, T: float, xi: Array,
 
     Affine structure: independent of the noise the gradient is taken at.
     """
+    require_width(dv, sys.n_y, "noise direction dv")
     win = _window_grid(t, T, grid)
     us = u.at_nodes(win)
     xs, phis = flow_and_stm(sys, win.t_start, win.t_end, xi, u, win)

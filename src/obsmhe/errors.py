@@ -23,7 +23,16 @@ class Unbounded(ObsMheError):
 
 class CertificationInconclusive(ObsMheError):
     """A window Grammian is numerically singular but the flat-cost witness check
-    failed, so neither a positive nor a negative persistence verdict is supported."""
+    failed, so neither a positive nor a negative persistence verdict is supported.
+    Carries the scanned window reports (`windows`)."""
+
+    def __init__(self, message, windows=()):
+        super().__init__(message)
+        self.windows = windows
+
+
+class DimensionMismatch(ObsMheError):
+    """A noise signal's width differs from the dimension of the channel it enters."""
 
 
 class SingularWindow(ObsMheError):

@@ -5,6 +5,11 @@ the reference trajectory; it equals half the Hessian of the window cost at
 the reference state. Certificates scan a finite set of window end times
 and are therefore *sampled evidence, not a proof*: the underlying
 conditions quantify over all t >= T.
+
+`reference_scan` is the one place where window Grammians along the
+reference are computed: one reference flow, then one Grammian per window.
+Certificates (and CertificationInconclusive) carry the windows they
+scanned, and the uniform stability audit takes its mu_hat from the scan.
 """
 
 from __future__ import annotations
@@ -139,17 +144,23 @@ def observability_grammian(sys: ControlSystem, t: float, T: float, center: Array
                           matrix=c, eigenvalues=eigvals, eigenvectors=eigvecs)
 
 
-def _reference_scan(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
-                    t_grid, grid_step: float) -> tuple[TimeGrid, Array, list[GrammianReport]]:
-    t_grid = sorted(float(t) for t in t_grid)
-    if not t_grid or t_grid[0] < T:
+def reference_flow(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
+                   t_grid, grid_step: float) -> tuple[list[float], TimeGrid, Array]:
+    """Sorted window ends, the [0, max t] grid and the reference states on it."""
+    t_list = sorted(float(t) for t in t_grid)
+    if not t_list or t_list[0] < T:
         raise ValueError("t_grid must be nonempty with every t >= T")
-    full = TimeGrid.with_step(0.0, t_grid[-1], grid_step)
-    xs = flow(sys, 0.0, full.t_end, x0, u, full)
-    reports = []
-    for t in t_grid:
-        center = xs[full.index_of(t - T)]
-        reports.append(observability_grammian(sys, t, T, center, u, full))
+    full = TimeGrid.with_step(0.0, t_list[-1], grid_step)
+    return t_list, full, flow(sys, 0.0, full.t_end, x0, u, full)
+
+
+def reference_scan(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
+                   t_grid, grid_step: float) -> tuple[TimeGrid, Array, list[GrammianReport]]:
+    """The reference flow's grid and states, and one Grammian per window
+    [t-T, t] along it, t ascending."""
+    t_list, full, xs = reference_flow(sys, x0, u, T, t_grid, grid_step)
+    reports = [observability_grammian(sys, t, T, xs[full.index_of(t - T)], u, full)
+               for t in t_list]
     return full, xs, reports
 
 
@@ -185,7 +196,7 @@ def certify_weak_persistence(sys: ControlSystem, x0: Array, u: InputSignal,
     scan raises CertificationInconclusive, since a singular Grammian alone
     does not settle the question.
     """
-    full, _, reports = _reference_scan(sys, x0, u, T, t_grid, grid_step)
+    full, _, reports = reference_scan(sys, x0, u, T, t_grid, grid_step)
     tols = [singular_tol if singular_tol is not None else 1e-8 * r.max_eig
             for r in reports]
     worst_i = int(np.argmin([r.min_eig for r in reports]))
@@ -207,7 +218,7 @@ def certify_weak_persistence(sys: ControlSystem, x0: Array, u: InputSignal,
         raise CertificationInconclusive(
             f"window t={worst.t} has a near-singular Grammian (min_eig="
             f"{worst.min_eig:.3e}) but the flat-cost witness check found cost "
-            f"{wcost:.3e} >= {flat_cost_tol:.1e}")
+            f"{wcost:.3e} >= {flat_cost_tol:.1e}", windows=tuple(reports))
     return PersistenceCertificate(
         verdict=Verdict.NOT_WEAKLY_PERSISTENT, t_grid=t_list,
         min_eigs=min_eigs, max_eigs=max_eigs, mu_hat=mu_hat,
@@ -282,10 +293,10 @@ def check_regular_boundedness(sys: ControlSystem, x0: Array, u: InputSignal,
     """
     if R <= 0:
         raise ValueError("R must be positive")
-    full, xs, _ = _reference_scan(sys, x0, u, T, t_grid, grid_step)
+    t_list, full, xs = reference_flow(sys, x0, u, T, t_grid, grid_step)
     rng = np.random.default_rng(seed)
     per_window = []
-    for t in sorted(float(t) for t in t_grid):
+    for t in t_list:
         center = xs[full.index_of(t - T)]
         sup = 0.0
         for xi in ball_samples(rng, center, R, n_ball_samples):

@@ -16,13 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import (grad_perturbed_cost_from_reference, grad_sensitivity_v,
-                   grad_sensitivity_w, gauss_newton_term,
-                   perturbed_cost_from_reference, perturbed_reference,
-                   fd_step)
+from .cost import (fd_hessian, grad_perturbed_cost_from_reference,
+                   grad_sensitivity_v, grad_sensitivity_w, gauss_newton_term,
+                   perturbed_cost_from_reference, perturbed_reference)
 from .errors import (BoundaryStuck, ConditionsFailed, MaxItersExceeded,
                      ObsMheError, SingularWindow)
-from .grammian import ball_samples, jacobi_eigh
+from .grammian import (GrammianReport, ball_samples, jacobi_eigh,
+                       observability_grammian, reference_scan)
 from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals,
                        SampledSignal, TimeGrid, ZERO_NOISE, flow,
                        flow_and_stm, noise_sensitivity, perturbed_flow)
@@ -148,15 +148,7 @@ class _WindowProblem:
         raise ValueError(f"unknown hessian mode {mode!r}")
 
     def hess_fd(self, xi: Array) -> Array:
-        xi = np.asarray(xi, dtype=float)
-        n = xi.shape[0]
-        eps = fd_step(xi)
-        h = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = eps
-            h[:, j] = (self.grad(xi + e) - self.grad(xi - e)) / (2.0 * eps)
-        return 0.5 * (h + h.T)
+        return fd_hessian(self.grad, xi)
 
 
 def _project(xi: Array, center: Array, radius: float) -> tuple[Array, bool]:
@@ -219,6 +211,23 @@ def _minimize(problem: _WindowProblem, x_init: Array, opts: SolverOptions):
     return xi, f, grad_norm, iterations, converged, projected_last, tuple(trace)
 
 
+def _reference_state(sys: ControlSystem, x0: Array, u: InputSignal, t: float,
+                     T: float, h: float) -> Array:
+    """The reference state x(t-T), integrated on the [0, t] grid of step h."""
+    if t <= T:
+        return np.asarray(x0, dtype=float)
+    return flow(sys, 0.0, t - T, x0, u, TimeGrid.with_step(0.0, t, h))[-1]
+
+
+def _window_mu(report: GrammianReport, note: str = "") -> float:
+    """2 * min_eig of a window Grammian; SingularWindow if numerically singular."""
+    if report.min_eig <= 1e-8 * max(report.max_eig, 1e-300):
+        raise SingularWindow(
+            f"window [{report.t - report.T}, {report.t}] Grammian is numerically "
+            f"singular (min_eig={report.min_eig:.3e}){note}")
+    return 2.0 * report.min_eig
+
+
 def _solve_window(problem: _WindowProblem, x_ref: Array, opts: SolverOptions,
                   x_init: Optional[Array]) -> MheSolution:
     if opts.ball_center is None:
@@ -245,8 +254,7 @@ def solve_pmhe(sys: ControlSystem, x0: Array, u: InputSignal, t: float,
     """
     win = grid.subgrid(t - T, t)
     _, ref_out = perturbed_reference(sys, t, T, x0, u, eta, grid)
-    full = TimeGrid.with_step(0.0, t, win.h)
-    x_ref = flow(sys, 0.0, t - T, x0, u, full)[-1] if t > T else np.asarray(x0, dtype=float)
+    x_ref = _reference_state(sys, x0, u, t, T, win.h)
     problem = _WindowProblem(sys, u, win, ref_out)
     return _solve_window(problem, x_ref, opts, x_init)
 
@@ -281,8 +289,7 @@ def rolling_estimate(sys: ControlSystem, x0: Array, u: InputSignal,
     prev_xi: Optional[Array] = None
     for t in t_list:
         if prev_xi is None:
-            full = TimeGrid.with_step(0.0, t, grid.h)
-            warm = flow(sys, 0.0, t - T, x0, u, full)[-1] if t > T else np.asarray(x0, dtype=float)
+            warm = _reference_state(sys, x0, u, t, T, grid.h)
         else:
             warm = flow(sys, prev_t - T, t - T, prev_xi, u, grid)[-1]
         try:
@@ -324,15 +331,8 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     """
     win = grid.subgrid(t - T, t)
     full = TimeGrid.with_step(0.0, t, win.h)
-    center = flow(sys, 0.0, t - T, x0, u, full)[-1] if t > T else np.asarray(x0, dtype=float)
-    c = gauss_newton_term(sys, t - T, t, center, u, win)
-    eigvals, _ = jacobi_eigh(c)
-    mu_t = float(eigvals[0])
-    if mu_t <= 1e-8 * max(float(eigvals[-1]), 1e-300):
-        raise SingularWindow(
-            f"window [{t - T}, {t}] Grammian is numerically singular "
-            f"(min_eig={mu_t:.3e})")
-    mu_t *= 2.0
+    center = _reference_state(sys, x0, u, t, T, win.h)
+    mu_t = _window_mu(observability_grammian(sys, t, T, center, u, win))
 
     xs, ps = flow_and_stm(sys, t - T, t, center, u, win)
     us = u.at_nodes(win)
@@ -383,21 +383,11 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    t_list = sorted(float(t) for t in t_grid)
-    full = TimeGrid.with_step(0.0, t_list[-1], grid_step)
-    xs = flow(sys, 0.0, full.t_end, x0, u, full)
+    full, xs, scan = reference_scan(sys, x0, u, T, t_grid, grid_step)
+    t_list = [r.t for r in scan]
+    mu_hat = min(_window_mu(r, "; no uniform margin exists") for r in scan)
     rng = np.random.default_rng(seed)
     n_x, n_y = sys.n_x, sys.n_y
-
-    mu_hat = float("inf")
-    for t in t_list:
-        c = gauss_newton_term(sys, t - T, t, xs[full.index_of(t - T)], u, full)
-        eigvals = jacobi_eigh(c)[0]
-        if eigvals[0] <= 1e-8 * max(float(eigvals[-1]), 1e-300):
-            raise SingularWindow(
-                f"window [{t - T}, {t}] Grammian is numerically singular "
-                f"(min_eig={float(eigvals[0]):.3e}); no uniform margin exists")
-        mu_hat = min(mu_hat, 2.0 * float(eigvals[0]))
 
     a1_hat = 0.0
     a2_hat = 0.0
@@ -478,8 +468,7 @@ def multistart_uniqueness(sys: ControlSystem, x0: Array, u: InputSignal,
     R/10 so a flat valley cannot trivially pass).
     """
     win = grid.subgrid(t - T, t)
-    full = TimeGrid.with_step(0.0, t, win.h)
-    center = flow(sys, 0.0, t - T, x0, u, full)[-1] if t > T else np.asarray(x0, dtype=float)
+    center = _reference_state(sys, x0, u, t, T, win.h)
     rng = np.random.default_rng(seed)
     starts = [center]
     if n_starts > 1:

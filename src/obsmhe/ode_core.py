@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from ._backend import rk4_flow, rk4_flow_sens, rk4_flow_stm
-from .errors import DomainViolation, GridMismatch
+from .errors import DimensionMismatch, DomainViolation, GridMismatch
 
 Array = np.ndarray
 
@@ -137,30 +137,17 @@ class TimeGrid:
                 f"step {h} does not divide interval [{t_start}, {t_end}]")
         return cls(t_start, t_end, n)
 
-    @classmethod
-    def for_window(cls, t_start: float, t_end: float, n_steps: int = 400) -> "TimeGrid":
-        """Default window grid: 400 steps over the window (h = T/400)."""
-        return cls(t_start, t_end, n_steps)
-
     def index_of(self, t: float) -> int:
         i = round((t - self.t_start) / self.h)
         if i < 0 or i > self.n_steps or abs(self.t_start + i * self.h - t) > _NODE_TOL * max(1.0, abs(t)):
             raise GridMismatch(f"time {t} is not a node of {self}")
         return i
 
-    def covers(self, t0: float, t1: float) -> bool:
-        lo = min(self.t_start, t0) >= self.t_start - _NODE_TOL
-        hi = t1 <= self.t_end + _NODE_TOL
-        return lo and hi
-
     def subgrid(self, t0: float, t1: float) -> "TimeGrid":
         i0, i1 = self.index_of(t0), self.index_of(t1)
         if i1 <= i0:
             raise GridMismatch("empty subgrid")
         return TimeGrid(self.t_start + i0 * self.h, self.t_start + i1 * self.h, i1 - i0)
-
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.t_start, self.t_end, self.n_steps * factor)
 
 
 @dataclass(frozen=True)
@@ -330,6 +317,13 @@ class SampledSignal:
         return SampledSignal(self.t0, self.h, a * self.values)
 
 
+def require_width(signal: Optional[SampledSignal], dim: int, name: str) -> None:
+    """DimensionMismatch unless `signal` is None or has `dim` columns."""
+    if signal is not None and signal.values.shape[1] != dim:
+        raise DimensionMismatch(
+            f"{name} has {signal.values.shape[1]} columns, expected {dim}")
+
+
 @dataclass(frozen=True)
 class NoiseSignals:
     """Measurement noise v on the estimation window and process noise w on [0, t].
@@ -408,6 +402,7 @@ def perturbed_flow(sys: ControlSystem, s1: float, s2: float, xi: Array,
                    u: InputSignal, w: Optional[SampledSignal],
                    grid: TimeGrid) -> Array:
     """States of x' = f(x, u) + w; with w = None this is exactly `flow`."""
+    require_width(w, sys.n_x, "process noise w")
     sub = _span(grid, s1, s2, u)
     u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
     wv = None if w is None else w.step_values(sub.t_start, sub.h, sub.n_steps)
@@ -424,6 +419,8 @@ def noise_sensitivity(sys: ControlSystem, t_end: float, xi: Array, u: InputSigna
     z solves z' = d_x f(x~(s, w), u(s)) z + dw(s) with z(0) = 0, where x~
     is the w-perturbed flow from (0, xi). Linear in dw.
     """
+    require_width(w, sys.n_x, "process noise w")
+    require_width(dw, sys.n_x, "noise direction dw")
     sub = _span(grid, 0.0, t_end, u)
     u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
     if w is None:

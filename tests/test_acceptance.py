@@ -132,7 +132,7 @@ def test_acceptance_5_derivative_consistency(circ, x0, grid6):
         t, T = 2.0, 1.0
         xi_ref = flow(sys_, 0.0, t - T, x0, u, grid6)[-1]
         eta = NoiseSignals(
-            v=SampledSignal.constant(np.array([5e-3]), t - T, t, H),
+            v=SampledSignal.constant(np.repeat([5e-3], 2, axis=-1), t - T, t, H),
             w=SampledSignal.constant(np.array([1e-3, -2e-3]), 0.0, t, H))
 
         for _ in range(20):
@@ -153,7 +153,7 @@ def test_acceptance_5_derivative_consistency(circ, x0, grid6):
         s = 1e-4
         for _ in range(5):
             xi = xi_ref + 0.05 * rng.standard_normal(2)
-            dv_dir = rng.standard_normal(1)
+            dv_dir = np.repeat(rng.standard_normal(1), 2, axis=-1)
             dv = SampledSignal.constant(dv_dir, t - T, t, H)
             sens = grad_sensitivity_v(sys_, t, T, xi, u, grid6, dv)
             gp = grad_perturbed_cost(
@@ -220,6 +220,7 @@ def test_acceptance_7_perturbed_mhe_stability(circ, x0, grid6):
             for seed in range(5):
                 rng = np.random.default_rng(seed)
                 v = _uniform_noise(rng, 0.0, H, grid6.n_steps, 1, nu)
+                v = SampledSignal(v.t0, v.h, np.repeat(v.values, 2, axis=-1))
                 for t in t_list:
                     sol = solve_pmhe(sys_, x0, u, t, T, NoiseSignals(v=v),
                                      opts, grid6)
@@ -238,7 +239,7 @@ def test_acceptance_8_time_uniformity_contrast(circ, spi, x0):
         sys_c, u_c = circ
         T, nu = 1.0, 1e-3
         grid = TimeGrid.with_step(0.0, 21.0, H)
-        v = SampledSignal.constant(np.array([nu]), 0.0, 21.0, H)
+        v = SampledSignal.constant(np.repeat([nu], 2, axis=-1), 0.0, 21.0, H)
         results = rolling_estimate(sys_c, x0, u_c, np.arange(1.0, 22.0, 2.0),
                                    T, NoiseSignals(v=v),
                                    SolverOptions(ball_radius=0.1), grid)

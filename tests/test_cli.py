@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from obsmhe import cli
+from obsmhe import ControlSystem, InputSignal, cli, grammian
 
 
 def run(tmp_path, command, config, extra=None):
@@ -178,3 +178,62 @@ def test_normalize_config_rejects_bad_noise_family():
     with pytest.raises(ConfigError):
         cli.normalize_config({"system": "circ-default",
                               "noise": {"family": "pink"}})
+
+
+def test_grammian_scan_computes_each_window_grammian_once(tmp_path, monkeypatch):
+    calls = []
+    original = grammian.gauss_newton_term
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(grammian, "gauss_newton_term", counted)
+    code, _ = run(tmp_path, "grammian-scan", {"system": "circ-default"})
+    assert code == 0
+    assert calls == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]  # one per window end
+
+
+def test_grammian_scan_inconclusive_still_writes_scan(tmp_path, capsys):
+    # Every window is "singular" under this tolerance, and the circle's
+    # witness cost is far from flat: no verdict is supported.
+    code, out = run(tmp_path, "grammian-scan",
+                    {"system": "circ-default", "audit": {"singular_tol": 1.0}})
+    assert code == 1
+    assert "CertificationInconclusive" in capsys.readouterr().err
+    assert not (out / "certificate.json").exists()
+    lines = (out / "scan.csv").read_text().splitlines()
+    assert lines[0] == "t,min_eig,max_eig"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == \
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+
+def _oscillator(params):
+    """x' = J x + (0, u) with J a rotation, y = x1: Phi(s) = exp(J s) != I."""
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    b = np.array([0.0, 1.0])
+    sys_ = ControlSystem(
+        n_x=2, n_u=1, n_y=1,
+        f=lambda x, u: j @ x + b * u[0],
+        h=lambda x, u=None: x[:1],
+        df_dx=lambda x, u=None: j,
+        dh_dx=lambda x, u=None: np.array([[1.0, 0.0]]))
+    u = InputSignal.from_callable(lambda s: np.array([np.sin(2.0 * s)]), bound=1.0)
+    return sys_, np.array([1.0, 0.0]), u
+
+
+def test_registered_oscillator_scan_matches_closed_form(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "SYSTEM_FACTORIES", {})
+    cli.register_system("oscillator", _oscillator)
+    code, out = run(tmp_path, "grammian-scan", {"system": {"name": "oscillator"}})
+    assert code == 0
+    T = 1.0
+    lo, hi = (T - abs(np.sin(T))) / 2.0, (T + abs(np.sin(T))) / 2.0
+    rows = [[float(c) for c in line.split(",")]
+            for line in (out / "scan.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    for _, min_eig, max_eig in rows:
+        assert min_eig == pytest.approx(lo, rel=1e-9)
+        assert max_eig == pytest.approx(hi, rel=1e-9)
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["verdict"] == "WeaklyRegularlyPersistentSampled"

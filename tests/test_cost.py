@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from obsmhe import (GridMismatch, NoiseSignals, SampledSignal, TimeGrid,
-                    ZERO_NOISE, flow)
+from obsmhe import (DimensionMismatch, GridMismatch, NoiseSignals,
+                    SampledSignal, TimeGrid, ZERO_NOISE, flow, noise_sensitivity,
+                    perturbed_flow)
 from obsmhe.cost import (cum_output_error, fd_gradient, gauss_newton_term,
                          grad_cum_error, grad_perturbed_cost,
                          grad_sensitivity_v, grad_sensitivity_w,
@@ -156,3 +157,20 @@ def test_sensitivity_v_is_noise_independent(circ, grid6, x0):
                              NoiseSignals(v=dv.scaled(0.3 - eps)), grid6)
     np.testing.assert_allclose(a, (gp - gm) / (2 * eps), atol=1e-9)
     assert big.norm == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("channel", ["v", "dv", "w", "dw"])
+def test_noise_of_the_wrong_width_is_rejected(circ, grid6, x0, channel):
+    # One column against the bearing system's two outputs and two states:
+    # rejected, never broadcast onto both components.
+    sys_, u = circ
+    t, T = 2.0, 1.0
+    one = SampledSignal.constant(np.array([1e-3]), 0.0, t, grid6.h)
+    calls = {
+        "v": lambda: perturbed_reference(sys_, t, T, x0, u, NoiseSignals(v=one), grid6),
+        "dv": lambda: grad_sensitivity_v(sys_, t, T, x0, u, grid6, one),
+        "w": lambda: perturbed_flow(sys_, 0.0, t, x0, u, one, grid6),
+        "dw": lambda: noise_sensitivity(sys_, t, x0, u, None, one, grid6),
+    }
+    with pytest.raises(DimensionMismatch, match="1 columns, expected 2"):
+        calls[channel]()

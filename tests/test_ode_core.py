@@ -39,23 +39,15 @@ def test_grid_rejects_nondividing_step():
         TimeGrid.with_step(0.0, 1.0, 0.3)
 
 
-def test_grid_subgrid_and_covers():
+def test_grid_subgrid_and_index_of():
     g = TimeGrid.with_step(0.0, 2.0, 0.1)
     sub = g.subgrid(0.5, 1.5)
     assert sub.t_start == pytest.approx(0.5)
     assert sub.n_steps == 10
-    assert g.covers(0.5, 1.5)
-    assert not g.covers(0.5, 2.5)
     with pytest.raises(GridMismatch):
         g.subgrid(0.5, 0.5)
     with pytest.raises(GridMismatch):
         g.index_of(0.123)
-
-
-def test_grid_refined_halves_step():
-    g = TimeGrid.with_step(0.0, 1.0, 0.5)
-    assert g.refined().n_steps == 4
-    assert g.refined(4).h == pytest.approx(g.h / 4)
 
 
 # -- InputSignal / SampledSignal -------------------------------------------

@@ -89,7 +89,7 @@ def test_boundary_stuck_when_minimizer_outside_ball(circ, x0, grid6):
 
 def test_pmhe_error_scales_with_noise(circ, x0, grid6):
     sys_, u = circ
-    v = SampledSignal.constant(np.array([1e-3]), 1.0, 2.0, grid6.h)
+    v = SampledSignal.constant(np.repeat([1e-3], 2, axis=-1), 1.0, 2.0, grid6.h)
     sol = solve_pmhe(sys_, x0, u, 2.0, 1.0, NoiseSignals(v=v), OPTS, grid6)
     assert sol.converged
     assert 0.0 < sol.error_to_reference < 0.05
@@ -107,7 +107,7 @@ def test_rolling_estimate_tracks_noise_free_truth(circ, x0, grid6):
 
 def test_rolling_estimate_records_failures(circ, x0, grid6):
     sys_, u = circ
-    v = SampledSignal.constant(np.array([1e-2]), 0.0, 6.0, grid6.h)
+    v = SampledSignal.constant(np.repeat([1e-2], 2, axis=-1), 0.0, 6.0, grid6.h)
     results = rolling_estimate(sys_, x0, u, [2.0, 3.0], 1.0,
                                NoiseSignals(v=v),
                                OPTS.replace(max_iters=0), grid6)
@@ -132,7 +132,7 @@ def test_nonuniform_audit_bounds_actual_error(circ, x0, grid6):
     sys_, u = circ
     nu = 1e-3
     a = audit_nonuniform_stability(sys_, x0, u, 2.0, 1.0, nu, grid6)
-    v = SampledSignal.constant(np.array([nu]), 1.0, 2.0, grid6.h)
+    v = SampledSignal.constant(np.repeat([nu], 2, axis=-1), 1.0, 2.0, grid6.h)
     sol = solve_pmhe(sys_, x0, u, 2.0, 1.0, NoiseSignals(v=v), OPTS, grid6)
     assert sol.error_to_reference <= a.K_t * nu
 
