@@ -1,7 +1,9 @@
 """Throughput comparison of the compiled and pure-Python RK4 kernels.
 
-Runs the three kernels on the 2D bearing system over increasing step
-counts and reports steps/second per backend plus the speedup.
+Runs the flow and STM kernels of each backend on the 2D bearing system,
+and `ode_core.rk4_flow_sens` (the backend's `rk4_flow` on the augmented
+state [x; vec Z]) with k = 1 and k = n_x noise directions, and reports
+steps/second per backend plus the speedup.
 
     python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """
@@ -11,7 +13,7 @@ import time
 
 import numpy as np
 
-from obsmhe import _kernels_py
+from obsmhe import BACKEND, _kernels_py, ode_core
 from obsmhe.bearing import bearing_system, u_circ
 
 try:
@@ -47,7 +49,8 @@ def main():
     h = 2.0 * np.pi / n  # one full revolution
     u0, um, u1 = stage_inputs(u, h, n)
     w = 1e-3 * np.random.default_rng(0).standard_normal((n, 2))
-    dw = np.ones((n, 2))
+    nx = sys_.n_x
+    directions = {1: np.ones((n, nx, 1)), nx: np.tile(np.eye(nx), (n, 1, 1))}
 
     backends = [("python", _kernels_py)]
     if _kernels_c is not None:
@@ -58,20 +61,24 @@ def main():
         "rk4_flow+w": lambda k: k.rk4_flow(sys_.f, x0, h, u0, um, u1, w),
         "rk4_flow_stm": lambda k: k.rk4_flow_stm(sys_.f, sys_.df_dx, x0, h,
                                                  u0, um, u1),
-        "rk4_flow_sens": lambda k: k.rk4_flow_sens(sys_.f, sys_.df_dx, x0, h,
-                                                   u0, um, u1, w, dw),
     }
+    # The sensitivity flow runs on whichever backend ode_core imported.
+    sens = {f"rk4_flow_sens k={k}": lambda dw=dw: ode_core.rk4_flow_sens(
+        sys_.f, sys_.df_dx, x0, h, u0, um, u1, w, dw) for k, dw in directions.items()}
 
     print(f"{n} RK4 steps, best of {args.repeats} runs\n")
-    print(f"{'kernel':<16}" + "".join(f"{name + ' (ksteps/s)':>22}"
+    print(f"{'kernel':<20}" + "".join(f"{name + ' (ksteps/s)':>22}"
                                       for name, _ in backends) + f"{'speedup':>10}")
     for label, job in jobs.items():
         rates = []
         for _, mod in backends:
             rates.append(n / bench(lambda m=mod: job(m), args.repeats) / 1e3)
         speedup = rates[0] / rates[-1] if len(rates) > 1 else 1.0
-        print(f"{label:<16}" + "".join(f"{r:>22.1f}" for r in rates)
+        print(f"{label:<20}" + "".join(f"{r:>22.1f}" for r in rates)
               + f"{speedup:>9.1f}x")
+    print(f"\n{'augmented':<20}{BACKEND + ' (ksteps/s)':>22}")
+    for label, job in sens.items():
+        print(f"{label:<20}{n / bench(job, args.repeats) / 1e3:>22.1f}")
 
 
 if __name__ == "__main__":

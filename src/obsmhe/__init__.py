@@ -15,11 +15,13 @@ from .errors import (BoundaryStuck, CertificationInconclusive, ConditionsFailed,
                      Unbounded)
 from .ode_core import (ControlSystem, InputSignal, NoiseSignals, SampledSignal,
                        TimeGrid, ZERO_NOISE, check_jacobians, flow,
-                       flow_and_stm, noise_sensitivity, perturbed_flow, stm)
+                       flow_and_stm, noise_sensitivity, perturbed_flow,
+                       perturbed_flow_and_sensitivities, stm)
 from .cost import (CostDerivatives, WindowCost, cum_output_error,
                    gauss_newton_term, grad_cum_error, grad_perturbed_cost,
-                   grad_sensitivity_v, grad_sensitivity_w, hess_cum_error,
-                   perturbed_cost, perturbed_reference, simpson_weights)
+                   grad_sensitivities, grad_sensitivity_v, grad_sensitivity_w,
+                   hess_cum_error, noise_output_directions, perturbed_cost,
+                   perturbed_reference, simpson_weights)
 from .grammian import (BoundednessReport, GrammianReport,
                        PersistenceCertificate, Verdict, WindowEvidence,
                        certify_weak_persistence,
@@ -47,11 +49,13 @@ __all__ = [
     "ControlSystem", "TimeGrid", "InputSignal", "SampledSignal",
     "NoiseSignals", "ZERO_NOISE", "check_jacobians", "flow", "stm",
     "flow_and_stm", "perturbed_flow", "noise_sensitivity",
+    "perturbed_flow_and_sensitivities",
     # cost
     "WindowCost", "CostDerivatives", "simpson_weights", "cum_output_error",
     "grad_cum_error", "gauss_newton_term", "hess_cum_error",
     "perturbed_reference", "perturbed_cost", "grad_perturbed_cost",
-    "grad_sensitivity_v", "grad_sensitivity_w",
+    "grad_sensitivity_v", "grad_sensitivity_w", "grad_sensitivities",
+    "noise_output_directions",
     # grammian
     "GrammianReport", "PersistenceCertificate", "BoundednessReport",
     "WindowEvidence", "Verdict", "jacobi_eigh", "observability_grammian",

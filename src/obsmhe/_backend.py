@@ -20,4 +20,3 @@ BACKEND = kernels.BACKEND
 
 rk4_flow = kernels.rk4_flow
 rk4_flow_stm = kernels.rk4_flow_stm
-rk4_flow_sens = kernels.rk4_flow_sens

@@ -142,77 +142,3 @@ def rk4_flow_stm(f, dfdx, cnp.ndarray[cnp.float64_t, ndim=1] x0, double h,
                 p[j, k] = p[j, k] + (h / 6.0) * (q1[j, k] + 2.0 * (q2[j, k] + q3[j, k]) + q4[j, k])
                 ps[i + 1, j, k] = p[j, k]
     return xs, ps
-
-
-def rk4_flow_sens(f, dfdx, cnp.ndarray[cnp.float64_t, ndim=1] x0, double h,
-                  cnp.ndarray[cnp.float64_t, ndim=2] u0,
-                  cnp.ndarray[cnp.float64_t, ndim=2] um,
-                  cnp.ndarray[cnp.float64_t, ndim=2] u1,
-                  cnp.ndarray[cnp.float64_t, ndim=2] w,
-                  cnp.ndarray[cnp.float64_t, ndim=2] dw):
-    cdef Py_ssize_t n = u0.shape[0]
-    cdef Py_ssize_t nx = x0.shape[0]
-    cdef cnp.ndarray[cnp.float64_t, ndim=2] xs = np.empty((n + 1, nx))
-    cdef cnp.ndarray[cnp.float64_t, ndim=2] zs = np.zeros((n + 1, nx))
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] x = np.array(x0, dtype=np.float64)
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] z = np.zeros(nx)
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] stage = np.empty(nx)
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] zst = np.empty(nx)
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] k1, k2, k3, k4
-    cdef cnp.ndarray[cnp.float64_t, ndim=2] a
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] m1 = np.empty(nx)
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] m2 = np.empty(nx)
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] m3 = np.empty(nx)
-    cdef cnp.ndarray[cnp.float64_t, ndim=1] m4 = np.empty(nx)
-    cdef Py_ssize_t i, j, m
-    cdef double acc
-    for j in range(nx):
-        xs[0, j] = x0[j]
-    for i in range(n):
-        k1 = _vec(f(x, u0[i]), nx)
-        a = np.ascontiguousarray(dfdx(x, u0[i]), dtype=np.float64)
-        for j in range(nx):
-            k1[j] += w[i, j]
-            acc = dw[i, j]
-            for m in range(nx):
-                acc += a[j, m] * z[m]
-            m1[j] = acc
-        for j in range(nx):
-            stage[j] = x[j] + 0.5 * h * k1[j]
-            zst[j] = z[j] + 0.5 * h * m1[j]
-        k2 = _vec(f(stage, um[i]), nx)
-        a = np.ascontiguousarray(dfdx(stage, um[i]), dtype=np.float64)
-        for j in range(nx):
-            k2[j] += w[i, j]
-            acc = dw[i, j]
-            for m in range(nx):
-                acc += a[j, m] * zst[m]
-            m2[j] = acc
-        for j in range(nx):
-            stage[j] = x[j] + 0.5 * h * k2[j]
-            zst[j] = z[j] + 0.5 * h * m2[j]
-        k3 = _vec(f(stage, um[i]), nx)
-        a = np.ascontiguousarray(dfdx(stage, um[i]), dtype=np.float64)
-        for j in range(nx):
-            k3[j] += w[i, j]
-            acc = dw[i, j]
-            for m in range(nx):
-                acc += a[j, m] * zst[m]
-            m3[j] = acc
-        for j in range(nx):
-            stage[j] = x[j] + h * k3[j]
-            zst[j] = z[j] + h * m3[j]
-        k4 = _vec(f(stage, u1[i]), nx)
-        a = np.ascontiguousarray(dfdx(stage, u1[i]), dtype=np.float64)
-        for j in range(nx):
-            k4[j] += w[i, j]
-            acc = dw[i, j]
-            for m in range(nx):
-                acc += a[j, m] * zst[m]
-            m4[j] = acc
-        for j in range(nx):
-            x[j] = x[j] + (h / 6.0) * (k1[j] + 2.0 * (k2[j] + k3[j]) + k4[j])
-            z[j] = z[j] + (h / 6.0) * (m1[j] + 2.0 * (m2[j] + m3[j]) + m4[j])
-            xs[i + 1, j] = x[j]
-            zs[i + 1, j] = z[j]
-    return xs, zs

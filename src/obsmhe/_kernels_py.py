@@ -8,6 +8,11 @@ kernels never evaluate input signals themselves.
 
 Process-noise arrays are sample-and-hold: one value per step, constant
 across the four stages.
+
+There is no sensitivity kernel: `ode_core.rk4_flow_sens` computes
+process-noise sensitivities as `rk4_flow` on the augmented state
+[x; vec Z], with f_aug = (f(x, u), dfdx(x, u) @ Z) and per-step forcing
+[w_i; vec F_i].
 """
 
 import numpy as np
@@ -75,40 +80,3 @@ def rk4_flow_stm(f, dfdx, x0, h, u0, um, u1):
         xs[i + 1] = x
         ps[i + 1] = p
     return xs, ps
-
-
-def rk4_flow_sens(f, dfdx, x0, h, u0, um, u1, w, dw):
-    """Co-integrate the noise-perturbed flow and one noise sensitivity.
-
-    x' = f(x, u) + w,  z' = dfdx(x, u) @ z + dw,  z(0) = 0.
-    Returns (states, zs).
-    """
-    n = u0.shape[0]
-    nx = x0.shape[0]
-    xs = np.empty((n + 1, nx))
-    zs = np.zeros((n + 1, nx))
-    xs[0] = x0
-    x = np.array(x0, dtype=float)
-    z = np.zeros(nx)
-    for i in range(n):
-        wi = w[i]
-        di = dw[i]
-        k1 = f(x, u0[i]) + wi
-        m1 = dfdx(x, u0[i]) @ z + di
-        x2 = x + (0.5 * h) * k1
-        z2 = z + (0.5 * h) * m1
-        k2 = f(x2, um[i]) + wi
-        m2 = dfdx(x2, um[i]) @ z2 + di
-        x3 = x + (0.5 * h) * k2
-        z3 = z + (0.5 * h) * m2
-        k3 = f(x3, um[i]) + wi
-        m3 = dfdx(x3, um[i]) @ z3 + di
-        x4 = x + h * k3
-        z4 = z + h * m3
-        k4 = f(x4, u1[i]) + wi
-        m4 = dfdx(x4, u1[i]) @ z4 + di
-        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        z = z + (h / 6.0) * (m1 + 2.0 * (m2 + m3) + m4)
-        xs[i + 1] = x
-        zs[i + 1] = z
-    return xs, zs

@@ -116,6 +116,10 @@ def normalize_config(raw: dict) -> dict:
              "apply_to must be v, w, or both")
     _require(0.0 < cfg["audit"]["alpha"] < 1.0, "audit.alpha",
              "alpha must lie in (0, 1)")
+    for key in ("n_xi_samples", "n_eta_samples", "t_subsample"):
+        value = cfg["audit"][key]
+        _require(isinstance(value, (int, float)) and int(value) >= 1,
+                 f"audit.{key}", f"{key} must be at least 1")
     # Canonicalize (tuples from preset tables -> lists) so the expanded
     # config is a JSON fixed point: normalize(normalize(x)) == normalize(x).
     return json.loads(json.dumps(cfg))

@@ -9,7 +9,7 @@ steps. All functions are pure; trajectories are integrated per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .ode_core import (
     TimeGrid,
     flow,
     flow_and_stm,
-    noise_sensitivity,
     perturbed_flow,
+    perturbed_flow_and_sensitivities,
     require_width,
     stack_rows,
 )
@@ -64,7 +64,7 @@ def _outputs(sys: ControlSystem, xs: Array, us: Array) -> Array:
     return stack_rows((sys.h(x, u) for x, u in zip(xs, us)), len(xs))
 
 
-def _output_jacobians(sys: ControlSystem, xs: Array, us: Array) -> Array:
+def output_jacobians(sys: ControlSystem, xs: Array, us: Array) -> Array:
     return stack_rows((sys.dh_dx(x, u) for x, u in zip(xs, us)), len(xs))
 
 
@@ -113,7 +113,7 @@ def grad_cum_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
     y1 = _outputs(sys, flow(sys, t1, t2, xi1, u, sub), us)
     x2, phis = flow_and_stm(sys, t1, t2, xi2, u, sub)
     y2 = _outputs(sys, x2, us)
-    hs = _output_jacobians(sys, x2, us)
+    hs = output_jacobians(sys, x2, us)
     # (y2 - y1)^T H Phi at each node
     rows = np.einsum("ni,nij,njk->nk", y2 - y1, hs, phis)
     return 2.0 * (simpson_weights(sub) @ rows)
@@ -129,7 +129,7 @@ def gauss_newton_term(sys: ControlSystem, t1: float, t2: float, xi2: Array,
     sub = grid.subgrid(t1, t2)
     us = u.at_nodes(sub)
     x2, phis = flow_and_stm(sys, t1, t2, xi2, u, sub)
-    hs = _output_jacobians(sys, x2, us)
+    hs = output_jacobians(sys, x2, us)
     hphi = np.einsum("nij,njk->nik", hs, phis)
     integrand = np.einsum("nij,nik->njk", hphi, hphi)
     c = np.einsum("n,njk->jk", simpson_weights(sub), integrand)
@@ -186,33 +186,36 @@ def perturbed_reference(sys: ControlSystem, t: float, T: float, x0: Array,
     return xs, ys
 
 
-def _candidate_residual(sys: ControlSystem, win: TimeGrid, xi: Array,
-                        u: InputSignal, ref_out: Array,
-                        with_stm: bool) -> tuple[Array, Array, Optional[Array], Array]:
+def candidate_terms(sys: ControlSystem, win: TimeGrid, xi: Array,
+                    u: InputSignal) -> tuple[Array, Array, Array]:
+    """Outputs, output Jacobians and STMs at the window nodes of the
+    candidate flow from (win.t_start, xi): all a window gradient needs."""
     us = u.at_nodes(win)
-    if with_stm:
-        xs, phis = flow_and_stm(sys, win.t_start, win.t_end, xi, u, win)
-    else:
-        xs = flow(sys, win.t_start, win.t_end, xi, u, win)
-        phis = None
-    resid = _outputs(sys, xs, us) - ref_out
-    return xs, us, phis, resid
+    xs, phis = flow_and_stm(sys, win.t_start, win.t_end, xi, u, win)
+    return _outputs(sys, xs, us), output_jacobians(sys, xs, us), phis
+
+
+def grad_from_terms(win: TimeGrid, terms: tuple[Array, Array, Array],
+                    ref_out: Array) -> Array:
+    """Window gradient from `candidate_terms` against a measured-output
+    trajectory: 2 * integral of (y - ref_out)^T H Phi."""
+    ys, hs, phis = terms
+    rows = np.einsum("ni,nij,njk->nk", ys - ref_out, hs, phis)
+    return 2.0 * (simpson_weights(win) @ rows)
 
 
 def perturbed_cost_from_reference(sys: ControlSystem, win: TimeGrid, xi: Array,
                                   u: InputSignal, ref_out: Array) -> float:
     """Window cost against a precomputed measured-output trajectory."""
-    _, _, _, resid = _candidate_residual(sys, win, xi, u, ref_out, with_stm=False)
+    xs = flow(sys, win.t_start, win.t_end, xi, u, win)
+    resid = _outputs(sys, xs, u.at_nodes(win)) - ref_out
     return float(simpson_weights(win) @ np.sum(resid ** 2, axis=1))
 
 
 def grad_perturbed_cost_from_reference(sys: ControlSystem, win: TimeGrid, xi: Array,
                                        u: InputSignal, ref_out: Array) -> Array:
     """Analytic gradient in xi against a precomputed measured-output trajectory."""
-    xs, us, phis, resid = _candidate_residual(sys, win, xi, u, ref_out, with_stm=True)
-    hs = _output_jacobians(sys, xs, us)
-    rows = np.einsum("ni,nij,njk->nk", resid, hs, phis)
-    return 2.0 * (simpson_weights(win) @ rows)
+    return grad_from_terms(win, candidate_terms(sys, win, xi, u), ref_out)
 
 
 def perturbed_cost(sys: ControlSystem, t: float, T: float, x0: Array, xi: Array,
@@ -233,6 +236,43 @@ def grad_perturbed_cost(sys: ControlSystem, t: float, T: float, x0: Array,
     return grad_perturbed_cost_from_reference(sys, win, xi, u, ref_out)
 
 
+def grad_sensitivities(sys: ControlSystem, win: TimeGrid, xi: Array,
+                       u: InputSignal, dys: Sequence[Array]) -> Array:
+    """Derivatives of the perturbed-cost gradient at xi along k output
+    perturbations, one column each: -2 * integral of (H Phi)^T dy(s).
+
+    Each dy holds the measured-output shift at the window nodes,
+    (n_nodes, n_y). All k columns share one window STM at xi.
+    """
+    _, hs, phis = candidate_terms(sys, win, xi, u)
+    w = simpson_weights(win)
+    return np.stack([-2.0 * (w @ np.einsum("ni,nij,njk->nk", dy, hs, phis))
+                     for dy in dys], axis=-1)
+
+
+def noise_output_directions(sys: ControlSystem, t: float, T: float, x0: Array,
+                            u: InputSignal, w: Optional[SampledSignal],
+                            grid: TimeGrid) -> list[Array]:
+    """The window output shifts along every constant unit noise direction:
+    e_j for the n_y measurement-noise directions, then H(x~) z_j for the
+    n_x process-noise directions.
+
+    x~ is the reference perturbed by w from (0, x0) and z_j its noise
+    sensitivities, integrated together in one augmented RK4 flow.
+    `grad_sensitivities` along them gives the columns of
+    `grad_sensitivity_v` and `grad_sensitivity_w` for those directions.
+    """
+    win = _window_grid(t, T, grid)
+    full = TimeGrid.with_step(0.0, t, win.h)
+    dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(sys.n_x)]
+    xs, zs = perturbed_flow_and_sensitivities(sys, t, x0, u, w, dws, full)
+    i0 = full.index_of(t - T)
+    h_ref = output_jacobians(sys, xs[i0:], u.at_nodes(win))
+    n_nodes = win.n_steps + 1
+    return ([np.tile(e, (n_nodes, 1)) for e in np.eye(sys.n_y)]
+            + [np.einsum("nij,nj->ni", h_ref, zs[i0:, :, j]) for j in range(sys.n_x)])
+
+
 def grad_sensitivity_v(sys: ControlSystem, t: float, T: float, xi: Array,
                        u: InputSignal, grid: TimeGrid,
                        dv: SampledSignal) -> Array:
@@ -243,12 +283,7 @@ def grad_sensitivity_v(sys: ControlSystem, t: float, T: float, xi: Array,
     """
     require_width(dv, sys.n_y, "noise direction dv")
     win = _window_grid(t, T, grid)
-    us = u.at_nodes(win)
-    xs, phis = flow_and_stm(sys, win.t_start, win.t_end, xi, u, win)
-    hs = _output_jacobians(sys, xs, us)
-    dvs = dv.at_nodes(win)
-    rows = np.einsum("ni,nij,njk->nk", dvs, hs, phis)
-    return -2.0 * (simpson_weights(win) @ rows)
+    return grad_sensitivities(sys, win, xi, u, [dv.at_nodes(win)])[:, 0]
 
 
 def grad_sensitivity_w(sys: ControlSystem, t: float, T: float, x0: Array,
@@ -262,13 +297,9 @@ def grad_sensitivity_w(sys: ControlSystem, t: float, T: float, x0: Array,
     """
     win = _window_grid(t, T, grid)
     full = TimeGrid.with_step(0.0, t, win.h)
-    xs_ref = perturbed_flow(sys, 0.0, t, x0, u, eta.w, full)
-    zs_full = noise_sensitivity(sys, t, x0, u, eta.w, dw, full)
+    xs_ref, zs_full = perturbed_flow_and_sensitivities(sys, t, x0, u, eta.w,
+                                                       [dw], full)
     i0 = full.index_of(t - T)
-    us = u.at_nodes(win)
-    xs_hat, phis = flow_and_stm(sys, win.t_start, win.t_end, xi, u, win)
-    h_hat = _output_jacobians(sys, xs_hat, us)
-    h_ref = _output_jacobians(sys, xs_ref[i0:], us)
-    dy = np.einsum("nij,nj->ni", h_ref, zs_full[i0:])
-    rows = np.einsum("ni,nij,njk->nk", dy, h_hat, phis)
-    return -2.0 * (simpson_weights(win) @ rows)
+    h_ref = output_jacobians(sys, xs_ref[i0:], u.at_nodes(win))
+    dy = np.einsum("nij,nj->ni", h_ref, zs_full[i0:, :, 0])
+    return grad_sensitivities(sys, win, xi, u, [dy])[:, 0]

@@ -12,20 +12,23 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .cost import (fd_hessian, grad_perturbed_cost_from_reference,
-                   grad_sensitivity_v, grad_sensitivity_w, gauss_newton_term,
-                   perturbed_cost_from_reference, perturbed_reference)
+from .cost import (candidate_terms, fd_hessian,
+                   grad_from_terms, grad_perturbed_cost_from_reference,
+                   grad_sensitivities, gauss_newton_term,
+                   noise_output_directions, output_jacobians,
+                   perturbed_cost_from_reference,
+                   perturbed_reference)
 from .errors import (BoundaryStuck, ConditionsFailed, MaxItersExceeded,
                      ObsMheError, SingularWindow)
 from .grammian import (GrammianReport, ball_samples, jacobi_eigh,
                        observability_grammian, reference_scan)
 from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals,
                        SampledSignal, TimeGrid, ZERO_NOISE, flow,
-                       flow_and_stm, noise_sensitivity, perturbed_flow)
+                       flow_and_stm, perturbed_flow_and_sensitivities)
 
 
 @dataclass(frozen=True)
@@ -150,6 +153,22 @@ class _WindowProblem:
     def hess_fd(self, xi: Array) -> Array:
         return fd_hessian(self.grad, xi)
 
+    def hess_fd_against(self, xi: Array, refs: Sequence[Array]) -> list[Array]:
+        """hess_fd at xi of the window costs against each measured-output
+        trajectory in `refs`. The candidate trajectories at the difference
+        points do not depend on the reference, so each is integrated once
+        for all of them."""
+        memo: dict[bytes, tuple[Array, Array, Array]] = {}
+
+        def terms(z: Array) -> tuple[Array, Array, Array]:
+            key = z.tobytes()
+            if key not in memo:
+                memo[key] = candidate_terms(self.sys, self.win, z, self.u)
+            return memo[key]
+
+        return [fd_hessian(lambda z, ref=ref: grad_from_terms(self.win, terms(z), ref), xi)
+                for ref in refs]
+
 
 def _project(xi: Array, center: Array, radius: float) -> tuple[Array, bool]:
     d = xi - center
@@ -206,7 +225,7 @@ def _minimize(problem: _WindowProblem, x_init: Array, opts: SolverOptions):
             raise BoundaryStuck(
                 "two consecutive iterates required projection onto the trust "
                 "ball boundary; the minimizer likely lies outside the ball")
-    grad_norm = float(np.linalg.norm(problem.grad(xi)))
+    grad_norm = float(np.linalg.norm(g))
     converged = grad_norm <= tol and not projected_last
     return xi, f, grad_norm, iterations, converged, projected_last, tuple(trace)
 
@@ -313,9 +332,16 @@ def _uniform_noise(rng: np.random.Generator, t0: float, h: float, n: int,
     return SampledSignal(t0, h, (mag / nrm) * d)
 
 
-def _hphi_sup(sys: ControlSystem, xs: Array, us: Array, ps: Array) -> float:
-    return max(float(np.linalg.norm(sys.dh_dx(x, u) @ p, 2))
-               for x, u, p in zip(xs, us, ps))
+def _require_samples(**counts: int) -> None:
+    """ValueError unless every named sample count is at least 1."""
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError(f"{name} must be at least 1, got {n}")
+
+
+def _spectral_norms(ms: Array) -> Array:
+    """The 2-norm of each matrix in a stack."""
+    return np.linalg.norm(ms, 2, axis=(1, 2))
 
 
 def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
@@ -329,6 +355,7 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     their noise sensitivities. Raises SingularWindow when the window
     Grammian is numerically singular (K_t would be meaningless).
     """
+    _require_samples(n_noise_samples=n_noise_samples)
     win = grid.subgrid(t - T, t)
     full = TimeGrid.with_step(0.0, t, win.h)
     center = _reference_state(sys, x0, u, t, T, win.h)
@@ -336,23 +363,19 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
 
     xs, ps = flow_and_stm(sys, t - T, t, center, u, win)
     us = u.at_nodes(win)
-    hphi = _hphi_sup(sys, xs, us, ps)
+    hphi = float(np.max(_spectral_norms(output_jacobians(sys, xs, us) @ ps)))
     c1 = 2.0 * T * hphi
 
     rng = np.random.default_rng(seed)
     n_x = sys.n_x
+    dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(n_x)]
+    n_win = win.n_steps + 1
     c2 = 0.0
-    for _ in range(max(1, n_noise_samples)):
+    for _ in range(n_noise_samples):
         w = _uniform_noise(rng, 0.0, full.h, full.n_steps, n_x, nu)
-        xt = perturbed_flow(sys, 0.0, t, x0, u, w, full)[-(win.n_steps + 1):]
-        zs = np.zeros((win.n_steps + 1, n_x, n_x))
-        for j in range(n_x):
-            e = np.zeros(n_x)
-            e[j] = 1.0
-            dw = SampledSignal.constant(e, 0.0, t, full.h)
-            zs[:, :, j] = noise_sensitivity(sys, t, x0, u, w, dw, full)[-(win.n_steps + 1):]
-        sup = max(float(np.linalg.norm(sys.dh_dx(xh, uh), 2) * np.linalg.norm(z, 2))
-                  for xh, uh, z in zip(xt, us, zs))
+        xt, zs = perturbed_flow_and_sensitivities(sys, t, x0, u, w, dws, full)
+        sup = float(np.max(_spectral_norms(output_jacobians(sys, xt[-n_win:], us))
+                           * _spectral_norms(zs[-n_win:])))
         c2 = max(c2, 2.0 * T * hphi * sup)
     return NonuniformStabilityAudit(t=t, T=T, nu=nu, mu_t=mu_t, C1_t=c1, C2_t=c2)
 
@@ -383,6 +406,8 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    _require_samples(n_xi_samples=n_xi_samples, n_eta_samples=n_eta_samples,
+                     t_subsample=t_subsample)
     full, xs, scan = reference_scan(sys, x0, u, T, t_grid, grid_step)
     t_list = [r.t for r in scan]
     mu_hat = min(_window_mu(r, "; no uniform margin exists") for r in scan)
@@ -399,16 +424,19 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
         center = xs[full.index_of(t - T)]
         n_steps_full = full.index_of(t)
         etas = [ZERO_NOISE]
-        for _ in range(max(0, n_eta_samples - 1)):
+        for _ in range(n_eta_samples - 1):
             etas.append(NoiseSignals(
                 v=_uniform_noise(rng, t - T, win.h, win.n_steps, n_y, nu),
                 w=_uniform_noise(rng, 0.0, full.h, n_steps_full, n_x, nu)))
         xi_pts = [center] + list(
-            ball_samples(rng, center, R, max(0, n_xi_samples - 1))[:n_xi_samples - 1])
+            ball_samples(rng, center, R, n_xi_samples - 1)[:n_xi_samples - 1])
 
         for eta in etas:
             _, ref_out = perturbed_reference(sys, t, T, x0, u, eta, full)
             problem = _WindowProblem(sys, u, win, ref_out)
+            # Output shifts along the unit v then w directions: one
+            # augmented integration of the reference and its sensitivities.
+            dys = noise_output_directions(sys, t, T, x0, u, eta.w, full)
             for xi in xi_pts:
                 # a1: directional Lipschitz estimate of the Hessian in xi
                 # and in the output-noise channel. (A constant v shift only
@@ -420,28 +448,16 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
                     hp = problem.hess_fd(xi + e)
                     hm = problem.hess_fd(xi - e)
                     a1_hat = max(a1_hat, float(np.linalg.norm(hp - hm, 2)) / (2 * delta))
-                for j in range(n_y):
-                    dv = np.zeros(n_y)
-                    dv[j] = delta
-                    hp = _WindowProblem(sys, u, win, ref_out + dv).hess_fd(xi)
-                    hm = _WindowProblem(sys, u, win, ref_out - dv).hess_fd(xi)
+                shifted = problem.hess_fd_against(
+                    xi, [ref_out + sign * dv for dv in delta * np.eye(n_y)
+                         for sign in (1.0, -1.0)])
+                for hp, hm in zip(shifted[::2], shifted[1::2]):
                     a1_hat = max(a1_hat, float(np.linalg.norm(hp - hm, 2)) / (2 * delta))
 
                 # a2 / g3: operator norms of the noise-to-gradient maps.
-                gv = np.empty((n_x, n_y))
-                gw = np.empty((n_x, n_x))
-                for j in range(n_y):
-                    e = np.zeros(n_y)
-                    e[j] = 1.0
-                    dv = SampledSignal.constant(e, t - T, t, win.h)
-                    gv[:, j] = grad_sensitivity_v(sys, t, T, xi, u, full, dv)
-                for j in range(n_x):
-                    e = np.zeros(n_x)
-                    e[j] = 1.0
-                    dw = SampledSignal.constant(e, 0.0, t, full.h)
-                    gw[:, j] = grad_sensitivity_w(sys, t, T, x0, xi, u, eta,
-                                                  full, dw)
-                gain = float(np.linalg.norm(gv, 2)) + float(np.linalg.norm(gw, 2))
+                g = grad_sensitivities(sys, win, xi, u, dys)
+                gain = (float(np.linalg.norm(g[:, :n_y], 2))
+                        + float(np.linalg.norm(g[:, n_y:], 2)))
                 g3_hat = max(g3_hat, gain)
                 if np.allclose(xi, center):
                     a2_hat = max(a2_hat, gain)

@@ -11,6 +11,11 @@ Integration is fixed-step classical RK4 on a uniform grid. Piecewise
 inputs are evaluated per step from the piece active on the open step, so
 breakpoints that sit on grid nodes do not break the order of the scheme;
 breakpoints off the grid raise GridMismatch.
+
+Process-noise sensitivities are not a kernel of their own: `rk4_flow_sens`
+runs the backend's `rk4_flow` on the augmented state [x; vec Z], so the
+w-perturbed states and the sensitivities to any number of noise
+directions come out of one integration on the same RK4 stages.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._backend import rk4_flow, rk4_flow_sens, rk4_flow_stm
+from ._backend import rk4_flow, rk4_flow_stm
 from .errors import DimensionMismatch, DomainViolation, GridMismatch
 
 Array = np.ndarray
@@ -411,6 +416,58 @@ def perturbed_flow(sys: ControlSystem, s1: float, s2: float, xi: Array,
     return xs
 
 
+def rk4_flow_sens(f, dfdx, x0: Array, h: float, u0: Array, um: Array,
+                  u1: Array, w: Array, dw: Array) -> tuple[Array, Array]:
+    """Co-integrate the w-perturbed flow and k noise sensitivities.
+
+    x' = f(x, u) + w and Z' = dfdx(x, u) @ Z + F with Z(0) = 0, where Z
+    and the forcing F are (n_x, k): the backend's `rk4_flow` on the
+    augmented state [x; vec Z] with per-step forcing [w_i; vec F_i].
+    `w` is (n, n_x) and `dw` holds F per step, (n, n_x, k). Returns
+    (states, zs) of shapes (n+1, n_x) and (n+1, n_x, k).
+    """
+    n, nx = u0.shape[0], x0.shape[0]
+    k = dw.shape[2]
+
+    def f_aug(xz: Array, ui: Array) -> Array:
+        x = xz[:nx]
+        return np.concatenate((f(x, ui), (dfdx(x, ui) @ xz[nx:].reshape(nx, k)).ravel()))
+
+    forcing = np.concatenate((w, dw.reshape(n, nx * k)), axis=1)
+    xzs = rk4_flow(f_aug, np.concatenate((x0, np.zeros(nx * k))), h, u0, um, u1,
+                   forcing)
+    return xzs[:, :nx], xzs[:, nx:].reshape(n + 1, nx, k)
+
+
+def perturbed_flow_and_sensitivities(sys: ControlSystem, t_end: float, xi: Array,
+                                     u: InputSignal, w: Optional[SampledSignal],
+                                     dws: Sequence[SampledSignal],
+                                     grid: TimeGrid) -> tuple[Array, Array]:
+    """The w-perturbed flow from (0, xi) on [0, t_end] and its derivatives
+    along k process-noise directions, from one integration.
+
+    Returns the states x~(s, w), equal to `perturbed_flow` from (0, xi),
+    and zs of shape (n+1, n_x, k) whose column j is the
+    `noise_sensitivity` along dws[j]: z' = d_x f(x~, u) z + dws[j](s),
+    z(0) = 0.
+    """
+    require_width(w, sys.n_x, "process noise w")
+    for dw in dws:
+        require_width(dw, sys.n_x, "noise direction dw")
+    sub = _span(grid, 0.0, t_end, u)
+    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
+    if w is None:
+        wv = np.zeros((sub.n_steps, sys.n_x))
+    else:
+        wv = w.step_values(sub.t_start, sub.h, sub.n_steps)
+    dwv = np.stack([dw.step_values(sub.t_start, sub.h, sub.n_steps) for dw in dws],
+                   axis=-1)
+    xs, zs = rk4_flow_sens(sys.f, sys.df_dx, np.asarray(xi, dtype=float),
+                           sub.h, u0, um, u1, wv, dwv)
+    _check_guard(sys, xs, "noise_sensitivity")
+    return xs, zs
+
+
 def noise_sensitivity(sys: ControlSystem, t_end: float, xi: Array, u: InputSignal,
                       w: Optional[SampledSignal], dw: SampledSignal,
                       grid: TimeGrid) -> Array:
@@ -419,16 +476,4 @@ def noise_sensitivity(sys: ControlSystem, t_end: float, xi: Array, u: InputSigna
     z solves z' = d_x f(x~(s, w), u(s)) z + dw(s) with z(0) = 0, where x~
     is the w-perturbed flow from (0, xi). Linear in dw.
     """
-    require_width(w, sys.n_x, "process noise w")
-    require_width(dw, sys.n_x, "noise direction dw")
-    sub = _span(grid, 0.0, t_end, u)
-    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
-    if w is None:
-        wv = np.zeros((sub.n_steps, sys.n_x))
-    else:
-        wv = w.step_values(sub.t_start, sub.h, sub.n_steps)
-    dv = dw.step_values(sub.t_start, sub.h, sub.n_steps)
-    xs, zs = rk4_flow_sens(sys.f, sys.df_dx, np.asarray(xi, dtype=float),
-                           sub.h, u0, um, u1, wv, dv)
-    _check_guard(sys, xs, "noise_sensitivity")
-    return zs
+    return perturbed_flow_and_sensitivities(sys, t_end, xi, u, w, [dw], grid)[1][:, :, 0]

@@ -78,20 +78,6 @@ def test_rk4_flow_stm_agreement():
     np.testing.assert_allclose(pa, pb, rtol=0, atol=1e-12)
 
 
-def test_rk4_flow_sens_agreement():
-    f, dfdx = _nonlinear()
-    n, h = 120, 0.01
-    u0, um, u1 = _stage_inputs(n, h, seed=4)
-    rng = np.random.default_rng(5)
-    w = 0.02 * rng.standard_normal((n, 2))
-    dw = rng.standard_normal((n, 2))
-    x0 = np.array([0.25, -0.1])
-    xa, za = compiled.rk4_flow_sens(f, dfdx, x0, h, u0, um, u1, w, dw)
-    xb, zb = _kernels_py.rk4_flow_sens(f, dfdx, x0, h, u0, um, u1, w, dw)
-    np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(za, zb, rtol=0, atol=1e-12)
-
-
 def test_force_python_env_selects_fallback(tmp_path):
     import subprocess
     import sys

@@ -10,7 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from obsmhe import ControlSystem, InputSignal, cli, grammian
+from obsmhe import ConfigError, ControlSystem, InputSignal, cli, grammian, ode_core
+from conftest import count_calls
 
 
 def run(tmp_path, command, config, extra=None):
@@ -178,6 +179,29 @@ def test_normalize_config_rejects_bad_noise_family():
     with pytest.raises(ConfigError):
         cli.normalize_config({"system": "circ-default",
                               "noise": {"family": "pink"}})
+
+
+@pytest.mark.parametrize("field", ["n_xi_samples", "n_eta_samples", "t_subsample"])
+def test_audit_sample_counts_below_one_exit_2(tmp_path, field):
+    cfg = {"system": "circ-default", "audit": {field: 0}}
+    with pytest.raises(ConfigError) as info:
+        cli.normalize_config(cfg)
+    assert info.value.field == f"audit.{field}"
+    code, _ = run(tmp_path, "stability-audit", cfg)
+    assert code == 2
+
+
+def test_stability_audit_integrates_shared_trajectories_once(tmp_path, monkeypatch):
+    # The benchmark's circle audit: one window, 2 noise draws x 2 ball
+    # points. Each (eta, xi) takes 16 STMs for the Hessian differences in
+    # xi, 4 shared by all output-noise shifts and 1 for every noise
+    # gradient; the scan adds one per window Grammian.
+    calls = count_calls(monkeypatch, ode_core.flow_and_stm)
+    code, _ = run(tmp_path, "stability-audit",
+                  {"system": "circ-default",
+                   "audit": {"R": 0.02, "nu": 1e-4, "alpha": 0.6, "t_subsample": 1}})
+    assert code == 0
+    assert len(calls) == 6 + 2 * 2 * (16 + 4 + 1)
 
 
 def test_grammian_scan_computes_each_window_grammian_once(tmp_path, monkeypatch):

@@ -8,9 +8,11 @@ from obsmhe import (DimensionMismatch, GridMismatch, NoiseSignals,
                     perturbed_flow)
 from obsmhe.cost import (cum_output_error, fd_gradient, gauss_newton_term,
                          grad_cum_error, grad_perturbed_cost,
-                         grad_sensitivity_v, grad_sensitivity_w,
-                         hess_cum_error, perturbed_cost, perturbed_reference,
-                         simpson_weights)
+                         grad_sensitivities, grad_sensitivity_v,
+                         grad_sensitivity_w, hess_cum_error,
+                         noise_output_directions, perturbed_cost,
+                         perturbed_reference, simpson_weights)
+from conftest import assert_bits_equal
 
 
 def test_simpson_weights_integrate_cubics_exactly():
@@ -157,6 +159,28 @@ def test_sensitivity_v_is_noise_independent(circ, grid6, x0):
                              NoiseSignals(v=dv.scaled(0.3 - eps)), grid6)
     np.testing.assert_allclose(a, (gp - gm) / (2 * eps), atol=1e-9)
     assert big.norm == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+def test_one_pass_gradient_maps_match_per_direction_calls(system, request, grid6, x0):
+    # One window STM and one augmented reference integration give every
+    # column of gv and gw that the per-direction calls give.
+    sys_, u = request.getfixturevalue(system)
+    t, T = 2.0, 1.0
+    win = grid6.subgrid(t - T, t)
+    rng = np.random.default_rng(31)
+    eta = NoiseSignals(w=SampledSignal(0.0, grid6.h, 1e-2 * rng.standard_normal(
+        (grid6.n_steps + 1, 2))))
+    xi = np.array([0.55, 0.83])
+    g = grad_sensitivities(sys_, win, xi, u,
+                           noise_output_directions(sys_, t, T, x0, u, eta.w, grid6))
+    assert g.shape == (2, 4)
+    for j, e in enumerate(np.eye(2)):
+        dv = SampledSignal.constant(e, t - T, t, win.h)
+        assert_bits_equal(g[:, j], grad_sensitivity_v(sys_, t, T, xi, u, grid6, dv))
+        dw = SampledSignal.constant(e, 0.0, t, grid6.h)
+        assert_bits_equal(g[:, 2 + j], grad_sensitivity_w(sys_, t, T, x0, xi, u, eta,
+                                                          grid6, dw))
 
 
 @pytest.mark.parametrize("channel", ["v", "dv", "w", "dw"])

@@ -10,7 +10,9 @@ import pytest
 from obsmhe import (ControlSystem, DomainViolation, GridMismatch, InputSignal,
                     NoiseSignals, SampledSignal, TimeGrid, ZERO_NOISE,
                     check_jacobians, cum_output_error, flow, flow_and_stm,
-                    gauss_newton_term, noise_sensitivity, perturbed_flow, stm)
+                    gauss_newton_term, noise_sensitivity, perturbed_flow,
+                    perturbed_flow_and_sensitivities, stm)
+from conftest import assert_bits_equal
 
 
 def linear_system(a):
@@ -278,6 +280,58 @@ def test_noise_sensitivity_matches_fd(grid2):
     xp = perturbed_flow(sys_, 0.0, 2.0, x1, u, dw.scaled(eps), grid2)
     xm = perturbed_flow(sys_, 0.0, 2.0, x1, u, dw.scaled(-eps), grid2)
     np.testing.assert_allclose(z, (xp - xm) / (2 * eps), atol=1e-8)
+
+
+def _sensitivity_loop(f, dfdx, x0, h, u0, um, u1, w, dw):
+    """Reference: RK4 stepping of x' = f + w, z' = dfdx z + dw, z(0) = 0,
+    one direction, written out stage by stage."""
+    x, z = np.array(x0, dtype=float), np.zeros(len(x0))
+    xs, zs = [x], [z]
+    for i in range(u0.shape[0]):
+        k1 = f(x, u0[i]) + w[i]
+        m1 = dfdx(x, u0[i]) @ z + dw[i]
+        x2, z2 = x + (0.5 * h) * k1, z + (0.5 * h) * m1
+        k2 = f(x2, um[i]) + w[i]
+        m2 = dfdx(x2, um[i]) @ z2 + dw[i]
+        x3, z3 = x + (0.5 * h) * k2, z + (0.5 * h) * m2
+        k3 = f(x3, um[i]) + w[i]
+        m3 = dfdx(x3, um[i]) @ z3 + dw[i]
+        x4, z4 = x + h * k3, z + h * m3
+        k4 = f(x4, u1[i]) + w[i]
+        m4 = dfdx(x4, u1[i]) @ z4 + dw[i]
+        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        z = z + (h / 6.0) * (m1 + 2.0 * (m2 + m3) + m4)
+        xs.append(x)
+        zs.append(z)
+    return np.array(xs), np.array(zs)
+
+
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+def test_k_direction_sensitivities_match_one_direction_calls(system, request, grid2, x0):
+    # One augmented integration for three directions gives the states of
+    # perturbed_flow and, column by column, the one-direction sensitivities
+    # and the stage-by-stage reference.
+    sys_, u = request.getfixturevalue(system)
+    n = grid2.n_steps
+    rng = np.random.default_rng(29)
+    w = SampledSignal(0.0, grid2.h, 0.05 * rng.standard_normal((n, 2)))
+    dws = [SampledSignal(0.0, grid2.h, rng.standard_normal((n, 2)))] + [
+        SampledSignal.constant(e, 0.0, 2.0, grid2.h) for e in np.eye(2)]
+    xs, zs = perturbed_flow_and_sensitivities(sys_, 2.0, x0, u, w, dws, grid2)
+    assert zs.shape == (n + 1, 2, 3)
+    assert_bits_equal(xs, perturbed_flow(sys_, 0.0, 2.0, x0, u, w, grid2))
+    stages = u.stage_values(0.0, grid2.h, n)
+    for j, dw in enumerate(dws):
+        assert_bits_equal(zs[:, :, j], noise_sensitivity(sys_, 2.0, x0, u, w, dw, grid2))
+        xr, zr = _sensitivity_loop(sys_.f, sys_.df_dx, x0, grid2.h, *stages,
+                                   w.values, dw.values)
+        assert_bits_equal(xs, xr)
+        assert_bits_equal(zs[:, :, j], zr)
+    np.testing.assert_array_equal(zs[0], np.zeros((2, 3)))
+    eps = 1e-6
+    xp = perturbed_flow(sys_, 0.0, 2.0, x0, u, w + dws[0].scaled(eps), grid2)
+    xm = perturbed_flow(sys_, 0.0, 2.0, x0, u, w + dws[0].scaled(-eps), grid2)
+    np.testing.assert_allclose(zs[:, :, 0], (xp - xm) / (2 * eps), atol=1e-8)
 
 
 def test_domain_guard_raises(cst, x0):

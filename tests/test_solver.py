@@ -13,9 +13,10 @@ import pytest
 from obsmhe import (
     BoundaryStuck, ConditionsFailed, GridMismatch, NoiseSignals,
     SampledSignal, SolverOptions, TimeGrid, ZERO_NOISE, bearing, flow,
-    audit_nonuniform_stability, audit_uniform_stability,
-    multistart_uniqueness, rolling_estimate, solve_fie, solve_mhe,
+    audit_nonuniform_stability, audit_uniform_stability, mhe_solver,
+    multistart_uniqueness, ode_core, rolling_estimate, solve_fie, solve_mhe,
     solve_pmhe)
+from conftest import count_calls
 
 OPTS = SolverOptions(ball_radius=0.1)
 
@@ -113,6 +114,45 @@ def test_rolling_estimate_records_failures(circ, x0, grid6):
                                OPTS.replace(max_iters=0), grid6)
     assert all(r.solution is None for r in results)
     assert all(r.failure.startswith("MaxItersExceeded") for r in results)
+
+
+def test_solve_computes_each_gradient_once(circ, x0, grid6, monkeypatch):
+    # One gradient per iterate; the final gradient norm reuses the last.
+    sys_, u = circ
+    calls = count_calls(monkeypatch, mhe_solver.grad_perturbed_cost_from_reference)
+    x_ref = _truth(sys_, x0, u, 1.0)
+    v = SampledSignal.constant([1e-3, -2e-3], 1.0, 2.0, grid6.h)
+    sol = solve_pmhe(sys_, x0, u, 2.0, 1.0, NoiseSignals(v=v),
+                     OPTS.replace(ball_center=x_ref + [0.03, -0.02]), grid6)
+    assert sol.iterations >= 2
+    # plus 2 n_x for the difference Hessian behind hess_min_eig
+    assert len(calls) == 1 + sol.iterations + 2 * sys_.n_x
+
+
+@pytest.mark.parametrize("field", ["n_xi_samples", "n_eta_samples", "t_subsample"])
+def test_uniform_audit_rejects_sample_counts_below_one(circ, x0, field):
+    sys_, u = circ
+    with pytest.raises(ValueError, match=field):
+        audit_uniform_stability(sys_, x0, u, 1.0, [2, 4], R=0.02, nu=1e-4,
+                                alpha=0.6, grid_step=0.005, **{field: 0})
+
+
+def test_nonuniform_audit_rejects_no_noise_draws(circ, x0, grid6):
+    sys_, u = circ
+    with pytest.raises(ValueError, match="n_noise_samples"):
+        audit_nonuniform_stability(sys_, x0, u, 2.0, 1.0, 1e-3, grid6,
+                                   n_noise_samples=0)
+
+
+def test_nonuniform_audit_integrates_each_noise_draw_once(spi, x0, monkeypatch):
+    # The perturbed states and the n_x sensitivities of a draw come from
+    # one augmented integration; no separate perturbed flow.
+    sys_, u = spi
+    flows = count_calls(monkeypatch, ode_core.perturbed_flow)
+    sens = count_calls(monkeypatch, ode_core.rk4_flow_sens)
+    grid = TimeGrid.with_step(0.0, 3.0, 0.01)
+    audit_nonuniform_stability(sys_, x0, u, 3.0, 2.0, 1e-3, grid, n_noise_samples=3)
+    assert (len(flows), len(sens)) == (0, 3)
 
 
 def test_nonuniform_audit_circ_constant_over_time(circ, x0, grid6):
