@@ -3,7 +3,10 @@
 Runs the flow and STM kernels of each backend on the 2D bearing system,
 and `ode_core.rk4_flow_sens` (the backend's `rk4_flow` on the augmented
 state [x; vec Z]) with k = 1 and k = n_x noise directions, and reports
-steps/second per backend plus the speedup.
+steps/second per backend plus the speedup. It also times the pure-Python
+`rk4_flow` on one state (B = 1, per-row f) and on a block of B = 20
+stacked states (the system's f_rows), as in `ode_core.flow_rows`, and
+reports row-steps/second for both.
 
     python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """
@@ -51,6 +54,8 @@ def main():
     w = 1e-3 * np.random.default_rng(0).standard_normal((n, 2))
     nx = sys_.n_x
     directions = {1: np.ones((n, nx, 1)), nx: np.tile(np.eye(nx), (n, 1, 1))}
+    starts = x0 + 0.05 * np.random.default_rng(1).standard_normal((20, nx))
+    blocks = {1: (sys_.f, x0), 20: (sys_.f_rows, starts)}
 
     backends = [("python", _kernels_py)]
     if _kernels_c is not None:
@@ -79,6 +84,10 @@ def main():
     print(f"\n{'augmented':<20}{BACKEND + ' (ksteps/s)':>22}")
     for label, job in sens.items():
         print(f"{label:<20}{n / bench(job, args.repeats) / 1e3:>22.1f}")
+    print(f"\n{'row blocks':<20}{'python (krow-steps/s)':>22}")
+    for b, (f, xb) in blocks.items():
+        t = bench(lambda: _kernels_py.rk4_flow(f, xb, h, u0, um, u1), args.repeats)
+        print(f"{'rk4_flow B=' + str(b):<20}{b * n / t / 1e3:>22.1f}")
 
 
 if __name__ == "__main__":

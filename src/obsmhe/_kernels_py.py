@@ -9,6 +9,14 @@ kernels never evaluate input signals themselves.
 Process-noise arrays are sample-and-hold: one value per step, constant
 across the four stages.
 
+`rk4_flow` also steps a block of states: with x0 of shape (B, n_x), `f`
+takes the stacked rows and one input row shared by all of them and
+returns (B, n_x), and each process-noise row is broadcast over the rows.
+Every operation between the f calls is elementwise, so row b of the
+result equals, bit for bit, the flow of x0[b] alone when f's rows equal
+its per-row results (`ode_core.flow_rows` supplies such an f). The
+compiled twin steps one state only.
+
 There is no sensitivity kernel: `ode_core.rk4_flow_sens` computes
 process-noise sensitivities as `rk4_flow` on the augmented state
 [x; vec Z], with f_aug = (f(x, u), dfdx(x, u) @ Z) and per-step forcing
@@ -23,10 +31,12 @@ BACKEND = "python"
 def rk4_flow(f, x0, h, u0, um, u1, w=None):
     """Integrate x' = f(x, u) + w over n steps of size h.
 
-    Returns states at all n+1 nodes, states[0] == x0 exactly.
+    x0 is one state (n_x,) or a block of stacked states (B, n_x). Returns
+    the states at all n+1 nodes, (n+1,) + x0.shape, with states[0] == x0
+    exactly.
     """
     n = u0.shape[0]
-    xs = np.empty((n + 1, x0.shape[0]))
+    xs = np.empty((n + 1,) + x0.shape)
     xs[0] = x0
     x = np.array(x0, dtype=float)
     for i in range(n):

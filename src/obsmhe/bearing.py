@@ -37,6 +37,9 @@ def bearing_system(landmark) -> ControlSystem:
     def f(x: Array, u: Array) -> Array:
         return u
 
+    def f_rows(xs: Array, u: Array) -> Array:
+        return np.broadcast_to(u, xs.shape)
+
     def df_dx(x: Array, u: Array = None) -> Array:
         return np.zeros((2, 2))
 
@@ -51,11 +54,17 @@ def bearing_system(landmark) -> ControlSystem:
         return np.array([[-e[1] ** 2, e[0] * e[1]],
                          [e[0] * e[1], -e[0] ** 2]]) / r ** 3
 
+    # One range formula for a state and for stacked states, so the row
+    # guard gives each row the per-row verdict, bit for bit.
+    def guard_rows(xs: Array) -> Array:
+        return np.linalg.norm(xs - l, axis=-1) >= _MIN_RANGE
+
     def guard(x: Array) -> bool:
-        return bool(np.linalg.norm(x - l) >= _MIN_RANGE)
+        return bool(guard_rows(x))
 
     return ControlSystem(n_x=2, n_u=2, n_y=2, f=f, h=h, df_dx=df_dx,
-                         dh_dx=dh_dx, domain_guard=guard)
+                         dh_dx=dh_dx, domain_guard=guard, f_rows=f_rows,
+                         domain_guard_rows=guard_rows)
 
 
 @dataclass(frozen=True)

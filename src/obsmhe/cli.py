@@ -116,7 +116,7 @@ def normalize_config(raw: dict) -> dict:
              "apply_to must be v, w, or both")
     _require(0.0 < cfg["audit"]["alpha"] < 1.0, "audit.alpha",
              "alpha must lie in (0, 1)")
-    for key in ("n_xi_samples", "n_eta_samples", "t_subsample"):
+    for key in ("n_ball_samples", "n_xi_samples", "n_eta_samples", "t_subsample"):
         value = cfg["audit"][key]
         _require(isinstance(value, (int, float)) and int(value) >= 1,
                  f"audit.{key}", f"{key} must be at least 1")

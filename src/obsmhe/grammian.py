@@ -22,11 +22,12 @@ import numpy as np
 
 from .cost import cum_output_error, gauss_newton_term
 from .errors import CertificationInconclusive, DomainViolation, EigFailure, Unbounded
-from .ode_core import Array, ControlSystem, InputSignal, TimeGrid, flow
+from .ode_core import Array, ControlSystem, InputSignal, TimeGrid, flow, flow_rows
 
 SAMPLED_DISCLAIMER = "sampled evidence, not a proof"
 
 _OVERFLOW_GUARD = 1e12
+_FLAT_COST_TOL = 1e-10
 
 
 def jacobi_eigh(a: Array, max_sweeps: int = 100) -> tuple[Array, Array]:
@@ -144,12 +145,18 @@ def observability_grammian(sys: ControlSystem, t: float, T: float, center: Array
                           matrix=c, eigenvalues=eigvals, eigenvectors=eigvecs)
 
 
-def reference_flow(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
-                   t_grid, grid_step: float) -> tuple[list[float], TimeGrid, Array]:
-    """Sorted window ends, the [0, max t] grid and the reference states on it."""
+def _window_ends(T: float, t_grid) -> list[float]:
+    """The window ends sorted; ValueError unless nonempty and all >= T."""
     t_list = sorted(float(t) for t in t_grid)
     if not t_list or t_list[0] < T:
         raise ValueError("t_grid must be nonempty with every t >= T")
+    return t_list
+
+
+def reference_flow(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
+                   t_grid, grid_step: float) -> tuple[list[float], TimeGrid, Array]:
+    """Sorted window ends, the [0, max t] grid and the reference states on it."""
+    t_list = _window_ends(T, t_grid)
     full = TimeGrid.with_step(0.0, t_list[-1], grid_step)
     return t_list, full, flow(sys, 0.0, full.t_end, x0, u, full)
 
@@ -186,7 +193,7 @@ def certify_weak_persistence(sys: ControlSystem, x0: Array, u: InputSignal,
                              T: float, t_grid, grid_step: float,
                              singular_tol: Optional[float] = None,
                              witness_step: float = 0.01,
-                             flat_cost_tol: float = 1e-10) -> PersistenceCertificate:
+                             flat_cost_tol: float = _FLAT_COST_TOL) -> PersistenceCertificate:
     """Scan window Grammians for positive-definiteness along the reference.
 
     Every sampled window positive definite (min eigenvalue above the
@@ -197,6 +204,14 @@ def certify_weak_persistence(sys: ControlSystem, x0: Array, u: InputSignal,
     does not settle the question.
     """
     full, _, reports = reference_scan(sys, x0, u, T, t_grid, grid_step)
+    return _weak_certificate(sys, u, full, reports, singular_tol, witness_step,
+                             flat_cost_tol)
+
+
+def _weak_certificate(sys: ControlSystem, u: InputSignal, full: TimeGrid,
+                      reports: list[GrammianReport], singular_tol: Optional[float],
+                      witness_step: float, flat_cost_tol: float) -> PersistenceCertificate:
+    """The weak-persistence verdict from the windows of a reference scan."""
     tols = [singular_tol if singular_tol is not None else 1e-8 * r.max_eig
             for r in reports]
     worst_i = int(np.argmin([r.min_eig for r in reports]))
@@ -240,17 +255,20 @@ def certify_weak_regular_persistence(sys: ControlSystem, x0: Array, u: InputSign
     Positive verdict requires the sampled inf of 2*min_eig to reach
     `mu_threshold` and the ball-sampled boundedness check to pass;
     otherwise the verdict falls back to the weak-persistence scan result.
+    The scan's reference flow also centres the ball samples.
     """
-    weak = certify_weak_persistence(sys, x0, u, T, t_grid, grid_step,
-                                    singular_tol=singular_tol,
-                                    witness_step=witness_step)
+    _require_ball_samples(n_ball_samples)
+    full, xs, reports = reference_scan(sys, x0, u, T, t_grid, grid_step)
+    weak = _weak_certificate(sys, u, full, reports, singular_tol, witness_step,
+                             _FLAT_COST_TOL)
     if weak.verdict is Verdict.NOT_WEAKLY_PERSISTENT:
         return weak
     if weak.mu_hat < mu_threshold:
         return weak
     try:
         check_regular_boundedness(sys, x0, u, T, boundedness_radius, t_grid,
-                                  n_ball_samples, seed, grid_step)
+                                  n_ball_samples, seed, grid_step,
+                                  reference=(full, xs))
     except (Unbounded, DomainViolation):
         return weak
     return PersistenceCertificate(
@@ -282,26 +300,52 @@ def ball_samples(rng: np.random.Generator, center: Array, radius: float,
     return np.stack(pts)
 
 
+def _require_ball_samples(n_ball_samples: int) -> None:
+    if n_ball_samples < 1:
+        raise ValueError(f"n_ball_samples must be at least 1, got {n_ball_samples}")
+
+
+def _sup_norm(trajs: Array) -> float:
+    """Largest state norm in (n+1, B, n_x) trajectories, taken one row at a
+    time so no temporary is the size of the whole batch."""
+    return max(float(np.max(np.linalg.norm(trajs[:, b], axis=1)))
+               for b in range(trajs.shape[1]))
+
+
 def check_regular_boundedness(sys: ControlSystem, x0: Array, u: InputSignal,
                               T: float, R: float, t_grid, n_ball_samples: int,
                               seed: int, grid_step: float,
-                              overflow_guard: float = _OVERFLOW_GUARD) -> BoundednessReport:
+                              overflow_guard: float = _OVERFLOW_GUARD, *,
+                              reference: Optional[tuple[TimeGrid, Array]] = None
+                              ) -> BoundednessReport:
     """Sampled check of the uniform trajectory bound over ball-perturbed starts.
 
-    For each sampled window, integrates the flow from seeded points in the
-    ball around x(t-T) and records the largest trajectory norm seen.
+    For each sampled window, flows the seeded points in the ball around
+    x(t-T) as one batch and records the largest trajectory norm seen.
+    `reference=(grid, states)` supplies the reference flow from (0, x0)
+    on the [0, max t] grid at `grid_step`, as `reference_scan` returns it,
+    instead of integrating it again; ValueError if it starts elsewhere or
+    uses another step.
     """
     if R <= 0:
         raise ValueError("R must be positive")
-    t_list, full, xs = reference_flow(sys, x0, u, T, t_grid, grid_step)
+    _require_ball_samples(n_ball_samples)
+    if reference is None:
+        t_list, full, xs = reference_flow(sys, x0, u, T, t_grid, grid_step)
+    else:
+        t_list, (full, xs) = _window_ends(T, t_grid), reference
+        if not np.array_equal(xs[0], np.asarray(x0, dtype=float)):
+            raise ValueError("reference states do not start at x0")
+        if not np.isclose(full.h, grid_step, rtol=1e-9, atol=0.0):
+            raise ValueError(f"reference grid step {full.h} differs from "
+                             f"grid_step {grid_step}")
     rng = np.random.default_rng(seed)
     per_window = []
     for t in t_list:
         center = xs[full.index_of(t - T)]
-        sup = 0.0
-        for xi in ball_samples(rng, center, R, n_ball_samples):
-            traj = flow(sys, t - T, t, xi, u, full)
-            sup = max(sup, float(np.max(np.linalg.norm(traj, axis=1))))
+        sup = _sup_norm(flow_rows(sys, t - T, t,
+                                  ball_samples(rng, center, R, n_ball_samples),
+                                  u, full))
         if sup > overflow_guard:
             raise Unbounded(f"trajectory norm {sup:.3e} exceeds the overflow guard")
         per_window.append(sup)

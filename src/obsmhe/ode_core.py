@@ -16,6 +16,15 @@ Process-noise sensitivities are not a kernel of their own: `rk4_flow_sens`
 runs the backend's `rk4_flow` on the augmented state [x; vec Z], so the
 w-perturbed states and the sensitivities to any number of noise
 directions come out of one integration on the same RK4 stages.
+
+`flow_rows` flows a block of B starts over one span as a batch: it
+stages the span once and steps the stacked rows (B, n_x) through one
+call of the pure-Python `rk4_flow`, whose compiled twin takes one state
+only. It uses the system's optional row callbacks `f_rows` (stacked
+rows, one input row shared by all of them) and `domain_guard_rows`, or a
+per-row fallback built from `f` and `domain_guard`. Its row b equals
+`flow` from xis[b] bit for bit. The domain guard of every flow is checked
+on blocks of nodes through the row guard.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import _kernels_py
 from ._backend import rk4_flow, rk4_flow_stm
 from .errors import DimensionMismatch, DomainViolation, GridMismatch
 
@@ -36,6 +46,9 @@ _NODE_TOL = 1e-9
 # certificate, solve or audit restage a handful of spans over and over;
 # eight entries already hit as often as an unbounded memo would.
 _MEMO_ENTRIES = 8
+# State rows per finiteness and domain-guard check, so a check allocates
+# no temporary the size of a whole batch of trajectories.
+_GUARD_BLOCK = 256
 
 
 def _fill(out: Optional[Array], i: int, row, n: int) -> Array:
@@ -72,6 +85,15 @@ class ControlSystem:
     `df_dx` and `dh_dx` are the Jacobians of f and h in the state. The
     optional `domain_guard` marks states where h is defined; trajectories
     leaving the guarded region raise DomainViolation.
+
+    Two optional row callbacks serve batched flows (`flow_rows`) and the
+    guard checks. `f_rows(X, u)` takes stacked states X of shape
+    (B, n_x) and one input row u shared by all of them, and returns
+    (B, n_x). `domain_guard_rows(X)` returns a (B,) bool array. Each must
+    equal its per-row callback on every row, bit for bit (for the guard,
+    the same verdict), since batched results are promised equal to
+    per-row ones. A system that leaves them None gets a fallback that
+    calls `f` or `domain_guard` once per row.
     """
 
     n_x: int
@@ -82,6 +104,8 @@ class ControlSystem:
     df_dx: Callable[[Array, Array], Array]
     dh_dx: Callable[[Array, Array], Array]
     domain_guard: Optional[Callable[[Array], bool]] = None
+    f_rows: Optional[Callable[[Array, Array], Array]] = None
+    domain_guard_rows: Optional[Callable[[Array], Array]] = None
 
     def __post_init__(self):
         if min(self.n_x, self.n_u, self.n_y) < 1:
@@ -358,13 +382,35 @@ class NoiseSignals:
 ZERO_NOISE = NoiseSignals()
 
 
+def _f_rows(sys: ControlSystem) -> Callable[[Array, Array], Array]:
+    """The system's f on stacked rows, or a per-row fallback."""
+    if sys.f_rows is not None:
+        return sys.f_rows
+    f = sys.f
+    return lambda xs, u: stack_rows((f(x, u) for x in xs), xs.shape[0])
+
+
+def _guard_rows(sys: ControlSystem) -> Optional[Callable[[Array], Array]]:
+    """The system's domain guard on stacked rows, a per-row fallback, or
+    None when the system has no guard."""
+    if sys.domain_guard_rows is not None or sys.domain_guard is None:
+        return sys.domain_guard_rows
+    guard = sys.domain_guard
+    return lambda xs: np.fromiter((bool(guard(x)) for x in xs), dtype=bool,
+                                  count=xs.shape[0])
+
+
 def _check_guard(sys: ControlSystem, xs: Array, where: str) -> None:
-    if not np.all(np.isfinite(xs)):
+    """DomainViolation unless every state in xs, (..., n_x), is finite and
+    passes the domain guard; checked on blocks of _GUARD_BLOCK states."""
+    rows = xs.reshape(-1, xs.shape[-1])
+    blocks = range(0, rows.shape[0], _GUARD_BLOCK)
+    if not all(np.isfinite(rows[i:i + _GUARD_BLOCK]).all() for i in blocks):
         raise DomainViolation(f"non-finite state during {where}")
-    if sys.domain_guard is not None:
-        for row in xs:
-            if not sys.domain_guard(row):
-                raise DomainViolation(f"domain guard failed during {where}")
+    guard = _guard_rows(sys)
+    if guard is not None and not all(guard(rows[i:i + _GUARD_BLOCK]).all()
+                                     for i in blocks):
+        raise DomainViolation(f"domain guard failed during {where}")
 
 
 def _span(grid: TimeGrid, s1: float, s2: float, u: InputSignal) -> TimeGrid:
@@ -381,6 +427,25 @@ def flow(sys: ControlSystem, s1: float, s2: float, xi: Array, u: InputSignal,
     sub = _span(grid, s1, s2, u)
     u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
     xs = rk4_flow(sys.f, np.asarray(xi, dtype=float), sub.h, u0, um, u1)
+    _check_guard(sys, xs, "flow")
+    return xs
+
+
+def flow_rows(sys: ControlSystem, s1: float, s2: float, xis: Array,
+              u: InputSignal, grid: TimeGrid) -> Array:
+    """`flow` from (s1, xis[b]) for each row of xis, (B, n_x), as one batch.
+
+    Returns (n+1, B, n_x); [:, b] equals `flow` from xis[b] bit for bit.
+    A start whose flow `flow` rejects makes the batch raise
+    DomainViolation, with `flow`'s message when it is the only such start.
+    """
+    xis = np.asarray(xis, dtype=float)
+    if xis.ndim != 2 or xis.shape[0] < 1 or xis.shape[1] != sys.n_x:
+        raise DimensionMismatch(
+            f"starts have shape {xis.shape}, expected (B >= 1, {sys.n_x})")
+    sub = _span(grid, s1, s2, u)
+    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
+    xs = _kernels_py.rk4_flow(_f_rows(sys), xis, sub.h, u0, um, u1)
     _check_guard(sys, xs, "flow")
     return xs
 

@@ -191,6 +191,25 @@ def test_audit_sample_counts_below_one_exit_2(tmp_path, field):
     assert code == 2
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_ball_sample_count_below_one_exit_2(tmp_path, count):
+    cfg = {"system": "circ-default", "audit": {"n_ball_samples": count}}
+    with pytest.raises(ConfigError) as info:
+        cli.normalize_config(cfg)
+    assert info.value.field == "audit.n_ball_samples"
+    code, out = run(tmp_path, "grammian-scan", cfg)
+    assert code == 2
+    assert not (out / "certificate.json").exists()
+
+
+def test_grammian_scan_integrates_the_reference_once(tmp_path, monkeypatch):
+    # The scan and the boundedness check share one [0, 6] reference flow.
+    calls = count_calls(monkeypatch, ode_core.flow)
+    code, _ = run(tmp_path, "grammian-scan", {"system": "circ-default"})
+    assert code == 0
+    assert [c[1:3] for c in calls if c[1:3] == (0.0, 6.0)] == [(0.0, 6.0)]
+
+
 def test_stability_audit_integrates_shared_trajectories_once(tmp_path, monkeypatch):
     # The benchmark's circle audit: one window, 2 noise draws x 2 ball
     # points. Each (eta, xi) takes 16 STMs for the Hessian differences in

@@ -8,7 +8,8 @@ from obsmhe import (CertificationInconclusive, ControlSystem, InputSignal,
                     certify_weak_regular_persistence,
                     check_regular_boundedness, jacobi_eigh,
                     observability_grammian, bearing, flow)
-from obsmhe.grammian import ball_samples
+from obsmhe.grammian import ball_samples, reference_scan
+from conftest import assert_bits_equal
 
 
 def test_jacobi_matches_numpy_on_random_symmetric():
@@ -117,3 +118,55 @@ def test_ball_samples_stay_in_ball_and_cover_axes():
     d = np.linalg.norm(pts - center, axis=1)
     assert np.all(d <= 0.3 + 1e-12)
     np.testing.assert_allclose(np.sort(d[-6:]), np.full(6, 0.3), atol=1e-15)
+
+
+def _per_row_boundedness(sys_, x0, u, T, R, t_grid, n, seed, grid_step):
+    """Per-window sups of one `flow` per ball sample, with the same draws."""
+    full = TimeGrid.with_step(0.0, max(t_grid), grid_step)
+    xs = flow(sys_, 0.0, full.t_end, x0, u, full)
+    rng = np.random.default_rng(seed)
+    sups = []
+    for t in sorted(t_grid):
+        sup = 0.0
+        for xi in ball_samples(rng, xs[full.index_of(t - T)], R, n):
+            traj = flow(sys_, t - T, t, xi, u, full)
+            sup = max(sup, float(np.max(np.linalg.norm(traj, axis=1))))
+        sups.append(sup)
+    return sups
+
+
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+@pytest.mark.parametrize("n", [1, 6])
+def test_boundedness_batch_equals_per_row_flows(system, n, request, x0):
+    sys_, u = request.getfixturevalue(system)
+    args = (1.0, 0.2, [2.0, 1.0, 3.0], n, 11, 0.005)
+    rep = check_regular_boundedness(sys_, x0, u, *args)
+    want = _per_row_boundedness(sys_, x0, u, *args)
+    assert_bits_equal(rep.per_window_sup, want)
+    assert_bits_equal(rep.L_hat, max(want))
+
+
+def test_boundedness_reuses_a_given_reference(circ, x0):
+    sys_, u = circ
+    args = (1.0, 0.1, [1.0, 2.0], 4, 3, 0.005)
+    full, xs, _ = reference_scan(sys_, x0, u, 1.0, [1.0, 2.0], 0.005)
+    given = check_regular_boundedness(sys_, x0, u, *args, reference=(full, xs))
+    assert given == check_regular_boundedness(sys_, x0, u, *args)
+    with pytest.raises(ValueError, match="x0"):
+        check_regular_boundedness(sys_, x0 + 1e-12, u, *args, reference=(full, xs))
+    coarse = TimeGrid.with_step(0.0, 2.0, 0.01)
+    with pytest.raises(ValueError, match="grid step"):
+        check_regular_boundedness(sys_, x0, u, *args,
+                                  reference=(coarse, flow(sys_, 0.0, 2.0, x0, u, coarse)))
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_ball_sample_count_below_one_rejected(circ, x0, n):
+    sys_, u = circ
+    with pytest.raises(ValueError, match="n_ball_samples"):
+        check_regular_boundedness(sys_, x0, u, T=1.0, R=0.1, t_grid=[1.0],
+                                  n_ball_samples=n, seed=0, grid_step=0.005)
+    with pytest.raises(ValueError, match="n_ball_samples"):
+        certify_weak_regular_persistence(sys_, x0, u, T=1.0, t_grid=[1.0],
+                                         grid_step=0.005, n_ball_samples=n)
+    assert ball_samples(np.random.default_rng(0), x0, 0.1, 0).shape == (4, 2)

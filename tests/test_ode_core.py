@@ -7,10 +7,10 @@ import threading
 import numpy as np
 import pytest
 
-from obsmhe import (ControlSystem, DomainViolation, GridMismatch, InputSignal,
-                    NoiseSignals, SampledSignal, TimeGrid, ZERO_NOISE,
+from obsmhe import (ControlSystem, DimensionMismatch, DomainViolation, GridMismatch,
+                    InputSignal, NoiseSignals, SampledSignal, TimeGrid, ZERO_NOISE,
                     check_jacobians, cum_output_error, flow, flow_and_stm,
-                    gauss_newton_term, noise_sensitivity, perturbed_flow,
+                    flow_rows, gauss_newton_term, noise_sensitivity, perturbed_flow,
                     perturbed_flow_and_sensitivities, stm)
 from conftest import assert_bits_equal
 
@@ -339,6 +339,72 @@ def test_domain_guard_raises(cst, x0):
     g = TimeGrid.with_step(0.0, 1.2, 0.005)
     with pytest.raises(DomainViolation):
         flow(sys_, 0.0, 1.2, x0, u, g)
+
+
+# -- batched flows ------------------------------------------------------------
+
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+@pytest.mark.parametrize("n_rows", [1, 5])
+def test_flow_rows_equals_stacked_flows(system, n_rows, request, grid2, x0):
+    # circ has f_rows; nonlinear goes through the per-row fallback.
+    sys_, u = request.getfixturevalue(system)
+    xis = x0 + 0.1 * np.random.default_rng(n_rows).standard_normal((n_rows, 2))
+    xs = flow_rows(sys_, 0.5, 1.5, xis, u, grid2)
+    assert_bits_equal(xs, np.stack([flow(sys_, 0.5, 1.5, xi, u, grid2) for xi in xis],
+                                   axis=1))
+
+
+def test_flow_rows_rejects_misshaped_starts(circ, grid2, x0):
+    sys_, u = circ
+    for xis in (x0, np.zeros((0, 2)), np.zeros((3, 3))):
+        with pytest.raises(DimensionMismatch):
+            flow_rows(sys_, 0.0, 1.0, xis, u, grid2)
+
+
+def _first_violation(call):
+    with pytest.raises(DomainViolation) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("row_callbacks", [True, False])
+def test_flow_rows_guard_failure_matches_flow(cst, x0, row_callbacks):
+    sys_, u = cst  # straight run hits the landmark at s = 1
+    if not row_callbacks:  # the per-row fallbacks of f_rows and the guard
+        sys_ = dataclasses.replace(sys_, f_rows=None, domain_guard_rows=None)
+    g = TimeGrid.with_step(0.0, 1.2, 0.005)
+    xis = np.array([[0.0, 2.0], x0, [3.0, -1.0]])
+    message = _first_violation(lambda: flow(sys_, 0.0, 1.2, x0, u, g))
+    assert message == "domain guard failed during flow"
+    assert _first_violation(lambda: flow_rows(sys_, 0.0, 1.2, xis, u, g)) == message
+
+
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+def test_flow_rows_non_finite_row_matches_flow(system, request, grid2, x0):
+    sys_, u = request.getfixturevalue(system)
+    bad = np.array([np.inf, 0.0])
+    xis = np.stack([x0, bad, x0 + 0.1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        message = _first_violation(lambda: flow(sys_, 0.0, 1.0, bad, u, grid2))
+        assert message == "non-finite state during flow"
+        assert _first_violation(lambda: flow_rows(sys_, 0.0, 1.0, xis, u, grid2)) == message
+
+
+def test_domain_guard_rows_agrees_with_domain_guard(circ):
+    sys_, _ = circ  # landmark at the origin, minimum range 1e-9
+    rng = np.random.default_rng(17)
+    dirs = rng.standard_normal((400, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    ranges = np.concatenate([rng.uniform(0.0, 3.0, 100),
+                             1e-9 * rng.uniform(0.0, 2.0, 200),
+                             1e-9 * (1.0 + rng.uniform(-1e-15, 1e-15, 100))])
+    pts = np.concatenate([ranges[:, None] * dirs, np.zeros((1, 2))])
+    rows = sys_.domain_guard_rows(pts)
+    assert rows.dtype == bool and rows.shape == (len(pts),)
+    assert rows.tolist() == [sys_.domain_guard(p) for p in pts]
+    # Away from the boundary the verdict is the range test itself.
+    np.testing.assert_array_equal(rows[:300], ranges[:300] >= 1e-9)
+    assert not rows[-1]
 
 
 def test_check_jacobians_accepts_bearing(circ):
