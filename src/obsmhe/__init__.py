@@ -1,14 +1,13 @@
 """Observability Grammian certification and moving-horizon estimation
 for nonlinear controlled ODE systems.
 
-Numerical core: fixed-step RK4 with co-integrated sensitivities (compiled
-extension when available, pure Python otherwise), Simpson quadrature for
-window costs, a damped-Newton trust-ball solver, and sampled stability
-audits. The planar bearing-only localization system ships as a built-in
+Numerical core: one fixed-step RK4 loop in numpy, with state-transition
+matrices and noise sensitivities co-integrated on the same stages as the
+state, Simpson quadrature for window costs, a damped-Newton trust-ball
+solver, and sampled stability audits. The planar bearing-only localization system ships as a built-in
 scenario with closed-form Grammian eigenvalue oracles.
 """
 
-from ._backend import BACKEND
 from .errors import (BoundaryStuck, CertificationInconclusive, ConditionsFailed,
                      ConfigError, DimensionMismatch, DomainViolation, EigFailure,
                      GridMismatch, MaxItersExceeded, ObsMheError, SingularWindow,
@@ -37,6 +36,8 @@ from .mhe_solver import (MheSolution, MultistartReport,
 from . import bearing
 
 __version__ = "0.1.0"
+# The RK4 loop is plain numpy; obsbench reports this constant.
+BACKEND = "python"
 
 __all__ = [
     "BACKEND", "__version__",

@@ -163,6 +163,16 @@ def _window_grid(t: float, T: float, grid: TimeGrid) -> TimeGrid:
     return grid.subgrid(t - T, t)
 
 
+def _measured_outputs(sys: ControlSystem, win: TimeGrid, xs: Array,
+                      u: InputSignal, v: Optional[SampledSignal]) -> Array:
+    """Measured outputs h(x, u) + v of the window states xs at the window
+    nodes."""
+    ys = _outputs(sys, xs, u.at_nodes(win))
+    if v is not None:
+        ys = ys + v.at_nodes(win)
+    return ys
+
+
 def perturbed_reference(sys: ControlSystem, t: float, T: float, x0: Array,
                         u: InputSignal, eta: NoiseSignals,
                         grid: TimeGrid) -> tuple[Array, Array]:
@@ -176,14 +186,8 @@ def perturbed_reference(sys: ControlSystem, t: float, T: float, x0: Array,
     require_width(eta.v, sys.n_y, "measurement noise v")
     win = _window_grid(t, T, grid)
     full = TimeGrid.with_step(0.0, t, win.h)
-    xs_full = perturbed_flow(sys, 0.0, t, x0, u, eta.w, full)
-    i0 = full.index_of(t - T)
-    xs = xs_full[i0:]
-    us = u.at_nodes(win)
-    ys = _outputs(sys, xs, us)
-    if eta.v is not None:
-        ys = ys + eta.v.at_nodes(win)
-    return xs, ys
+    xs = perturbed_flow(sys, 0.0, t, x0, u, eta.w, full)[full.index_of(t - T):]
+    return xs, _measured_outputs(sys, win, xs, u, eta.v)
 
 
 def candidate_terms(sys: ControlSystem, win: TimeGrid, xi: Array,
@@ -250,6 +254,27 @@ def grad_sensitivities(sys: ControlSystem, win: TimeGrid, xi: Array,
                      for dy in dys], axis=-1)
 
 
+def reference_and_noise_directions(sys: ControlSystem, t: float, T: float,
+                                   x0: Array, u: InputSignal,
+                                   eta: NoiseSignals, grid: TimeGrid
+                                   ) -> tuple[Array, list[Array]]:
+    """The measured outputs of `perturbed_reference` and the
+    `noise_output_directions` at eta.w, from one augmented integration of
+    the w-perturbed reference and its noise sensitivities."""
+    require_width(eta.v, sys.n_y, "measurement noise v")
+    win = _window_grid(t, T, grid)
+    full = TimeGrid.with_step(0.0, t, win.h)
+    dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(sys.n_x)]
+    xs, zs = perturbed_flow_and_sensitivities(sys, t, x0, u, eta.w, dws, full)
+    i0 = full.index_of(t - T)
+    xs, zs = xs[i0:], zs[i0:]
+    h_ref = output_jacobians(sys, xs, u.at_nodes(win))
+    n_nodes = win.n_steps + 1
+    dys = ([np.tile(e, (n_nodes, 1)) for e in np.eye(sys.n_y)]
+           + [np.einsum("nij,nj->ni", h_ref, zs[:, :, j]) for j in range(sys.n_x)])
+    return _measured_outputs(sys, win, xs, u, eta.v), dys
+
+
 def noise_output_directions(sys: ControlSystem, t: float, T: float, x0: Array,
                             u: InputSignal, w: Optional[SampledSignal],
                             grid: TimeGrid) -> list[Array]:
@@ -262,15 +287,8 @@ def noise_output_directions(sys: ControlSystem, t: float, T: float, x0: Array,
     `grad_sensitivities` along them gives the columns of
     `grad_sensitivity_v` and `grad_sensitivity_w` for those directions.
     """
-    win = _window_grid(t, T, grid)
-    full = TimeGrid.with_step(0.0, t, win.h)
-    dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(sys.n_x)]
-    xs, zs = perturbed_flow_and_sensitivities(sys, t, x0, u, w, dws, full)
-    i0 = full.index_of(t - T)
-    h_ref = output_jacobians(sys, xs[i0:], u.at_nodes(win))
-    n_nodes = win.n_steps + 1
-    return ([np.tile(e, (n_nodes, 1)) for e in np.eye(sys.n_y)]
-            + [np.einsum("nij,nj->ni", h_ref, zs[i0:, :, j]) for j in range(sys.n_x)])
+    return reference_and_noise_directions(sys, t, T, x0, u, NoiseSignals(w=w),
+                                          grid)[1]
 
 
 def grad_sensitivity_v(sys: ControlSystem, t: float, T: float, xi: Array,

@@ -19,9 +19,8 @@ import numpy as np
 from .cost import (candidate_terms, fd_hessian,
                    grad_from_terms, grad_perturbed_cost_from_reference,
                    grad_sensitivities, gauss_newton_term,
-                   noise_output_directions, output_jacobians,
-                   perturbed_cost_from_reference,
-                   perturbed_reference)
+                   output_jacobians, perturbed_cost_from_reference,
+                   perturbed_reference, reference_and_noise_directions)
 from .errors import (BoundaryStuck, ConditionsFailed, MaxItersExceeded,
                      ObsMheError, SingularWindow)
 from .grammian import (GrammianReport, ball_samples, jacobi_eigh,
@@ -432,11 +431,11 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
             ball_samples(rng, center, R, n_xi_samples - 1)[:n_xi_samples - 1])
 
         for eta in etas:
-            _, ref_out = perturbed_reference(sys, t, T, x0, u, eta, full)
+            # The measured reference and the output shifts along the unit
+            # v then w directions: one augmented integration of the
+            # reference and its sensitivities.
+            ref_out, dys = reference_and_noise_directions(sys, t, T, x0, u, eta, full)
             problem = _WindowProblem(sys, u, win, ref_out)
-            # Output shifts along the unit v then w directions: one
-            # augmented integration of the reference and its sensitivities.
-            dys = noise_output_directions(sys, t, T, x0, u, eta.w, full)
             for xi in xi_pts:
                 # a1: directional Lipschitz estimate of the Hessian in xi
                 # and in the output-noise channel. (A constant v shift only

@@ -7,24 +7,28 @@ inputs and the node inputs of an InputSignal come from a bounded,
 thread-safe, process-wide memo of read-only arrays, so a span staged once
 is not evaluated again while it stays in the memo.
 
-Integration is fixed-step classical RK4 on a uniform grid. Piecewise
-inputs are evaluated per step from the piece active on the open step, so
-breakpoints that sit on grid nodes do not break the order of the scheme;
-breakpoints off the grid raise GridMismatch.
+Integration is fixed-step classical RK4 on a uniform grid, stepped by
+one loop, `rk4_flow`. The stage inputs of every step are evaluated
+before the loop runs (u0 at the step start, um at the midpoint, u1 at the
+step end, all from the piece active on the open step), so piecewise
+inputs whose breakpoints sit on grid nodes do not break the order of the
+scheme; breakpoints off the grid raise GridMismatch. Process noise is
+sample-and-hold: one value per step, constant across the four stages.
 
-Process-noise sensitivities are not a kernel of their own: `rk4_flow_sens`
-runs the backend's `rk4_flow` on the augmented state [x; vec Z], so the
-w-perturbed states and the sensitivities to any number of noise
-directions come out of one integration on the same RK4 stages.
+Tangents are not kernels of their own. `rk4_flow_stm` (Z(0) = I) and
+`rk4_flow_sens` (Z(0) = 0, per-step forcing [w; vec F]) run `rk4_flow`
+on the augmented state [x; vec Z] with f_aug = (f(x, u), dfdx(x, u) @ Z),
+so states, state-transition matrices and the sensitivities to any number
+of noise directions come out of one integration on the same RK4 stages.
 
 `flow_rows` flows a block of B starts over one span as a batch: it
 stages the span once and steps the stacked rows (B, n_x) through one
-call of the pure-Python `rk4_flow`, whose compiled twin takes one state
-only. It uses the system's optional row callbacks `f_rows` (stacked
-rows, one input row shared by all of them) and `domain_guard_rows`, or a
-per-row fallback built from `f` and `domain_guard`. Its row b equals
-`flow` from xis[b] bit for bit. The domain guard of every flow is checked
-on blocks of nodes through the row guard.
+call of `rk4_flow`. It uses the system's optional row callbacks `f_rows`
+(stacked rows, one input row shared by all of them) and
+`domain_guard_rows`, or a per-row fallback built from `f` and
+`domain_guard`. Its row b equals `flow` from xis[b] bit for bit. The
+domain guard of every flow is checked on blocks of nodes through the row
+guard.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import _kernels_py
-from ._backend import rk4_flow, rk4_flow_stm
 from .errors import DimensionMismatch, DomainViolation, GridMismatch
 
 Array = np.ndarray
@@ -382,6 +384,82 @@ class NoiseSignals:
 ZERO_NOISE = NoiseSignals()
 
 
+def rk4_flow(f, x0: Array, h: float, u0: Array, um: Array, u1: Array,
+             w: Optional[Array] = None) -> Array:
+    """Integrate x' = f(x, u) + w over n steps of size h.
+
+    u0, um and u1 hold the stage inputs of each step, (n, n_u), and w one
+    process-noise row per step, (n, n_x), or None. x0 is one state (n_x,)
+    or a block of stacked states (B, n_x); for a block, `f` takes the
+    stacked rows and one input row shared by all of them and returns
+    (B, n_x), and each noise row is broadcast over the rows. Every
+    operation between the f calls is elementwise, so row b of the result
+    equals, bit for bit, the flow of x0[b] alone when f's rows equal its
+    per-row results. Returns the states at all n+1 nodes,
+    (n+1,) + x0.shape, with states[0] == x0 exactly.
+    """
+    n = u0.shape[0]
+    xs = np.empty((n + 1,) + x0.shape)
+    xs[0] = x0
+    x = np.array(x0, dtype=float)
+    for i in range(n):
+        if w is None:
+            k1 = f(x, u0[i])
+            k2 = f(x + (0.5 * h) * k1, um[i])
+            k3 = f(x + (0.5 * h) * k2, um[i])
+            k4 = f(x + h * k3, u1[i])
+        else:
+            wi = w[i]
+            k1 = f(x, u0[i]) + wi
+            k2 = f(x + (0.5 * h) * k1, um[i]) + wi
+            k3 = f(x + (0.5 * h) * k2, um[i]) + wi
+            k4 = f(x + h * k3, u1[i]) + wi
+        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        xs[i + 1] = x
+    return xs
+
+
+def _rk4_tangents(f, dfdx, x0: Array, z0: Array, h: float, u0: Array,
+                  um: Array, u1: Array,
+                  forcing: Optional[Array] = None) -> tuple[Array, Array]:
+    """Co-integrate x' = f(x, u) and Z' = dfdx(x, u) @ Z, Z of shape
+    (n_x, k), from (x0, z0): `rk4_flow` on the augmented state [x; vec Z].
+
+    `forcing` is None or one row [w_i; vec F_i] per step, (n, n_x + n_x*k),
+    added to [x'; vec Z']. Returns (states, zs) of shapes (n+1, n_x) and
+    (n+1, n_x, k), with zs[0] == z0 exactly.
+    """
+    nx, k = z0.shape
+
+    def f_aug(xz: Array, ui: Array) -> Array:
+        x = xz[:nx]
+        return np.concatenate((f(x, ui), (dfdx(x, ui) @ xz[nx:].reshape(nx, k)).ravel()))
+
+    xzs = rk4_flow(f_aug, np.concatenate((x0, z0.ravel())), h, u0, um, u1, forcing)
+    return xzs[:, :nx], xzs[:, nx:].reshape(-1, nx, k)
+
+
+def rk4_flow_stm(f, dfdx, x0: Array, h: float, u0: Array, um: Array,
+                 u1: Array) -> tuple[Array, Array]:
+    """The flow and its state-transition matrices P' = dfdx(x, u) @ P,
+    P(0) = I, on the same RK4 stages. Returns (states, stms) of shapes
+    (n+1, n_x) and (n+1, n_x, n_x)."""
+    return _rk4_tangents(f, dfdx, x0, np.eye(x0.shape[0]), h, u0, um, u1)
+
+
+def rk4_flow_sens(f, dfdx, x0: Array, h: float, u0: Array, um: Array,
+                  u1: Array, w: Array, dw: Array) -> tuple[Array, Array]:
+    """The w-perturbed flow x' = f(x, u) + w and k noise sensitivities
+    Z' = dfdx(x, u) @ Z + F, Z(0) = 0, on the same RK4 stages.
+
+    `w` is (n, n_x) and `dw` holds the forcing F per step, (n, n_x, k).
+    Returns (states, zs) of shapes (n+1, n_x) and (n+1, n_x, k).
+    """
+    n, nx, k = dw.shape
+    return _rk4_tangents(f, dfdx, x0, np.zeros((nx, k)), h, u0, um, u1,
+                         np.concatenate((w, dw.reshape(n, nx * k)), axis=1))
+
+
 def _f_rows(sys: ControlSystem) -> Callable[[Array, Array], Array]:
     """The system's f on stacked rows, or a per-row fallback."""
     if sys.f_rows is not None:
@@ -445,7 +523,7 @@ def flow_rows(sys: ControlSystem, s1: float, s2: float, xis: Array,
             f"starts have shape {xis.shape}, expected (B >= 1, {sys.n_x})")
     sub = _span(grid, s1, s2, u)
     u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
-    xs = _kernels_py.rk4_flow(_f_rows(sys), xis, sub.h, u0, um, u1)
+    xs = rk4_flow(_f_rows(sys), xis, sub.h, u0, um, u1)
     _check_guard(sys, xs, "flow")
     return xs
 
@@ -479,29 +557,6 @@ def perturbed_flow(sys: ControlSystem, s1: float, s2: float, xi: Array,
     xs = rk4_flow(sys.f, np.asarray(xi, dtype=float), sub.h, u0, um, u1, wv)
     _check_guard(sys, xs, "perturbed_flow")
     return xs
-
-
-def rk4_flow_sens(f, dfdx, x0: Array, h: float, u0: Array, um: Array,
-                  u1: Array, w: Array, dw: Array) -> tuple[Array, Array]:
-    """Co-integrate the w-perturbed flow and k noise sensitivities.
-
-    x' = f(x, u) + w and Z' = dfdx(x, u) @ Z + F with Z(0) = 0, where Z
-    and the forcing F are (n_x, k): the backend's `rk4_flow` on the
-    augmented state [x; vec Z] with per-step forcing [w_i; vec F_i].
-    `w` is (n, n_x) and `dw` holds F per step, (n, n_x, k). Returns
-    (states, zs) of shapes (n+1, n_x) and (n+1, n_x, k).
-    """
-    n, nx = u0.shape[0], x0.shape[0]
-    k = dw.shape[2]
-
-    def f_aug(xz: Array, ui: Array) -> Array:
-        x = xz[:nx]
-        return np.concatenate((f(x, ui), (dfdx(x, ui) @ xz[nx:].reshape(nx, k)).ravel()))
-
-    forcing = np.concatenate((w, dw.reshape(n, nx * k)), axis=1)
-    xzs = rk4_flow(f_aug, np.concatenate((x0, np.zeros(nx * k))), h, u0, um, u1,
-                   forcing)
-    return xzs[:, :nx], xzs[:, nx:].reshape(n + 1, nx, k)
 
 
 def perturbed_flow_and_sensitivities(sys: ControlSystem, t_end: float, xi: Array,

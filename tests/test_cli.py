@@ -214,13 +214,17 @@ def test_stability_audit_integrates_shared_trajectories_once(tmp_path, monkeypat
     # The benchmark's circle audit: one window, 2 noise draws x 2 ball
     # points. Each (eta, xi) takes 16 STMs for the Hessian differences in
     # xi, 4 shared by all output-noise shifts and 1 for every noise
-    # gradient; the scan adds one per window Grammian.
+    # gradient; the scan adds one per window Grammian. Each noise draw's
+    # reference comes from the augmented flow of its noise sensitivities,
+    # with no separate perturbed flow.
     calls = count_calls(monkeypatch, ode_core.flow_and_stm)
+    perturbed = count_calls(monkeypatch, ode_core.perturbed_flow)
     code, _ = run(tmp_path, "stability-audit",
                   {"system": "circ-default",
                    "audit": {"R": 0.02, "nu": 1e-4, "alpha": 0.6, "t_subsample": 1}})
     assert code == 0
     assert len(calls) == 6 + 2 * 2 * (16 + 4 + 1)
+    assert perturbed == []
 
 
 def test_grammian_scan_computes_each_window_grammian_once(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+import obsmhe
 from obsmhe import (ControlSystem, DimensionMismatch, DomainViolation, GridMismatch,
                     InputSignal, NoiseSignals, SampledSignal, TimeGrid, ZERO_NOISE,
                     check_jacobians, cum_output_error, flow, flow_and_stm,
@@ -189,6 +190,7 @@ def test_flow_matches_matrix_exponential():
     exact = (v @ np.diag(np.exp(w)) @ np.linalg.inv(v) @ xi).real
     np.testing.assert_allclose(xs[-1], exact, atol=1e-10)
     np.testing.assert_array_equal(xs[0], xi)
+    assert obsmhe.BACKEND == "python"
 
 
 def test_flow_fourth_order_convergence():
@@ -282,28 +284,44 @@ def test_noise_sensitivity_matches_fd(grid2):
     np.testing.assert_allclose(z, (xp - xm) / (2 * eps), atol=1e-8)
 
 
-def _sensitivity_loop(f, dfdx, x0, h, u0, um, u1, w, dw):
-    """Reference: RK4 stepping of x' = f + w, z' = dfdx z + dw, z(0) = 0,
-    one direction, written out stage by stage."""
-    x, z = np.array(x0, dtype=float), np.zeros(len(x0))
+def _tangent_loop(f, dfdx, x0, z0, h, u0, um, u1, w=None, dw=None):
+    """Reference: RK4 stepping of x' = f + w, Z' = dfdx Z + dw from
+    (x0, z0), Z of shape (n_x, k), written out stage by stage. w, (n, n_x),
+    and dw, (n, n_x, k), are per-step forcings; None adds nothing."""
+    def forced(k, forcing, i):
+        return k if forcing is None else k + forcing[i]
+
+    x, z = np.array(x0, dtype=float), np.array(z0, dtype=float)
     xs, zs = [x], [z]
     for i in range(u0.shape[0]):
-        k1 = f(x, u0[i]) + w[i]
-        m1 = dfdx(x, u0[i]) @ z + dw[i]
+        k1 = forced(f(x, u0[i]), w, i)
+        m1 = forced(dfdx(x, u0[i]) @ z, dw, i)
         x2, z2 = x + (0.5 * h) * k1, z + (0.5 * h) * m1
-        k2 = f(x2, um[i]) + w[i]
-        m2 = dfdx(x2, um[i]) @ z2 + dw[i]
+        k2 = forced(f(x2, um[i]), w, i)
+        m2 = forced(dfdx(x2, um[i]) @ z2, dw, i)
         x3, z3 = x + (0.5 * h) * k2, z + (0.5 * h) * m2
-        k3 = f(x3, um[i]) + w[i]
-        m3 = dfdx(x3, um[i]) @ z3 + dw[i]
+        k3 = forced(f(x3, um[i]), w, i)
+        m3 = forced(dfdx(x3, um[i]) @ z3, dw, i)
         x4, z4 = x + h * k3, z + h * m3
-        k4 = f(x4, u1[i]) + w[i]
-        m4 = dfdx(x4, u1[i]) @ z4 + dw[i]
+        k4 = forced(f(x4, u1[i]), w, i)
+        m4 = forced(dfdx(x4, u1[i]) @ z4, dw, i)
         x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         z = z + (h / 6.0) * (m1 + 2.0 * (m2 + m3) + m4)
         xs.append(x)
         zs.append(z)
     return np.array(xs), np.array(zs)
+
+
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+def test_flow_and_stm_matches_the_tangent_loop(system, request, grid2, x0):
+    # The STM is the tangent with Z(0) = I and no forcing.
+    sys_, u = request.getfixturevalue(system)
+    xs, phis = flow_and_stm(sys_, 0.0, 2.0, x0, u, grid2)
+    stages = u.stage_values(0.0, grid2.h, grid2.n_steps)
+    xr, zr = _tangent_loop(sys_.f, sys_.df_dx, x0, np.eye(2), grid2.h, *stages)
+    assert_bits_equal(xs, xr)
+    assert_bits_equal(phis, zr)
+    assert_bits_equal(phis[0], np.eye(2))
 
 
 @pytest.mark.parametrize("system", ["circ", "nonlinear"])
@@ -323,10 +341,10 @@ def test_k_direction_sensitivities_match_one_direction_calls(system, request, gr
     stages = u.stage_values(0.0, grid2.h, n)
     for j, dw in enumerate(dws):
         assert_bits_equal(zs[:, :, j], noise_sensitivity(sys_, 2.0, x0, u, w, dw, grid2))
-        xr, zr = _sensitivity_loop(sys_.f, sys_.df_dx, x0, grid2.h, *stages,
-                                   w.values, dw.values)
+        xr, zr = _tangent_loop(sys_.f, sys_.df_dx, x0, np.zeros((2, 1)), grid2.h,
+                               *stages, w.values, dw.values[:, :, None])
         assert_bits_equal(xs, xr)
-        assert_bits_equal(zs[:, :, j], zr)
+        assert_bits_equal(zs[:, :, j], zr[:, :, 0])
     np.testing.assert_array_equal(zs[0], np.zeros((2, 3)))
     eps = 1e-6
     xp = perturbed_flow(sys_, 0.0, 2.0, x0, u, w + dws[0].scaled(eps), grid2)
