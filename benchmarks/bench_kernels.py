@@ -4,10 +4,14 @@ Times, on the 2D bearing system over one revolution of the circle input:
 `ode_core.rk4_flow` with and without process noise w;
 `ode_core.rk4_flow_stm`, which is `rk4_flow` on the augmented state
 [x; vec Phi] with Phi(0) = I; `ode_core.rk4_flow_sens` (augmented, Z(0) = 0)
-with k = 1 and k = n_x noise directions; and `rk4_flow` on one state
+with k = 1 and k = n_x noise directions; `rk4_flow` on one state
 (B = 1, per-row f) and on a block of B = 20 stacked states (the system's
-f_rows), as in `ode_core.flow_rows`. Reports thousands of steps per
-second, counting one step of a B-row block as B steps.
+f_rows), as in `ode_core.flow_rows`; `rk4_flow_stm` on row blocks of
+B = 1, 2 n_x (the difference points of one FD Hessian) and 21 (the block
+of one uniform-audit ball point), as in `ode_core.flow_and_stm_rows`; and
+`rk4_flow_sens` on B = 3 noise draws with per-row forcing, as in
+`ode_core.perturbed_flow_and_sensitivities_rows`. Reports thousands of
+steps per second, counting one step of a B-row block as B steps.
 
     python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """
@@ -43,9 +47,12 @@ def main():
     n = args.steps
     h = 2.0 * np.pi / n  # one full revolution
     u0, um, u1 = u.stage_values(0.0, h, n)
-    w = 1e-3 * np.random.default_rng(0).standard_normal((n, 2))
+    rng = np.random.default_rng(0)
+    w = 1e-3 * rng.standard_normal((n, 2))
+    w_rows = 1e-3 * rng.standard_normal((n, 3, 2))
     nx = sys_.n_x
-    starts = x0 + 0.05 * np.random.default_rng(1).standard_normal((20, nx))
+    starts = x0 + 0.05 * np.random.default_rng(1).standard_normal((21, nx))
+    eye_dw = np.tile(np.eye(nx), (n, 1, 1))
 
     # label -> (rows per step, job)
     jobs = {
@@ -54,17 +61,22 @@ def main():
         "rk4_flow_stm": (1, lambda: ode_core.rk4_flow_stm(sys_.f, sys_.df_dx, x0,
                                                           h, u0, um, u1)),
     }
-    for k, dw in ((1, np.ones((n, nx, 1))), (nx, np.tile(np.eye(nx), (n, 1, 1)))):
+    for k, dw in ((1, np.ones((n, nx, 1))), (nx, eye_dw)):
         jobs[f"rk4_flow_sens k={k}"] = (1, lambda dw=dw: ode_core.rk4_flow_sens(
             sys_.f, sys_.df_dx, x0, h, u0, um, u1, w, dw))
-    for b, (f, xb) in ((1, (sys_.f, x0)), (20, (sys_.f_rows, starts))):
+    for b, (f, xb) in ((1, (sys_.f, x0)), (20, (sys_.f_rows, starts[:20]))):
         jobs[f"rk4_flow B={b}"] = (b, lambda f=f, xb=xb: ode_core.rk4_flow(
             f, xb, h, u0, um, u1))
+    for b in (1, 2 * nx, 21):
+        jobs[f"rk4_flow_stm B={b}"] = (b, lambda b=b: ode_core.rk4_flow_stm(
+            sys_.f_rows, sys_.df_dx_rows, starts[:b], h, u0, um, u1))
+    jobs[f"rk4_flow_sens B=3 k={nx}"] = (3, lambda: ode_core.rk4_flow_sens(
+        sys_.f_rows, sys_.df_dx_rows, x0, h, u0, um, u1, w_rows, eye_dw))
 
     print(f"{n} RK4 steps, best of {args.repeats} runs\n")
-    print(f"{'kernel':<20}{'ksteps/s':>14}")
+    print(f"{'kernel':<24}{'ksteps/s':>14}")
     for label, (rows, job) in jobs.items():
-        print(f"{label:<20}{rows * n / bench(job, args.repeats) / 1e3:>14.1f}")
+        print(f"{label:<24}{rows * n / bench(job, args.repeats) / 1e3:>14.1f}")
 
 
 if __name__ == "__main__":

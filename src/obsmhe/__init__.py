@@ -14,8 +14,10 @@ from .errors import (BoundaryStuck, CertificationInconclusive, ConditionsFailed,
                      Unbounded)
 from .ode_core import (ControlSystem, InputSignal, NoiseSignals, SampledSignal,
                        TimeGrid, ZERO_NOISE, check_jacobians, flow,
-                       flow_and_stm, flow_rows, noise_sensitivity,
-                       perturbed_flow, perturbed_flow_and_sensitivities, stm)
+                       flow_and_stm, flow_and_stm_rows, flow_rows,
+                       noise_sensitivity, perturbed_flow,
+                       perturbed_flow_and_sensitivities,
+                       perturbed_flow_and_sensitivities_rows, stm)
 from .cost import (CostDerivatives, WindowCost, cum_output_error,
                    gauss_newton_term, grad_cum_error, grad_perturbed_cost,
                    grad_sensitivities, grad_sensitivity_v, grad_sensitivity_w,
@@ -49,8 +51,9 @@ __all__ = [
     # ode core
     "ControlSystem", "TimeGrid", "InputSignal", "SampledSignal",
     "NoiseSignals", "ZERO_NOISE", "check_jacobians", "flow", "flow_rows",
-    "stm", "flow_and_stm", "perturbed_flow", "noise_sensitivity",
-    "perturbed_flow_and_sensitivities",
+    "stm", "flow_and_stm", "flow_and_stm_rows", "perturbed_flow",
+    "noise_sensitivity", "perturbed_flow_and_sensitivities",
+    "perturbed_flow_and_sensitivities_rows",
     # cost
     "WindowCost", "CostDerivatives", "simpson_weights", "cum_output_error",
     "grad_cum_error", "gauss_newton_term", "hess_cum_error",

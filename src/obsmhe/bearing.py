@@ -38,10 +38,15 @@ def bearing_system(landmark) -> ControlSystem:
         return u
 
     def f_rows(xs: Array, u: Array) -> Array:
-        return np.broadcast_to(u, xs.shape)
+        out = np.empty(xs.shape)
+        out[:] = u
+        return out
 
     def df_dx(x: Array, u: Array = None) -> Array:
         return np.zeros((2, 2))
+
+    def df_dx_rows(xs: Array, u: Array = None) -> Array:
+        return np.zeros((xs.shape[0], 2, 2))
 
     def h(x: Array, u: Array = None) -> Array:
         e = l - x
@@ -64,7 +69,7 @@ def bearing_system(landmark) -> ControlSystem:
 
     return ControlSystem(n_x=2, n_u=2, n_y=2, f=f, h=h, df_dx=df_dx,
                          dh_dx=dh_dx, domain_guard=guard, f_rows=f_rows,
-                         domain_guard_rows=guard_rows)
+                         domain_guard_rows=guard_rows, df_dx_rows=df_dx_rows)
 
 
 @dataclass(frozen=True)

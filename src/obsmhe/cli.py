@@ -35,7 +35,8 @@ from . import bearing
 from .errors import (CertificationInconclusive, ConditionsFailed, ConfigError,
                      ObsMheError, SingularWindow)
 from .grammian import certify_weak_regular_persistence
-from .mhe_solver import SolverOptions, audit_uniform_stability, rolling_estimate
+from .mhe_solver import (HESSIAN_MODES, SolverOptions, audit_uniform_stability,
+                         rolling_estimate)
 from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals,
                        SampledSignal, TimeGrid, ZERO_NOISE, flow)
 
@@ -114,6 +115,8 @@ def normalize_config(raw: dict) -> dict:
     _require(nz["amplitude"] >= 0, "noise.amplitude", "amplitude must be >= 0")
     _require(nz.get("apply_to", "v") in ("v", "w", "both"), "noise.apply_to",
              "apply_to must be v, w, or both")
+    _require(cfg["solver"]["hessian_mode"] in HESSIAN_MODES, "solver.hessian_mode",
+             f"hessian_mode must be one of {HESSIAN_MODES}")
     _require(0.0 < cfg["audit"]["alpha"] < 1.0, "audit.alpha",
              "alpha must lie in (0, 1)")
     for key in ("n_ball_samples", "n_xi_samples", "n_eta_samples", "t_subsample"):

@@ -4,6 +4,10 @@ The cost of comparing two state hypotheses over a window is the integral
 of the squared output mismatch of their flows. Quadrature is composite
 Simpson on the RK4 grid, so the window grid must have an even number of
 steps. All functions are pure; trajectories are integrated per call.
+
+A finite-difference Hessian needs the gradients at its 2 n_x difference
+points. `fd_hessian` asks for them all at once, so the window costs
+flow the points as one block of rows (`candidate_terms_rows`).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .ode_core import (
     TimeGrid,
     flow,
     flow_and_stm,
+    flow_and_stm_rows,
     perturbed_flow,
     perturbed_flow_and_sensitivities,
     require_width,
@@ -82,9 +87,28 @@ def fd_gradient(fn: Callable[[Array], Array], x: Array, eps: Optional[float] = N
                      for e in step * np.eye(x.shape[0])], axis=-1)
 
 
-def fd_hessian(grad: Callable[[Array], Array], x: Array) -> Array:
-    """Symmetrized central finite differences of an analytic gradient."""
-    h = fd_gradient(grad, x)
+def fd_points(x: Array) -> Array:
+    """The central-difference points of `fd_hessian` at x, stacked as
+    [x + e_0, x - e_0, x + e_1, ...] with e_j = fd_step(x) times the unit
+    vector j: (2 n_x, n_x)."""
+    x = np.asarray(x, dtype=float)
+    es = fd_step(x) * np.eye(x.shape[0])
+    pts = np.empty((2 * x.shape[0], x.shape[0]))
+    pts[0::2] = x + es
+    pts[1::2] = x - es
+    return pts
+
+
+def fd_hessian(grads_at: Callable[[Array], Array], x: Array) -> Array:
+    """Symmetrized central finite differences of an analytic gradient.
+
+    `grads_at` maps the stacked `fd_points(x)` to their gradients,
+    (2 n_x, n_x). The result equals 0.5 (H + H^T), H = `fd_gradient` of
+    the gradient at x, bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    g = grads_at(fd_points(x))
+    h = ((g[0::2] - g[1::2]) / (2.0 * fd_step(x))).T
     return 0.5 * (h + h.T)
 
 
@@ -127,12 +151,16 @@ def gauss_newton_term(sys: ControlSystem, t1: float, t2: float, xi2: Array,
     Gauss-Newton Hessian of the window cost is 2*C.
     """
     sub = grid.subgrid(t1, t2)
-    us = u.at_nodes(sub)
     x2, phis = flow_and_stm(sys, t1, t2, xi2, u, sub)
-    hs = output_jacobians(sys, x2, us)
+    return window_grammian(sub, output_jacobians(sys, x2, u.at_nodes(sub)), phis)
+
+
+def window_grammian(win: TimeGrid, hs: Array, phis: Array) -> Array:
+    """Simpson integral over win of Phi^T H^T H Phi, symmetrized, from
+    the output Jacobians and STMs at the window nodes."""
     hphi = np.einsum("nij,njk->nik", hs, phis)
     integrand = np.einsum("nij,nik->njk", hphi, hphi)
-    c = np.einsum("n,njk->jk", simpson_weights(sub), integrand)
+    c = np.einsum("n,njk->jk", simpson_weights(win), integrand)
     return 0.5 * (c + c.T)
 
 
@@ -143,13 +171,18 @@ def hess_cum_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
 
     gauss_newton: 2*C(t, T, xi2, u); exact at xi2 = xi1 where the residual
     term vanishes. full_fd: symmetrized central finite differences of the
-    analytic gradient, which captures the residual term as well.
+    analytic gradient, which captures the residual term as well; its
+    difference points flow as one block against one flow from xi1.
     """
     if mode == "gauss_newton":
         return 2.0 * gauss_newton_term(sys, t1, t2, xi2, u, grid)
     if mode != "full_fd":
         raise ValueError(f"unknown hessian mode {mode!r}")
-    return fd_hessian(lambda z: grad_cum_error(sys, t1, t2, xi1, z, u, grid), xi2)
+    sub = grid.subgrid(t1, t2)
+    y1 = _outputs(sys, flow(sys, t1, t2, xi1, u, sub), u.at_nodes(sub))
+    return fd_hessian(
+        lambda pts: grads_from_terms(sub, candidate_terms_rows(sys, sub, pts, u), y1),
+        xi2)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +230,22 @@ def candidate_terms(sys: ControlSystem, win: TimeGrid, xi: Array,
     us = u.at_nodes(win)
     xs, phis = flow_and_stm(sys, win.t_start, win.t_end, xi, u, win)
     return _outputs(sys, xs, us), output_jacobians(sys, xs, us), phis
+
+
+def candidate_terms_rows(sys: ControlSystem, win: TimeGrid, xis: Array,
+                         u: InputSignal) -> list[tuple[Array, Array, Array]]:
+    """`candidate_terms` from each row of xis, (B, n_x), from one batched
+    flow; item b equals `candidate_terms` from xis[b] bit for bit."""
+    us = u.at_nodes(win)
+    xs, phis = flow_and_stm_rows(sys, win.t_start, win.t_end, xis, u, win)
+    return [(_outputs(sys, xs[:, b], us), output_jacobians(sys, xs[:, b], us),
+             phis[:, b]) for b in range(xs.shape[1])]
+
+
+def grads_from_terms(win: TimeGrid, terms: Sequence[tuple[Array, Array, Array]],
+                     ref_out: Array) -> Array:
+    """`grad_from_terms` of each candidate in `terms`, stacked: (B, n_x)."""
+    return np.stack([grad_from_terms(win, t, ref_out) for t in terms])
 
 
 def grad_from_terms(win: TimeGrid, terms: tuple[Array, Array, Array],
@@ -248,7 +297,13 @@ def grad_sensitivities(sys: ControlSystem, win: TimeGrid, xi: Array,
     Each dy holds the measured-output shift at the window nodes,
     (n_nodes, n_y). All k columns share one window STM at xi.
     """
-    _, hs, phis = candidate_terms(sys, win, xi, u)
+    return sensitivities_from_terms(win, candidate_terms(sys, win, xi, u), dys)
+
+
+def sensitivities_from_terms(win: TimeGrid, terms: tuple[Array, Array, Array],
+                             dys: Sequence[Array]) -> Array:
+    """`grad_sensitivities` from the `candidate_terms` at xi."""
+    _, hs, phis = terms
     w = simpson_weights(win)
     return np.stack([-2.0 * (w @ np.einsum("ni,nij,njk->nk", dy, hs, phis))
                      for dy in dys], axis=-1)

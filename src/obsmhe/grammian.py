@@ -139,7 +139,12 @@ class BoundednessReport:
 def observability_grammian(sys: ControlSystem, t: float, T: float, center: Array,
                            u: InputSignal, grid: TimeGrid) -> GrammianReport:
     """Grammian of the window [t-T, t] along the trajectory from (t-T, center)."""
-    c = gauss_newton_term(sys, t - T, t, center, u, grid)
+    return grammian_report(t, T, center, gauss_newton_term(sys, t - T, t, center, u, grid))
+
+
+def grammian_report(t: float, T: float, center: Array, c: Array) -> GrammianReport:
+    """The report of the window [t-T, t] whose Grammian along the
+    trajectory from (t-T, center) is c."""
     eigvals, eigvecs = jacobi_eigh(c)
     return GrammianReport(t=t, T=T, center=np.asarray(center, dtype=float),
                           matrix=c, eigenvalues=eigvals, eigenvectors=eigvecs)

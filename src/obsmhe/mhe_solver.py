@@ -12,22 +12,25 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .cost import (candidate_terms, fd_hessian,
-                   grad_from_terms, grad_perturbed_cost_from_reference,
-                   grad_sensitivities, gauss_newton_term,
-                   output_jacobians, perturbed_cost_from_reference,
-                   perturbed_reference, reference_and_noise_directions)
+from .cost import (candidate_terms_rows, fd_hessian, fd_points,
+                   grad_perturbed_cost_from_reference, grads_from_terms,
+                   gauss_newton_term, output_jacobians,
+                   perturbed_cost_from_reference, perturbed_reference,
+                   reference_and_noise_directions, sensitivities_from_terms,
+                   window_grammian)
 from .errors import (BoundaryStuck, ConditionsFailed, MaxItersExceeded,
                      ObsMheError, SingularWindow)
-from .grammian import (GrammianReport, ball_samples, jacobi_eigh,
-                       observability_grammian, reference_scan)
+from .grammian import (GrammianReport, ball_samples, grammian_report,
+                       jacobi_eigh, reference_scan)
 from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals,
                        SampledSignal, TimeGrid, ZERO_NOISE, flow,
-                       flow_and_stm, perturbed_flow_and_sensitivities)
+                       flow_and_stm, perturbed_flow_and_sensitivities_rows)
+
+HESSIAN_MODES = ("gauss_newton", "full_fd")
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,11 @@ class SolverOptions:
     damping_growth: float = 10.0
     damping_shrink: float = 0.1
     hessian_mode: str = "gauss_newton"
+
+    def __post_init__(self):
+        if self.hessian_mode not in HESSIAN_MODES:
+            raise ValueError(f"unknown hessian mode {self.hessian_mode!r}; "
+                             f"choose from {HESSIAN_MODES}")
 
     def replace(self, **kw) -> "SolverOptions":
         return dataclasses.replace(self, **kw)
@@ -150,23 +158,11 @@ class _WindowProblem:
         raise ValueError(f"unknown hessian mode {mode!r}")
 
     def hess_fd(self, xi: Array) -> Array:
-        return fd_hessian(self.grad, xi)
-
-    def hess_fd_against(self, xi: Array, refs: Sequence[Array]) -> list[Array]:
-        """hess_fd at xi of the window costs against each measured-output
-        trajectory in `refs`. The candidate trajectories at the difference
-        points do not depend on the reference, so each is integrated once
-        for all of them."""
-        memo: dict[bytes, tuple[Array, Array, Array]] = {}
-
-        def terms(z: Array) -> tuple[Array, Array, Array]:
-            key = z.tobytes()
-            if key not in memo:
-                memo[key] = candidate_terms(self.sys, self.win, z, self.u)
-            return memo[key]
-
-        return [fd_hessian(lambda z, ref=ref: grad_from_terms(self.win, terms(z), ref), xi)
-                for ref in refs]
+        """fd_hessian of the cost at xi; its difference points flow as one
+        block of rows."""
+        return fd_hessian(lambda pts: grads_from_terms(
+            self.win, candidate_terms_rows(self.sys, self.win, pts, self.u),
+            self.ref_out), xi)
 
 
 def _project(xi: Array, center: Array, radius: float) -> tuple[Array, bool]:
@@ -358,23 +354,25 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     win = grid.subgrid(t - T, t)
     full = TimeGrid.with_step(0.0, t, win.h)
     center = _reference_state(sys, x0, u, t, T, win.h)
-    mu_t = _window_mu(observability_grammian(sys, t, T, center, u, win))
-
+    # One window STM serves the Grammian and the output-noise channel.
     xs, ps = flow_and_stm(sys, t - T, t, center, u, win)
     us = u.at_nodes(win)
-    hphi = float(np.max(_spectral_norms(output_jacobians(sys, xs, us) @ ps)))
+    hs = output_jacobians(sys, xs, us)
+    mu_t = _window_mu(grammian_report(t, T, center, window_grammian(win, hs, ps)))
+    hphi = float(np.max(_spectral_norms(hs @ ps)))
     c1 = 2.0 * T * hphi
 
     rng = np.random.default_rng(seed)
     n_x = sys.n_x
     dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(n_x)]
+    ws = [_uniform_noise(rng, 0.0, full.h, full.n_steps, n_x, nu)
+          for _ in range(n_noise_samples)]
+    xt, zs = perturbed_flow_and_sensitivities_rows(sys, t, x0, u, ws, dws, full)
     n_win = win.n_steps + 1
     c2 = 0.0
-    for _ in range(n_noise_samples):
-        w = _uniform_noise(rng, 0.0, full.h, full.n_steps, n_x, nu)
-        xt, zs = perturbed_flow_and_sensitivities(sys, t, x0, u, w, dws, full)
-        sup = float(np.max(_spectral_norms(output_jacobians(sys, xt[-n_win:], us))
-                           * _spectral_norms(zs[-n_win:])))
+    for b in range(n_noise_samples):
+        sup = float(np.max(_spectral_norms(output_jacobians(sys, xt[-n_win:, b], us))
+                           * _spectral_norms(zs[-n_win:, b])))
         c2 = max(c2, 2.0 * T * hphi * sup)
     return NonuniformStabilityAudit(t=t, T=T, nu=nu, mu_t=mu_t, C1_t=c1, C2_t=c2)
 
@@ -385,6 +383,33 @@ def _spread_indices(n: int, k: int) -> list[int]:
     if k <= 1:
         return [n // 2]
     return sorted({round(i * (n - 1) / (k - 1)) for i in range(k)})
+
+
+def _candidate_block(sys: ControlSystem, u: InputSignal, win: TimeGrid,
+                     xi: Array, delta: float):
+    """The candidate terms the uniform audit needs at xi, from one block
+    of 4 n_x^2 + 2 n_x + 1 rows.
+
+    Returns (center, terms at its `fd_points`) for the Hessian centers
+    xi + delta e_0, xi - delta e_0, ..., xi, and the terms at xi.
+    """
+    n_x = xi.shape[0]
+    centers = []
+    for j in range(n_x):
+        e = np.zeros(n_x)
+        e[j] = delta
+        centers += [xi + e, xi - e]
+    centers.append(xi)
+    terms = candidate_terms_rows(
+        sys, win, np.concatenate([fd_points(c) for c in centers] + [xi[None]]), u)
+    m = 2 * n_x
+    return [(c, terms[k * m:(k + 1) * m]) for k, c in enumerate(centers)], terms[-1]
+
+
+def _hess_from_terms(win: TimeGrid, center: Array, terms, ref_out: Array) -> Array:
+    """fd_hessian at center of the window cost against ref_out, from the
+    candidate terms already flowed at fd_points(center)."""
+    return fd_hessian(lambda _: grads_from_terms(win, terms, ref_out), center)
 
 
 def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
@@ -429,32 +454,30 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
                 w=_uniform_noise(rng, 0.0, full.h, n_steps_full, n_x, nu)))
         xi_pts = [center] + list(
             ball_samples(rng, center, R, n_xi_samples - 1)[:n_xi_samples - 1])
+        # The candidate flows do not depend on the noise draw: one block of
+        # rows per xi, flowed once for every eta.
+        blocks = [_candidate_block(sys, u, win, xi, delta) for xi in xi_pts]
 
         for eta in etas:
             # The measured reference and the output shifts along the unit
             # v then w directions: one augmented integration of the
             # reference and its sensitivities.
             ref_out, dys = reference_and_noise_directions(sys, t, T, x0, u, eta, full)
-            problem = _WindowProblem(sys, u, win, ref_out)
-            for xi in xi_pts:
+            for (*shifted, (xi, xi_fd_terms)), xi_terms in blocks:
                 # a1: directional Lipschitz estimate of the Hessian in xi
                 # and in the output-noise channel. (A constant v shift only
                 # translates the reference outputs, so the perturbed
                 # references can be formed by shifting ref_out directly.)
-                for j in range(n_x):
-                    e = np.zeros(n_x)
-                    e[j] = delta
-                    hp = problem.hess_fd(xi + e)
-                    hm = problem.hess_fd(xi - e)
-                    a1_hat = max(a1_hat, float(np.linalg.norm(hp - hm, 2)) / (2 * delta))
-                shifted = problem.hess_fd_against(
-                    xi, [ref_out + sign * dv for dv in delta * np.eye(n_y)
-                         for sign in (1.0, -1.0)])
-                for hp, hm in zip(shifted[::2], shifted[1::2]):
+                hs = [_hess_from_terms(win, p, p_terms, ref_out) for p, p_terms in shifted]
+                pairs = list(zip(hs[::2], hs[1::2]))
+                pairs += [tuple(_hess_from_terms(win, xi, xi_fd_terms, ref_out + sign * dv)
+                                for sign in (1.0, -1.0))
+                          for dv in delta * np.eye(n_y)]
+                for hp, hm in pairs:
                     a1_hat = max(a1_hat, float(np.linalg.norm(hp - hm, 2)) / (2 * delta))
 
                 # a2 / g3: operator norms of the noise-to-gradient maps.
-                g = grad_sensitivities(sys, win, xi, u, dys)
+                g = sensitivities_from_terms(win, xi_terms, dys)
                 gain = (float(np.linalg.norm(g[:, :n_y], 2))
                         + float(np.linalg.norm(g[:, n_y:], 2)))
                 g3_hat = max(g3_hat, gain)
@@ -482,6 +505,7 @@ def multistart_uniqueness(sys: ControlSystem, x0: Array, u: InputSignal,
     tolerance through the smallest observed Hessian curvature (capped at
     R/10 so a flat valley cannot trivially pass).
     """
+    _require_samples(n_starts=n_starts)
     win = grid.subgrid(t - T, t)
     center = _reference_state(sys, x0, u, t, T, win.h)
     rng = np.random.default_rng(seed)

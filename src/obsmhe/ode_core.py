@@ -20,15 +20,19 @@ Tangents are not kernels of their own. `rk4_flow_stm` (Z(0) = I) and
 on the augmented state [x; vec Z] with f_aug = (f(x, u), dfdx(x, u) @ Z),
 so states, state-transition matrices and the sensitivities to any number
 of noise directions come out of one integration on the same RK4 stages.
+The augmented state may be one row or a block of B rows, (B, n_x +
+n_x*k), with the noise forcing shared by the rows or given per row.
 
-`flow_rows` flows a block of B starts over one span as a batch: it
-stages the span once and steps the stacked rows (B, n_x) through one
-call of `rk4_flow`. It uses the system's optional row callbacks `f_rows`
-(stacked rows, one input row shared by all of them) and
-`domain_guard_rows`, or a per-row fallback built from `f` and
-`domain_guard`. Its row b equals `flow` from xis[b] bit for bit. The
-domain guard of every flow is checked on blocks of nodes through the row
-guard.
+The batched flows step a block of B starts over one span through one
+call of `rk4_flow`, after staging the span once: `flow_rows` for states,
+`flow_and_stm_rows` for states and STMs (every difference point of a
+finite-difference Hessian), and `perturbed_flow_and_sensitivities_rows`
+for several process-noise draws from one start. They use the system's
+optional row callbacks `f_rows` and `df_dx_rows` (stacked rows, one input
+row shared by all of them) and `domain_guard_rows`, or a per-row
+fallback built from `f`, `df_dx` and `domain_guard`. Row b of a batch
+equals the single-row flow from its start bit for bit. The domain guard
+of every flow is checked on blocks of nodes through the row guard.
 """
 
 from __future__ import annotations
@@ -88,14 +92,16 @@ class ControlSystem:
     optional `domain_guard` marks states where h is defined; trajectories
     leaving the guarded region raise DomainViolation.
 
-    Two optional row callbacks serve batched flows (`flow_rows`) and the
-    guard checks. `f_rows(X, u)` takes stacked states X of shape
-    (B, n_x) and one input row u shared by all of them, and returns
-    (B, n_x). `domain_guard_rows(X)` returns a (B,) bool array. Each must
-    equal its per-row callback on every row, bit for bit (for the guard,
-    the same verdict), since batched results are promised equal to
-    per-row ones. A system that leaves them None gets a fallback that
-    calls `f` or `domain_guard` once per row.
+    Three optional row callbacks serve batched flows (`flow_rows`,
+    `flow_and_stm_rows`, `perturbed_flow_and_sensitivities_rows`) and the
+    guard checks. `f_rows(X, u)` takes stacked states X of shape (B, n_x)
+    and one input row u shared by all of them, and returns (B, n_x).
+    `df_dx_rows(X, u)` takes the same arguments and returns the stacked
+    Jacobians, (B, n_x, n_x). `domain_guard_rows(X)` returns a (B,) bool
+    array. Each must equal its per-row callback on every row, bit for bit
+    (for the guard, the same verdict), since batched results are promised
+    equal to per-row ones. A system that leaves them None gets a fallback
+    that calls `f`, `df_dx` or `domain_guard` once per row.
     """
 
     n_x: int
@@ -108,6 +114,7 @@ class ControlSystem:
     domain_guard: Optional[Callable[[Array], bool]] = None
     f_rows: Optional[Callable[[Array, Array], Array]] = None
     domain_guard_rows: Optional[Callable[[Array], Array]] = None
+    df_dx_rows: Optional[Callable[[Array, Array], Array]] = None
 
     def __post_init__(self):
         if min(self.n_x, self.n_u, self.n_y) < 1:
@@ -388,14 +395,15 @@ def rk4_flow(f, x0: Array, h: float, u0: Array, um: Array, u1: Array,
              w: Optional[Array] = None) -> Array:
     """Integrate x' = f(x, u) + w over n steps of size h.
 
-    u0, um and u1 hold the stage inputs of each step, (n, n_u), and w one
-    process-noise row per step, (n, n_x), or None. x0 is one state (n_x,)
-    or a block of stacked states (B, n_x); for a block, `f` takes the
-    stacked rows and one input row shared by all of them and returns
-    (B, n_x), and each noise row is broadcast over the rows. Every
-    operation between the f calls is elementwise, so row b of the result
-    equals, bit for bit, the flow of x0[b] alone when f's rows equal its
-    per-row results. Returns the states at all n+1 nodes,
+    u0, um and u1 hold the stage inputs of each step, (n, n_u). x0 is one
+    state (n_x,) or a block of stacked states (B, n_x); for a block, `f`
+    takes the stacked rows and one input row shared by all of them and
+    returns (B, n_x). `w` is None or holds the process noise of each step:
+    one row per step, (n, n_x), which a block shares across its rows, or
+    one row per step and per block row, (n, B, n_x). Every operation
+    between the f calls is elementwise, so row b of the result equals, bit
+    for bit, the flow of x0[b] alone under its own noise when f's rows
+    equal its per-row results. Returns the states at all n+1 nodes,
     (n+1,) + x0.shape, with states[0] == x0 exactly.
     """
     n = u0.shape[0]
@@ -425,26 +433,39 @@ def _rk4_tangents(f, dfdx, x0: Array, z0: Array, h: float, u0: Array,
     """Co-integrate x' = f(x, u) and Z' = dfdx(x, u) @ Z, Z of shape
     (n_x, k), from (x0, z0): `rk4_flow` on the augmented state [x; vec Z].
 
-    `forcing` is None or one row [w_i; vec F_i] per step, (n, n_x + n_x*k),
-    added to [x'; vec Z']. Returns (states, zs) of shapes (n+1, n_x) and
-    (n+1, n_x, k), with zs[0] == z0 exactly.
+    x0 is one state (n_x,) or a block (B, n_x); z0 is (n_x, k), shared by
+    every row of a block, or one per row, (B, n_x, k). For a block, f and
+    dfdx take stacked rows and return (B, n_x) and (B, n_x, n_x).
+    `forcing` is None or [w_i; vec F_i] per step, (n, n_x + n_x*k) or per
+    step and row, (n, B, n_x + n_x*k), added to [x'; vec Z']. Returns
+    (states, zs) of shapes (n+1,) + x0.shape and (n+1,) + x0.shape[:-1]
+    + (n_x, k), with zs[0] == z0 exactly.
     """
-    nx, k = z0.shape
+    nx, k = z0.shape[-2:]
+    rows = x0.shape[:-1]
+    xz0 = np.empty(rows + (nx + nx * k,))
+    xz0[..., :nx] = x0
+    xz0[..., nx:] = z0.reshape(z0.shape[:-2] + (nx * k,))
 
     def f_aug(xz: Array, ui: Array) -> Array:
-        x = xz[:nx]
-        return np.concatenate((f(x, ui), (dfdx(x, ui) @ xz[nx:].reshape(nx, k)).ravel()))
+        x = xz[..., :nx]
+        out = np.empty(xz.shape)
+        out[..., :nx] = f(x, ui)
+        np.matmul(dfdx(x, ui), xz[..., nx:].reshape(rows + (nx, k)),
+                  out=out[..., nx:].reshape(rows + (nx, k)))
+        return out
 
-    xzs = rk4_flow(f_aug, np.concatenate((x0, z0.ravel())), h, u0, um, u1, forcing)
-    return xzs[:, :nx], xzs[:, nx:].reshape(-1, nx, k)
+    xzs = rk4_flow(f_aug, xz0, h, u0, um, u1, forcing)
+    return xzs[..., :nx], xzs[..., nx:].reshape(xzs.shape[:-1] + (nx, k))
 
 
 def rk4_flow_stm(f, dfdx, x0: Array, h: float, u0: Array, um: Array,
                  u1: Array) -> tuple[Array, Array]:
     """The flow and its state-transition matrices P' = dfdx(x, u) @ P,
-    P(0) = I, on the same RK4 stages. Returns (states, stms) of shapes
-    (n+1, n_x) and (n+1, n_x, n_x)."""
-    return _rk4_tangents(f, dfdx, x0, np.eye(x0.shape[0]), h, u0, um, u1)
+    P(0) = I, on the same RK4 stages, from one state (n_x,) or a block
+    (B, n_x) as in `_rk4_tangents`. Returns (states, stms) of shapes
+    (n+1,) + x0.shape and (n+1,) + x0.shape + (n_x,)."""
+    return _rk4_tangents(f, dfdx, x0, np.eye(x0.shape[-1]), h, u0, um, u1)
 
 
 def rk4_flow_sens(f, dfdx, x0: Array, h: float, u0: Array, um: Array,
@@ -452,20 +473,35 @@ def rk4_flow_sens(f, dfdx, x0: Array, h: float, u0: Array, um: Array,
     """The w-perturbed flow x' = f(x, u) + w and k noise sensitivities
     Z' = dfdx(x, u) @ Z + F, Z(0) = 0, on the same RK4 stages.
 
-    `w` is (n, n_x) and `dw` holds the forcing F per step, (n, n_x, k).
-    Returns (states, zs) of shapes (n+1, n_x) and (n+1, n_x, k).
+    `dw` holds the forcing F per step, (n, n_x, k). `w` is (n, n_x), or
+    (n, B, n_x) for B noise draws sharing those directions; then x0, one
+    start (n_x,) shared by the draws or one per draw (B, n_x), flows as a
+    block, with f and dfdx on stacked rows. Returns (states, zs) of shapes
+    (n+1,) + rows + (n_x,) and (n+1,) + rows + (n_x, k), rows being ()
+    or (B,).
     """
     n, nx, k = dw.shape
-    return _rk4_tangents(f, dfdx, x0, np.zeros((nx, k)), h, u0, um, u1,
-                         np.concatenate((w, dw.reshape(n, nx * k)), axis=1))
+    rows = w.shape[1:-1]
+    forcing = np.empty((n,) + rows + (nx + nx * k,))
+    forcing[..., :nx] = w
+    forcing[..., nx:] = dw.reshape((n,) + (1,) * len(rows) + (nx * k,))
+    return _rk4_tangents(f, dfdx, np.broadcast_to(x0, rows + (nx,)),
+                         np.zeros((nx, k)), h, u0, um, u1, forcing)
+
+
+def _per_row(fn: Callable[[Array, Array], Array]) -> Callable[[Array, Array], Array]:
+    """fn of one state and one input row, applied to each stacked state."""
+    return lambda xs, u: stack_rows((fn(x, u) for x in xs), xs.shape[0])
 
 
 def _f_rows(sys: ControlSystem) -> Callable[[Array, Array], Array]:
     """The system's f on stacked rows, or a per-row fallback."""
-    if sys.f_rows is not None:
-        return sys.f_rows
-    f = sys.f
-    return lambda xs, u: stack_rows((f(x, u) for x in xs), xs.shape[0])
+    return _per_row(sys.f) if sys.f_rows is None else sys.f_rows
+
+
+def _df_dx_rows(sys: ControlSystem) -> Callable[[Array, Array], Array]:
+    """The system's df_dx on stacked rows, or a per-row fallback."""
+    return _per_row(sys.df_dx) if sys.df_dx_rows is None else sys.df_dx_rows
 
 
 def _guard_rows(sys: ControlSystem) -> Optional[Callable[[Array], Array]]:
@@ -509,6 +545,15 @@ def flow(sys: ControlSystem, s1: float, s2: float, xi: Array, u: InputSignal,
     return xs
 
 
+def _starts(sys: ControlSystem, xis: Array) -> Array:
+    """xis as a float block (B >= 1, n_x); DimensionMismatch otherwise."""
+    xis = np.asarray(xis, dtype=float)
+    if xis.ndim != 2 or xis.shape[0] < 1 or xis.shape[1] != sys.n_x:
+        raise DimensionMismatch(
+            f"starts have shape {xis.shape}, expected (B >= 1, {sys.n_x})")
+    return xis
+
+
 def flow_rows(sys: ControlSystem, s1: float, s2: float, xis: Array,
               u: InputSignal, grid: TimeGrid) -> Array:
     """`flow` from (s1, xis[b]) for each row of xis, (B, n_x), as one batch.
@@ -517,10 +562,7 @@ def flow_rows(sys: ControlSystem, s1: float, s2: float, xis: Array,
     A start whose flow `flow` rejects makes the batch raise
     DomainViolation, with `flow`'s message when it is the only such start.
     """
-    xis = np.asarray(xis, dtype=float)
-    if xis.ndim != 2 or xis.shape[0] < 1 or xis.shape[1] != sys.n_x:
-        raise DimensionMismatch(
-            f"starts have shape {xis.shape}, expected (B >= 1, {sys.n_x})")
+    xis = _starts(sys, xis)
     sub = _span(grid, s1, s2, u)
     u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
     xs = rk4_flow(_f_rows(sys), xis, sub.h, u0, um, u1)
@@ -542,6 +584,23 @@ def flow_and_stm(sys: ControlSystem, s1: float, s2: float, xi: Array,
     u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
     xs, phis = rk4_flow_stm(sys.f, sys.df_dx, np.asarray(xi, dtype=float),
                             sub.h, u0, um, u1)
+    _check_guard(sys, xs, "stm")
+    return xs, phis
+
+
+def flow_and_stm_rows(sys: ControlSystem, s1: float, s2: float, xis: Array,
+                      u: InputSignal, grid: TimeGrid) -> tuple[Array, Array]:
+    """`flow_and_stm` from (s1, xis[b]) for each row of xis, (B, n_x), as
+    one batch on the system's row callbacks.
+
+    Returns states (n+1, B, n_x) and STMs (n+1, B, n_x, n_x); [:, b]
+    equals `flow_and_stm` from xis[b] bit for bit.
+    """
+    xis = _starts(sys, xis)
+    sub = _span(grid, s1, s2, u)
+    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
+    xs, phis = rk4_flow_stm(_f_rows(sys), _df_dx_rows(sys), xis, sub.h,
+                            u0, um, u1)
     _check_guard(sys, xs, "stm")
     return xs, phis
 
@@ -571,18 +630,36 @@ def perturbed_flow_and_sensitivities(sys: ControlSystem, t_end: float, xi: Array
     `noise_sensitivity` along dws[j]: z' = d_x f(x~, u) z + dws[j](s),
     z(0) = 0.
     """
-    require_width(w, sys.n_x, "process noise w")
+    xs, zs = perturbed_flow_and_sensitivities_rows(sys, t_end, xi, u, [w], dws, grid)
+    return xs[:, 0], zs[:, 0]
+
+
+def perturbed_flow_and_sensitivities_rows(
+        sys: ControlSystem, t_end: float, xi: Array, u: InputSignal,
+        ws: Sequence[Optional[SampledSignal]], dws: Sequence[SampledSignal],
+        grid: TimeGrid) -> tuple[Array, Array]:
+    """`perturbed_flow_and_sensitivities` from (0, xi) for each noise draw
+    in ws (None meaning zero noise), sharing the directions dws, as one
+    batch with per-row forcing.
+
+    Returns states (n+1, B, n_x) and zs (n+1, B, n_x, k), B = len(ws) >= 1;
+    [:, b] is the flow and sensitivities under ws[b] alone.
+    """
+    if not ws:
+        raise ValueError("need at least one noise draw")
+    for w in ws:
+        require_width(w, sys.n_x, "process noise w")
     for dw in dws:
         require_width(dw, sys.n_x, "noise direction dw")
     sub = _span(grid, 0.0, t_end, u)
     u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
-    if w is None:
-        wv = np.zeros((sub.n_steps, sys.n_x))
-    else:
-        wv = w.step_values(sub.t_start, sub.h, sub.n_steps)
+    wv = np.zeros((sub.n_steps, len(ws), sys.n_x))
+    for b, w in enumerate(ws):
+        if w is not None:
+            wv[:, b] = w.step_values(sub.t_start, sub.h, sub.n_steps)
     dwv = np.stack([dw.step_values(sub.t_start, sub.h, sub.n_steps) for dw in dws],
                    axis=-1)
-    xs, zs = rk4_flow_sens(sys.f, sys.df_dx, np.asarray(xi, dtype=float),
+    xs, zs = rk4_flow_sens(_f_rows(sys), _df_dx_rows(sys), np.asarray(xi, dtype=float),
                            sub.h, u0, um, u1, wv, dwv)
     _check_guard(sys, xs, "noise_sensitivity")
     return xs, zs

@@ -116,3 +116,18 @@ def test_preset_scenario_rejects_unknown():
 def test_u_circ_bound_enforced():
     u = bearing.u_circ(np.zeros(2), np.array([1.0, 0.0]), omega=2.0)
     assert np.linalg.norm(u.at(0.7)) <= 2.0 + 1e-12
+
+
+def test_row_callbacks_equal_per_row_callbacks(circ):
+    # Stacked rows, also a strided view as the augmented flows pass them,
+    # give each row's per-row result bit for bit.
+    sys_, u = circ
+    rng = np.random.default_rng(53)
+    aug = rng.standard_normal((7, 6))
+    ui = u.at(0.3)
+    for xs in (rng.standard_normal((5, 2)), aug[:, :2]):
+        f_rows, jac_rows = sys_.f_rows(xs, ui), sys_.df_dx_rows(xs, ui)
+        assert f_rows.shape == xs.shape and jac_rows.shape == (len(xs), 2, 2)
+        for x, fr, jr in zip(xs, f_rows, jac_rows):
+            assert np.asarray(sys_.f(x, ui)).tobytes() == fr.tobytes()
+            assert sys_.df_dx(x, ui).tobytes() == jr.tobytes()

@@ -181,6 +181,18 @@ def test_normalize_config_rejects_bad_noise_family():
                               "noise": {"family": "pink"}})
 
 
+@pytest.mark.parametrize("noise", [{}, {"family": "constant", "amplitude": 0.001}])
+def test_unknown_hessian_mode_exit_2(tmp_path, noise):
+    cfg = {"system": "circ-default", "solver": {"hessian_mode": "newton"},
+           "noise": noise}
+    with pytest.raises(ConfigError) as info:
+        cli.normalize_config(cfg)
+    assert info.value.field == "solver.hessian_mode"
+    code, out = run(tmp_path, "mhe-run", cfg)
+    assert code == 2
+    assert not (out / "mhe_report.json").exists()
+
+
 @pytest.mark.parametrize("field", ["n_xi_samples", "n_eta_samples", "t_subsample"])
 def test_audit_sample_counts_below_one_exit_2(tmp_path, field):
     cfg = {"system": "circ-default", "audit": {field: 0}}
@@ -212,18 +224,22 @@ def test_grammian_scan_integrates_the_reference_once(tmp_path, monkeypatch):
 
 def test_stability_audit_integrates_shared_trajectories_once(tmp_path, monkeypatch):
     # The benchmark's circle audit: one window, 2 noise draws x 2 ball
-    # points. Each (eta, xi) takes 16 STMs for the Hessian differences in
-    # xi, 4 shared by all output-noise shifts and 1 for every noise
-    # gradient; the scan adds one per window Grammian. Each noise draw's
-    # reference comes from the augmented flow of its noise sensitivities,
-    # with no separate perturbed flow.
+    # points. The candidate flows do not depend on the noise draw, so each
+    # ball point xi takes one block of 21 rows for both draws: the 16
+    # difference points of the Hessians at xi +- delta e_j, the 4 of the
+    # Hessian at xi shared by all output-noise shifts, and xi itself for
+    # every noise gradient. The scan adds one STM per window Grammian.
+    # Each noise draw's reference comes from the augmented flow of its
+    # noise sensitivities, with no separate perturbed flow.
     calls = count_calls(monkeypatch, ode_core.flow_and_stm)
+    blocks = count_calls(monkeypatch, ode_core.flow_and_stm_rows)
     perturbed = count_calls(monkeypatch, ode_core.perturbed_flow)
     code, _ = run(tmp_path, "stability-audit",
                   {"system": "circ-default",
                    "audit": {"R": 0.02, "nu": 1e-4, "alpha": 0.6, "t_subsample": 1}})
     assert code == 0
-    assert len(calls) == 6 + 2 * 2 * (16 + 4 + 1)
+    assert len(calls) == 6
+    assert [args[3].shape for args in blocks] == [(21, 2), (21, 2)]
     assert perturbed == []
 
 

@@ -6,7 +6,8 @@ import pytest
 from obsmhe import (DimensionMismatch, GridMismatch, NoiseSignals,
                     SampledSignal, TimeGrid, ZERO_NOISE, flow, noise_sensitivity,
                     perturbed_flow)
-from obsmhe.cost import (cum_output_error, fd_gradient, gauss_newton_term,
+from obsmhe.cost import (cum_output_error, fd_gradient, fd_hessian, fd_step,
+                         gauss_newton_term,
                          grad_cum_error, grad_perturbed_cost,
                          grad_sensitivities, grad_sensitivity_v,
                          grad_sensitivity_w, hess_cum_error,
@@ -70,6 +71,33 @@ def test_hessian_gauss_newton_equals_full_at_reference(circ, grid2, x0):
     np.testing.assert_allclose(hgn, hfd, atol=1e-6)
     c = gauss_newton_term(sys_, 0.0, 2.0, x0, u, grid2)
     np.testing.assert_allclose(hgn, 2.0 * c, atol=1e-14)
+
+
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+def test_fd_hessian_equals_symmetrized_fd_gradient(system, request, grid2, x0):
+    # fd_hessian takes every difference point at once and keeps the
+    # step and the arithmetic of fd_gradient; hess_cum_error flows the
+    # points as one block and the reference from xi1 once.
+    sys_, u = request.getfixturevalue(system)
+    xi2 = x0 + [0.03, -0.02]
+
+    def grad(z):
+        return grad_cum_error(sys_, 0.0, 2.0, x0, z, u, grid2)
+
+    points = []
+
+    def grads_at(pts):
+        points.append(pts)
+        return np.stack([grad(p) for p in pts])
+
+    h = fd_gradient(grad, xi2)
+    sym = 0.5 * (h + h.T)
+    assert_bits_equal(fd_hessian(grads_at, xi2), sym)
+    step = fd_step(xi2)
+    assert_bits_equal(points[0], [xi2 + step * e * sign for e in np.eye(2)
+                                  for sign in (1.0, -1.0)])
+    assert_bits_equal(hess_cum_error(sys_, 0.0, 2.0, x0, xi2, u, grid2, mode="full_fd"),
+                      sym)
 
 
 def test_perturbed_cost_zero_noise_reduces_to_cum_error(circ, grid6, x0):

@@ -11,8 +11,10 @@ import obsmhe
 from obsmhe import (ControlSystem, DimensionMismatch, DomainViolation, GridMismatch,
                     InputSignal, NoiseSignals, SampledSignal, TimeGrid, ZERO_NOISE,
                     check_jacobians, cum_output_error, flow, flow_and_stm,
-                    flow_rows, gauss_newton_term, noise_sensitivity, perturbed_flow,
-                    perturbed_flow_and_sensitivities, stm)
+                    flow_and_stm_rows, flow_rows, gauss_newton_term,
+                    noise_sensitivity, ode_core, perturbed_flow,
+                    perturbed_flow_and_sensitivities,
+                    perturbed_flow_and_sensitivities_rows, stm)
 from conftest import assert_bits_equal
 
 
@@ -372,11 +374,64 @@ def test_flow_rows_equals_stacked_flows(system, n_rows, request, grid2, x0):
                                    axis=1))
 
 
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+@pytest.mark.parametrize("n_rows", [1, 5])
+def test_flow_and_stm_rows_equals_stacked_calls(system, n_rows, request, grid2, x0):
+    # circ has f_rows and df_dx_rows; nonlinear goes through the per-row
+    # fallbacks.
+    sys_, u = request.getfixturevalue(system)
+    xis = x0 + 0.1 * np.random.default_rng(n_rows).standard_normal((n_rows, 2))
+    xs, phis = flow_and_stm_rows(sys_, 0.5, 1.5, xis, u, grid2)
+    singles = [flow_and_stm(sys_, 0.5, 1.5, xi, u, grid2) for xi in xis]
+    assert_bits_equal(xs, np.stack([x for x, _ in singles], axis=1))
+    assert_bits_equal(phis, np.stack([p for _, p in singles], axis=1))
+
+
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+def test_row_forced_sensitivities_match_per_draw_calls(system, request, grid2, x0):
+    # Draws with their own forcing, one of them None, sharing the
+    # directions: each row equals its own call.
+    sys_, u = request.getfixturevalue(system)
+    n = grid2.n_steps
+    rng = np.random.default_rng(43)
+    ws = [SampledSignal(0.0, grid2.h, 0.05 * rng.standard_normal((n, 2))), None,
+          SampledSignal(0.0, grid2.h, 0.05 * rng.standard_normal((n, 2)))]
+    dws = [SampledSignal(0.0, grid2.h, rng.standard_normal((n, 2))),
+           SampledSignal.constant([1.0, 0.0], 0.0, 2.0, grid2.h)]
+    xs, zs = perturbed_flow_and_sensitivities_rows(sys_, 2.0, x0, u, ws, dws, grid2)
+    assert zs.shape == (n + 1, 3, 2, 2)
+    for b, w in enumerate(ws):
+        xb, zb = perturbed_flow_and_sensitivities(sys_, 2.0, x0, u, w, dws, grid2)
+        assert_bits_equal(xs[:, b], xb)
+        assert_bits_equal(zs[:, b], zb)
+    with pytest.raises(ValueError, match="noise draw"):
+        perturbed_flow_and_sensitivities_rows(sys_, 2.0, x0, u, [], dws, grid2)
+
+
+def test_rk4_flow_per_row_noise_equals_per_row_flows(circ, grid2, x0):
+    # Noise of shape (n, B, n_x) forces each row of a block with its own
+    # column; (n, n_x) is shared by every row.
+    sys_, u = circ
+    n = grid2.n_steps
+    stages = u.stage_values(0.0, grid2.h, n)
+    rng = np.random.default_rng(47)
+    xis = x0 + 0.1 * rng.standard_normal((3, 2))
+    w = 0.05 * rng.standard_normal((n, 3, 2))
+    xs = ode_core.rk4_flow(sys_.f_rows, xis, grid2.h, *stages, w)
+    shared = ode_core.rk4_flow(sys_.f_rows, xis, grid2.h, *stages, w[:, 0])
+    for b in range(3):
+        assert_bits_equal(xs[:, b], ode_core.rk4_flow(sys_.f, xis[b], grid2.h,
+                                                      *stages, w[:, b]))
+        assert_bits_equal(shared[:, b], ode_core.rk4_flow(sys_.f, xis[b], grid2.h,
+                                                          *stages, w[:, 0]))
+
+
 def test_flow_rows_rejects_misshaped_starts(circ, grid2, x0):
     sys_, u = circ
-    for xis in (x0, np.zeros((0, 2)), np.zeros((3, 3))):
-        with pytest.raises(DimensionMismatch):
-            flow_rows(sys_, 0.0, 1.0, xis, u, grid2)
+    for rows in (flow_rows, flow_and_stm_rows):
+        for xis in (x0, np.zeros((0, 2)), np.zeros((3, 3))):
+            with pytest.raises(DimensionMismatch):
+                rows(sys_, 0.0, 1.0, xis, u, grid2)
 
 
 def _first_violation(call):

@@ -16,7 +16,10 @@ from obsmhe import (
     audit_nonuniform_stability, audit_uniform_stability, mhe_solver,
     multistart_uniqueness, ode_core, rolling_estimate, solve_fie, solve_mhe,
     solve_pmhe)
-from conftest import count_calls
+from obsmhe.cost import (fd_gradient, fd_hessian, grad_sensitivities,
+                         perturbed_reference, reference_and_noise_directions)
+from obsmhe.grammian import ball_samples
+from conftest import assert_bits_equal, count_calls
 
 OPTS = SolverOptions(ball_radius=0.1)
 
@@ -120,13 +123,39 @@ def test_solve_computes_each_gradient_once(circ, x0, grid6, monkeypatch):
     # One gradient per iterate; the final gradient norm reuses the last.
     sys_, u = circ
     calls = count_calls(monkeypatch, mhe_solver.grad_perturbed_cost_from_reference)
+    blocks = count_calls(monkeypatch, ode_core.flow_and_stm_rows)
     x_ref = _truth(sys_, x0, u, 1.0)
     v = SampledSignal.constant([1e-3, -2e-3], 1.0, 2.0, grid6.h)
     sol = solve_pmhe(sys_, x0, u, 2.0, 1.0, NoiseSignals(v=v),
                      OPTS.replace(ball_center=x_ref + [0.03, -0.02]), grid6)
     assert sol.iterations >= 2
-    # plus 2 n_x for the difference Hessian behind hess_min_eig
-    assert len(calls) == 1 + sol.iterations + 2 * sys_.n_x
+    assert len(calls) == 1 + sol.iterations
+    # plus one block of the 2 n_x difference points of the Hessian behind
+    # hess_min_eig
+    assert [args[3].shape for args in blocks] == [(2 * sys_.n_x, sys_.n_x)]
+
+
+def test_hess_fd_equals_per_point_gradients(nonlinear, x0, grid6):
+    # The block of difference points gives the Hessian of one gradient
+    # per point, bit for bit (nonlinear: the per-row fallbacks).
+    sys_, u = nonlinear
+    t, T = 2.0, 1.0
+    rng = np.random.default_rng(41)
+    eta = NoiseSignals(v=SampledSignal(0.0, grid6.h, 1e-3 * rng.standard_normal(
+        (grid6.n_steps + 1, 2))))
+    _, ref_out = perturbed_reference(sys_, t, T, x0, u, eta, grid6)
+    problem = mhe_solver._WindowProblem(sys_, u, grid6.subgrid(t - T, t), ref_out)
+    xi = x0 + [0.02, -0.01]
+    h = fd_gradient(problem.grad, xi)
+    assert_bits_equal(problem.hess_fd(xi), 0.5 * (h + h.T))
+
+
+@pytest.mark.parametrize("mode", ["newton", "", None])
+def test_solver_options_reject_unknown_hessian_mode(mode):
+    with pytest.raises(ValueError, match="hessian mode"):
+        SolverOptions(hessian_mode=mode)
+    with pytest.raises(ValueError, match="hessian mode"):
+        OPTS.replace(hessian_mode=mode)
 
 
 @pytest.mark.parametrize("field", ["n_xi_samples", "n_eta_samples", "t_subsample"])
@@ -145,14 +174,19 @@ def test_nonuniform_audit_rejects_no_noise_draws(circ, x0, grid6):
 
 
 def test_nonuniform_audit_integrates_each_noise_draw_once(spi, x0, monkeypatch):
-    # The perturbed states and the n_x sensitivities of a draw come from
-    # one augmented integration; no separate perturbed flow.
+    # The perturbed states and the n_x sensitivities of every draw come
+    # from one augmented integration of a block with one row per draw; no
+    # separate perturbed flow. One window STM serves the Grammian and the
+    # output-noise channel.
     sys_, u = spi
     flows = count_calls(monkeypatch, ode_core.perturbed_flow)
     sens = count_calls(monkeypatch, ode_core.rk4_flow_sens)
+    stms = count_calls(monkeypatch, ode_core.flow_and_stm)
     grid = TimeGrid.with_step(0.0, 3.0, 0.01)
     audit_nonuniform_stability(sys_, x0, u, 3.0, 2.0, 1e-3, grid, n_noise_samples=3)
-    assert (len(flows), len(sens)) == (0, 3)
+    assert (len(flows), len(stms)) == (0, 1)
+    # rk4_flow_sens(f, dfdx, x0, h, u0, um, u1, w, dw): w is (n, 3, n_x)
+    assert [args[7].shape for args in sens] == [(grid.n_steps, 3, sys_.n_x)]
 
 
 def test_nonuniform_audit_circ_constant_over_time(circ, x0, grid6):
@@ -209,6 +243,51 @@ def test_uniform_audit_margins_hold_on_circle(circ, x0):
     assert np.isfinite(audit.bound_factor) and audit.bound_factor > 0
 
 
+def _per_point_hess(problem, x):
+    """fd_hessian of a window cost from one gradient flow per point."""
+    return fd_hessian(lambda pts: np.stack([problem.grad(p) for p in pts]), x)
+
+
+def test_uniform_audit_equals_per_point_reference(nonlinear, x0):
+    # The row blocks give the constants that per-point FD Hessians and
+    # gradient maps give, bit for bit, on a system with Phi != I. The
+    # reference replays the audit's seeded draws: one window, the zero
+    # draw and one noise draw, the center and one ball point.
+    sys_, u = nonlinear
+    T, t, R, nu, h, delta = 1.0, 2.0, 0.05, 1e-3, 0.01, 1e-3
+    audit = audit_uniform_stability(sys_, x0, u, T, [t], R=R, nu=nu, alpha=0.6,
+                                    grid_step=h, seed=1, t_subsample=1,
+                                    raise_on_failure=False)
+    full = TimeGrid.with_step(0.0, t, h)
+    win = full.subgrid(t - T, t)
+    center = flow(sys_, 0.0, t, x0, u, full)[full.index_of(t - T)]
+    rng = np.random.default_rng(1)
+    eta = NoiseSignals(
+        v=mhe_solver._uniform_noise(rng, t - T, win.h, win.n_steps, 2, nu),
+        w=mhe_solver._uniform_noise(rng, 0.0, full.h, full.n_steps, 2, nu))
+    xi_pts = [center, ball_samples(rng, center, R, 1)[0]]
+    a1 = a2 = g3 = 0.0
+    for e in (ZERO_NOISE, eta):
+        ref_out, dys = reference_and_noise_directions(sys_, t, T, x0, u, e, full)
+        problem = mhe_solver._WindowProblem(sys_, u, win, ref_out)
+        for xi in xi_pts:
+            pairs = [(_per_point_hess(problem, xi + s), _per_point_hess(problem, xi - s))
+                     for s in delta * np.eye(2)]
+            pairs += [tuple(_per_point_hess(mhe_solver._WindowProblem(
+                sys_, u, win, ref_out + sign * dv), xi) for sign in (1.0, -1.0))
+                      for dv in delta * np.eye(2)]
+            for hp, hm in pairs:
+                a1 = max(a1, float(np.linalg.norm(hp - hm, 2)) / (2 * delta))
+            g = grad_sensitivities(sys_, win, xi, u, dys)
+            gain = float(np.linalg.norm(g[:, :2], 2)) + float(np.linalg.norm(g[:, 2:], 2))
+            g3 = max(g3, gain)
+            if xi is center:
+                a2 = max(a2, gain)
+    assert (audit.a1_hat, audit.a2_hat, audit.g3_hat) == (a1, a2, g3)
+    # On this seed the ball point, not the center, sets g3.
+    assert a1 > 0 and g3 > a2 > 0
+
+
 def test_uniform_audit_is_seed_deterministic(circ, x0):
     sys_, u = circ
     kw = dict(T=1.0, t_grid=[2, 4], R=0.02, nu=1e-4, alpha=0.6,
@@ -236,6 +315,13 @@ def test_multistart_unique_on_circle(circ, x0, grid6):
     assert rep.unique and not rep.failures
     assert rep.max_pairwise_distance <= rep.cluster_radius
     assert len(rep.solutions) == 6
+
+
+@pytest.mark.parametrize("n_starts", [0, -3])
+def test_multistart_rejects_starts_below_one(circ, x0, grid6, n_starts):
+    sys_, u = circ
+    with pytest.raises(ValueError, match="n_starts"):
+        multistart_uniqueness(sys_, x0, u, 2.0, 1.0, 0.05, n_starts, 0, OPTS, grid6)
 
 
 def test_multistart_not_unique_on_flat_valley(cst, x0):
