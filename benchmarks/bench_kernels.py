@@ -13,10 +13,18 @@ of one uniform-audit ball point), as in `ode_core.flow_and_stm_rows`; and
 `ode_core.perturbed_flow_and_sensitivities_rows`. Reports thousands of
 steps per second, counting one step of a B-row block as B steps.
 
+Then times the outputs h and output Jacobians dh_dx of a (401, 21) block
+of states, 401 nodes by the 21 rows of one uniform-audit ball point,
+through `ode_core.outputs_rows` and `ode_core.output_jacobians_rows`:
+once with the system's `h_rows` and `dh_dx_rows` (one call per node) and
+once with the per-row fallback (one `h` or `dh_dx` call per node and
+row). Reports thousands of rows per second.
+
     python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """
 
 import argparse
+import dataclasses
 import time
 
 import numpy as np
@@ -77,6 +85,18 @@ def main():
     print(f"{'kernel':<24}{'ksteps/s':>14}")
     for label, (rows, job) in jobs.items():
         print(f"{label:<24}{rows * n / bench(job, args.repeats) / 1e3:>14.1f}")
+
+    nodes = 401
+    block = x0 + 0.05 * rng.standard_normal((nodes, 21, nx))
+    us = u.at_nodes(ode_core.TimeGrid(0.0, 1.0, nodes - 1))
+    per_row = dataclasses.replace(sys_, h_rows=None, dh_dx_rows=None)
+    print(f"\n({nodes}, 21) block of states, best of {args.repeats} runs\n")
+    print(f"{'outputs':<24}{'krows/s':>14}")
+    for label, system in (("row callbacks", sys_), ("per-row fallback", per_row)):
+        for name, fn in (("h", ode_core.outputs_rows),
+                         ("dh_dx", ode_core.output_jacobians_rows)):
+            t = bench(lambda: fn(system, block, us), args.repeats)
+            print(f"{name + ' ' + label:<24}{block.shape[0] * block.shape[1] / t / 1e3:>14.1f}")
 
 
 if __name__ == "__main__":

@@ -59,6 +59,26 @@ def bearing_system(landmark) -> ControlSystem:
         return np.array([[-e[1] ** 2, e[0] * e[1]],
                          [e[0] * e[1], -e[0] ** 2]]) / r ** 3
 
+    # The row forms repeat h and dh_dx bit for bit. np.linalg.norm(e) is a
+    # BLAS dot, which a stacked matmul of each row with itself reproduces
+    # and np.linalg.norm(E, axis=-1) does not. A float64 scalar ** k is
+    # libm pow, which Python floats reproduce and array powers do not.
+    def ranges(es: Array) -> Array:
+        return np.sqrt(np.matmul(es[:, None, :], es[:, :, None])[:, 0, 0])
+
+    def h_rows(xs: Array, u: Array = None) -> Array:
+        es = l - xs
+        return es / ranges(es)[:, None]
+
+    def dh_dx_rows(xs: Array, u: Array = None) -> Array:
+        es = xs - l
+        out = np.empty((es.shape[0], 2, 2))
+        out[:, 0, 0] = [-a ** 2 for a in es[:, 1].tolist()]
+        out[:, 0, 1] = out[:, 1, 0] = es[:, 0] * es[:, 1]
+        out[:, 1, 1] = [-a ** 2 for a in es[:, 0].tolist()]
+        out /= np.array([r ** 3 for r in ranges(es).tolist()])[:, None, None]
+        return out
+
     # One range formula for a state and for stacked states, so the row
     # guard gives each row the per-row verdict, bit for bit.
     def guard_rows(xs: Array) -> Array:
@@ -69,7 +89,8 @@ def bearing_system(landmark) -> ControlSystem:
 
     return ControlSystem(n_x=2, n_u=2, n_y=2, f=f, h=h, df_dx=df_dx,
                          dh_dx=dh_dx, domain_guard=guard, f_rows=f_rows,
-                         domain_guard_rows=guard_rows, df_dx_rows=df_dx_rows)
+                         domain_guard_rows=guard_rows, df_dx_rows=df_dx_rows,
+                         h_rows=h_rows, dh_dx_rows=dh_dx_rows)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,12 @@ steps. All functions are pure; trajectories are integrated per call.
 
 A finite-difference Hessian needs the gradients at its 2 n_x difference
 points. `fd_hessian` asks for them all at once, so the window costs
-flow the points as one block of rows (`candidate_terms_rows`).
+flow the points as one block of rows (`candidate_terms_rows`). Several
+noise draws of one reference flow as one block as well
+(`reference_and_noise_directions_rows`). The outputs and output
+Jacobians of a block are taken with one row-callback call per node
+(`ode_core.outputs_rows`, `ode_core.output_jacobians_rows`); those of a
+single trajectory, one per-row call per node.
 """
 
 from __future__ import annotations
@@ -28,8 +33,11 @@ from .ode_core import (
     flow,
     flow_and_stm,
     flow_and_stm_rows,
+    output_jacobians_rows,
+    outputs_rows,
     perturbed_flow,
     perturbed_flow_and_sensitivities,
+    perturbed_flow_and_sensitivities_rows,
     require_width,
     stack_rows,
 )
@@ -196,16 +204,6 @@ def _window_grid(t: float, T: float, grid: TimeGrid) -> TimeGrid:
     return grid.subgrid(t - T, t)
 
 
-def _measured_outputs(sys: ControlSystem, win: TimeGrid, xs: Array,
-                      u: InputSignal, v: Optional[SampledSignal]) -> Array:
-    """Measured outputs h(x, u) + v of the window states xs at the window
-    nodes."""
-    ys = _outputs(sys, xs, u.at_nodes(win))
-    if v is not None:
-        ys = ys + v.at_nodes(win)
-    return ys
-
-
 def perturbed_reference(sys: ControlSystem, t: float, T: float, x0: Array,
                         u: InputSignal, eta: NoiseSignals,
                         grid: TimeGrid) -> tuple[Array, Array]:
@@ -220,7 +218,8 @@ def perturbed_reference(sys: ControlSystem, t: float, T: float, x0: Array,
     win = _window_grid(t, T, grid)
     full = TimeGrid.with_step(0.0, t, win.h)
     xs = perturbed_flow(sys, 0.0, t, x0, u, eta.w, full)[full.index_of(t - T):]
-    return xs, _measured_outputs(sys, win, xs, u, eta.v)
+    ys = _outputs(sys, xs, u.at_nodes(win))
+    return xs, ys if eta.v is None else ys + eta.v.at_nodes(win)
 
 
 def candidate_terms(sys: ControlSystem, win: TimeGrid, xi: Array,
@@ -235,11 +234,12 @@ def candidate_terms(sys: ControlSystem, win: TimeGrid, xi: Array,
 def candidate_terms_rows(sys: ControlSystem, win: TimeGrid, xis: Array,
                          u: InputSignal) -> list[tuple[Array, Array, Array]]:
     """`candidate_terms` from each row of xis, (B, n_x), from one batched
-    flow; item b equals `candidate_terms` from xis[b] bit for bit."""
+    flow and one output and one Jacobian call per node; item b equals
+    `candidate_terms` from xis[b] bit for bit."""
     us = u.at_nodes(win)
     xs, phis = flow_and_stm_rows(sys, win.t_start, win.t_end, xis, u, win)
-    return [(_outputs(sys, xs[:, b], us), output_jacobians(sys, xs[:, b], us),
-             phis[:, b]) for b in range(xs.shape[1])]
+    ys, hs = outputs_rows(sys, xs, us), output_jacobians_rows(sys, xs, us)
+    return [(ys[b], hs[b], phis[:, b]) for b in range(xs.shape[1])]
 
 
 def grads_from_terms(win: TimeGrid, terms: Sequence[tuple[Array, Array, Array]],
@@ -309,25 +309,37 @@ def sensitivities_from_terms(win: TimeGrid, terms: tuple[Array, Array, Array],
                      for dy in dys], axis=-1)
 
 
-def reference_and_noise_directions(sys: ControlSystem, t: float, T: float,
-                                   x0: Array, u: InputSignal,
-                                   eta: NoiseSignals, grid: TimeGrid
-                                   ) -> tuple[Array, list[Array]]:
-    """The measured outputs of `perturbed_reference` and the
-    `noise_output_directions` at eta.w, from one augmented integration of
-    the w-perturbed reference and its noise sensitivities."""
-    require_width(eta.v, sys.n_y, "measurement noise v")
+def reference_and_noise_directions_rows(sys: ControlSystem, t: float, T: float,
+                                        x0: Array, u: InputSignal,
+                                        etas: Sequence[NoiseSignals],
+                                        grid: TimeGrid
+                                        ) -> list[tuple[Array, list[Array]]]:
+    """For each noise draw in etas, the measured outputs of
+    `perturbed_reference` and the `noise_output_directions` at its w.
+
+    The w-perturbed references and their noise sensitivities flow as one
+    augmented block of rows, and their outputs and output Jacobians are
+    taken per node across the draws. Item b equals the single-draw
+    results at etas[b] bit for bit."""
+    for eta in etas:
+        require_width(eta.v, sys.n_y, "measurement noise v")
     win = _window_grid(t, T, grid)
     full = TimeGrid.with_step(0.0, t, win.h)
     dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(sys.n_x)]
-    xs, zs = perturbed_flow_and_sensitivities(sys, t, x0, u, eta.w, dws, full)
+    xs, zs = perturbed_flow_and_sensitivities_rows(
+        sys, t, x0, u, [eta.w for eta in etas], dws, full)
     i0 = full.index_of(t - T)
     xs, zs = xs[i0:], zs[i0:]
-    h_ref = output_jacobians(sys, xs, u.at_nodes(win))
+    us = u.at_nodes(win)
+    ys, h_ref = outputs_rows(sys, xs, us), output_jacobians_rows(sys, xs, us)
     n_nodes = win.n_steps + 1
-    dys = ([np.tile(e, (n_nodes, 1)) for e in np.eye(sys.n_y)]
-           + [np.einsum("nij,nj->ni", h_ref, zs[:, :, j]) for j in range(sys.n_x)])
-    return _measured_outputs(sys, win, xs, u, eta.v), dys
+    v_dirs = [np.tile(e, (n_nodes, 1)) for e in np.eye(sys.n_y)]
+    out = []
+    for b, eta in enumerate(etas):
+        dys = v_dirs + [np.einsum("nij,nj->ni", h_ref[b], zs[:, b, :, j])
+                        for j in range(sys.n_x)]
+        out.append((ys[b] if eta.v is None else ys[b] + eta.v.at_nodes(win), dys))
+    return out
 
 
 def noise_output_directions(sys: ControlSystem, t: float, T: float, x0: Array,
@@ -342,8 +354,8 @@ def noise_output_directions(sys: ControlSystem, t: float, T: float, x0: Array,
     `grad_sensitivities` along them gives the columns of
     `grad_sensitivity_v` and `grad_sensitivity_w` for those directions.
     """
-    return reference_and_noise_directions(sys, t, T, x0, u, NoiseSignals(w=w),
-                                          grid)[1]
+    return reference_and_noise_directions_rows(sys, t, T, x0, u,
+                                               [NoiseSignals(w=w)], grid)[0][1]
 
 
 def grad_sensitivity_v(sys: ControlSystem, t: float, T: float, xi: Array,

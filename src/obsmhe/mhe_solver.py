@@ -20,15 +20,16 @@ from .cost import (candidate_terms_rows, fd_hessian, fd_points,
                    grad_perturbed_cost_from_reference, grads_from_terms,
                    gauss_newton_term, output_jacobians,
                    perturbed_cost_from_reference, perturbed_reference,
-                   reference_and_noise_directions, sensitivities_from_terms,
-                   window_grammian)
+                   reference_and_noise_directions_rows,
+                   sensitivities_from_terms, window_grammian)
 from .errors import (BoundaryStuck, ConditionsFailed, MaxItersExceeded,
                      ObsMheError, SingularWindow)
 from .grammian import (GrammianReport, ball_samples, grammian_report,
                        jacobi_eigh, reference_scan)
 from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals,
                        SampledSignal, TimeGrid, ZERO_NOISE, flow,
-                       flow_and_stm, perturbed_flow_and_sensitivities_rows)
+                       flow_and_stm, output_jacobians_rows,
+                       perturbed_flow_and_sensitivities_rows)
 
 HESSIAN_MODES = ("gauss_newton", "full_fd")
 
@@ -349,11 +350,23 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     bounds the process-noise channel through sampled perturbed flows and
     their noise sensitivities. Raises SingularWindow when the window
     Grammian is numerically singular (K_t would be meaningless).
+
+    The noise draws and a zero-noise row 0 flow from (0, x0) as one block
+    on the [0, t] grid of the window's step; row 0's state at t - T is the
+    window center.
     """
     _require_samples(n_noise_samples=n_noise_samples)
     win = grid.subgrid(t - T, t)
     full = TimeGrid.with_step(0.0, t, win.h)
-    center = _reference_state(sys, x0, u, t, T, win.h)
+    rng = np.random.default_rng(seed)
+    n_x = sys.n_x
+    dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(n_x)]
+    ws = [_uniform_noise(rng, 0.0, full.h, full.n_steps, n_x, nu)
+          for _ in range(n_noise_samples)]
+    xt, zs = perturbed_flow_and_sensitivities_rows(sys, t, x0, u, [None] + ws,
+                                                   dws, full)
+    i0 = full.index_of(t - T)
+    center = xt[i0, 0]
     # One window STM serves the Grammian and the output-noise channel.
     xs, ps = flow_and_stm(sys, t - T, t, center, u, win)
     us = u.at_nodes(win)
@@ -362,17 +375,11 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     hphi = float(np.max(_spectral_norms(hs @ ps)))
     c1 = 2.0 * T * hphi
 
-    rng = np.random.default_rng(seed)
-    n_x = sys.n_x
-    dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(n_x)]
-    ws = [_uniform_noise(rng, 0.0, full.h, full.n_steps, n_x, nu)
-          for _ in range(n_noise_samples)]
-    xt, zs = perturbed_flow_and_sensitivities_rows(sys, t, x0, u, ws, dws, full)
-    n_win = win.n_steps + 1
+    noise_hs = output_jacobians_rows(sys, xt[i0:, 1:], us)
     c2 = 0.0
     for b in range(n_noise_samples):
-        sup = float(np.max(_spectral_norms(output_jacobians(sys, xt[-n_win:, b], us))
-                           * _spectral_norms(zs[-n_win:, b])))
+        sup = float(np.max(_spectral_norms(noise_hs[b])
+                           * _spectral_norms(zs[i0:, b + 1])))
         c2 = max(c2, 2.0 * T * hphi * sup)
     return NonuniformStabilityAudit(t=t, T=T, nu=nu, mu_t=mu_t, C1_t=c1, C2_t=c2)
 
@@ -410,6 +417,34 @@ def _hess_from_terms(win: TimeGrid, center: Array, terms, ref_out: Array) -> Arr
     """fd_hessian at center of the window cost against ref_out, from the
     candidate terms already flowed at fd_points(center)."""
     return fd_hessian(lambda _: grads_from_terms(win, terms, ref_out), center)
+
+
+def _xi_constants(sys: ControlSystem, u: InputSignal, win: TimeGrid, xi: Array,
+                  delta: float, refs) -> tuple[float, list[float]]:
+    """The a1 estimate at xi and the noise-gradient gain at xi against each
+    (ref_out, dys) in refs, from one `_candidate_block`, which lives only
+    for this call."""
+    n_y = sys.n_y
+    (*shifted, (_, xi_fd_terms)), xi_terms = _candidate_block(sys, u, win, xi, delta)
+    a1, gains = 0.0, []
+    for ref_out, dys in refs:
+        # a1: directional Lipschitz estimate of the Hessian in xi and in
+        # the output-noise channel. (A constant v shift only translates the
+        # reference outputs, so the perturbed references can be formed by
+        # shifting ref_out directly.)
+        hs = [_hess_from_terms(win, p, p_terms, ref_out) for p, p_terms in shifted]
+        pairs = list(zip(hs[::2], hs[1::2]))
+        pairs += [tuple(_hess_from_terms(win, xi, xi_fd_terms, ref_out + sign * dv)
+                        for sign in (1.0, -1.0))
+                  for dv in delta * np.eye(n_y)]
+        for hp, hm in pairs:
+            a1 = max(a1, float(np.linalg.norm(hp - hm, 2)) / (2 * delta))
+
+        # a2 / g3: operator norms of the noise-to-gradient maps.
+        g = sensitivities_from_terms(win, xi_terms, dys)
+        gains.append(float(np.linalg.norm(g[:, :n_y], 2))
+                     + float(np.linalg.norm(g[:, n_y:], 2)))
+    return a1, gains
 
 
 def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
@@ -454,35 +489,20 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
                 w=_uniform_noise(rng, 0.0, full.h, n_steps_full, n_x, nu)))
         xi_pts = [center] + list(
             ball_samples(rng, center, R, n_xi_samples - 1)[:n_xi_samples - 1])
+        # The measured references and the output shifts along the unit v
+        # then w directions: one augmented integration of every eta's
+        # reference and its sensitivities.
+        refs = reference_and_noise_directions_rows(sys, t, T, x0, u, etas, full)
         # The candidate flows do not depend on the noise draw: one block of
-        # rows per xi, flowed once for every eta.
-        blocks = [_candidate_block(sys, u, win, xi, delta) for xi in xi_pts]
-
-        for eta in etas:
-            # The measured reference and the output shifts along the unit
-            # v then w directions: one augmented integration of the
-            # reference and its sensitivities.
-            ref_out, dys = reference_and_noise_directions(sys, t, T, x0, u, eta, full)
-            for (*shifted, (xi, xi_fd_terms)), xi_terms in blocks:
-                # a1: directional Lipschitz estimate of the Hessian in xi
-                # and in the output-noise channel. (A constant v shift only
-                # translates the reference outputs, so the perturbed
-                # references can be formed by shifting ref_out directly.)
-                hs = [_hess_from_terms(win, p, p_terms, ref_out) for p, p_terms in shifted]
-                pairs = list(zip(hs[::2], hs[1::2]))
-                pairs += [tuple(_hess_from_terms(win, xi, xi_fd_terms, ref_out + sign * dv)
-                                for sign in (1.0, -1.0))
-                          for dv in delta * np.eye(n_y)]
-                for hp, hm in pairs:
-                    a1_hat = max(a1_hat, float(np.linalg.norm(hp - hm, 2)) / (2 * delta))
-
-                # a2 / g3: operator norms of the noise-to-gradient maps.
-                g = sensitivities_from_terms(win, xi_terms, dys)
-                gain = (float(np.linalg.norm(g[:, :n_y], 2))
-                        + float(np.linalg.norm(g[:, n_y:], 2)))
-                g3_hat = max(g3_hat, gain)
-                if np.allclose(xi, center):
-                    a2_hat = max(a2_hat, gain)
+        # rows per xi, flowed once for every eta. Every constant is a max,
+        # so taking xi outside eta changes no bit and holds one block at a
+        # time.
+        for k, xi in enumerate(xi_pts):
+            a1, gains = _xi_constants(sys, u, win, xi, delta, refs)
+            a1_hat = max(a1_hat, a1)
+            g3_hat = max(g3_hat, *gains)
+            if k == 0:  # xi_pts[0], the reference point
+                a2_hat = max(a2_hat, *gains)
 
     audit = StabilityAudit(T=T, R=R, nu=nu, alpha=alpha, t_grid=tuple(t_list),
                            mu_hat=mu_hat, a1_hat=a1_hat, a2_hat=a2_hat,

@@ -33,6 +33,9 @@ row shared by all of them) and `domain_guard_rows`, or a per-row
 fallback built from `f`, `df_dx` and `domain_guard`. Row b of a batch
 equals the single-row flow from its start bit for bit. The domain guard
 of every flow is checked on blocks of nodes through the row guard.
+`outputs_rows` and `output_jacobians_rows` take the outputs of such a
+block with one `h_rows` or `dh_dx_rows` call per node (or the per-row
+fallback from `h` and `dh_dx`).
 """
 
 from __future__ import annotations
@@ -92,16 +95,18 @@ class ControlSystem:
     optional `domain_guard` marks states where h is defined; trajectories
     leaving the guarded region raise DomainViolation.
 
-    Three optional row callbacks serve batched flows (`flow_rows`,
-    `flow_and_stm_rows`, `perturbed_flow_and_sensitivities_rows`) and the
-    guard checks. `f_rows(X, u)` takes stacked states X of shape (B, n_x)
-    and one input row u shared by all of them, and returns (B, n_x).
-    `df_dx_rows(X, u)` takes the same arguments and returns the stacked
-    Jacobians, (B, n_x, n_x). `domain_guard_rows(X)` returns a (B,) bool
-    array. Each must equal its per-row callback on every row, bit for bit
-    (for the guard, the same verdict), since batched results are promised
-    equal to per-row ones. A system that leaves them None gets a fallback
-    that calls `f`, `df_dx` or `domain_guard` once per row.
+    Five optional row callbacks serve batched flows (`flow_rows`,
+    `flow_and_stm_rows`, `perturbed_flow_and_sensitivities_rows`), the
+    guard checks and the outputs of row blocks (`outputs_rows`,
+    `output_jacobians_rows`). `f_rows(X, u)` takes stacked states X of
+    shape (B, n_x) and one input row u shared by all of them, and returns
+    (B, n_x). `df_dx_rows`, `h_rows` and `dh_dx_rows` take the same
+    arguments and return (B, n_x, n_x), (B, n_y) and (B, n_y, n_x).
+    `domain_guard_rows(X)` returns a (B,) bool array. Each must equal its
+    per-row callback on every row, bit for bit (for the guard, the same
+    verdict), also when X is a strided view, since batched results are
+    promised equal to per-row ones. A system that leaves them None gets a
+    fallback that calls the per-row callback once per row.
     """
 
     n_x: int
@@ -115,6 +120,8 @@ class ControlSystem:
     f_rows: Optional[Callable[[Array, Array], Array]] = None
     domain_guard_rows: Optional[Callable[[Array], Array]] = None
     df_dx_rows: Optional[Callable[[Array, Array], Array]] = None
+    h_rows: Optional[Callable[[Array, Array], Array]] = None
+    dh_dx_rows: Optional[Callable[[Array, Array], Array]] = None
 
     def __post_init__(self):
         if min(self.n_x, self.n_u, self.n_y) < 1:
@@ -398,9 +405,10 @@ def rk4_flow(f, x0: Array, h: float, u0: Array, um: Array, u1: Array,
     u0, um and u1 hold the stage inputs of each step, (n, n_u). x0 is one
     state (n_x,) or a block of stacked states (B, n_x); for a block, `f`
     takes the stacked rows and one input row shared by all of them and
-    returns (B, n_x). `w` is None or holds the process noise of each step:
-    one row per step, (n, n_x), which a block shares across its rows, or
-    one row per step and per block row, (n, B, n_x). Every operation
+    returns (B, n_x). `w` is None or holds the process noise of each step,
+    read as w[i] at step i: one row per step, (n, n_x), which a block
+    shares across its rows, or one row per step and per block row,
+    (n, B, n_x). Every operation
     between the f calls is elementwise, so row b of the result equals, bit
     for bit, the flow of x0[b] alone under its own noise when f's rows
     equal its per-row results. Returns the states at all n+1 nodes,
@@ -436,10 +444,10 @@ def _rk4_tangents(f, dfdx, x0: Array, z0: Array, h: float, u0: Array,
     x0 is one state (n_x,) or a block (B, n_x); z0 is (n_x, k), shared by
     every row of a block, or one per row, (B, n_x, k). For a block, f and
     dfdx take stacked rows and return (B, n_x) and (B, n_x, n_x).
-    `forcing` is None or [w_i; vec F_i] per step, (n, n_x + n_x*k) or per
-    step and row, (n, B, n_x + n_x*k), added to [x'; vec Z']. Returns
-    (states, zs) of shapes (n+1,) + x0.shape and (n+1,) + x0.shape[:-1]
-    + (n_x, k), with zs[0] == z0 exactly.
+    `forcing` is None or [w_i; vec F_i] per step, read as forcing[i]:
+    (n_x + n_x*k,) or, per row, (B, n_x + n_x*k), added to [x'; vec Z'].
+    Returns (states, zs) of shapes (n+1,) + x0.shape and (n+1,)
+    + x0.shape[:-1] + (n_x, k), with zs[0] == z0 exactly.
     """
     nx, k = z0.shape[-2:]
     rows = x0.shape[:-1]
@@ -482,11 +490,24 @@ def rk4_flow_sens(f, dfdx, x0: Array, h: float, u0: Array, um: Array,
     """
     n, nx, k = dw.shape
     rows = w.shape[1:-1]
-    forcing = np.empty((n,) + rows + (nx + nx * k,))
-    forcing[..., :nx] = w
-    forcing[..., nx:] = dw.reshape((n,) + (1,) * len(rows) + (nx * k,))
     return _rk4_tangents(f, dfdx, np.broadcast_to(x0, rows + (nx,)),
-                         np.zeros((nx, k)), h, u0, um, u1, forcing)
+                         np.zeros((nx, k)), h, u0, um, u1, _StepForcing(w, dw))
+
+
+class _StepForcing:
+    """The forcing [w_i; vec F_i] of `rk4_flow_sens`, built one step at a
+    time when `rk4_flow` asks for step i, so the directions F, shared by
+    every row, are not copied into every row for all steps at once."""
+
+    def __init__(self, w: Array, dw: Array):
+        self.w, self.dw = w, dw.reshape(dw.shape[0], -1)
+
+    def __getitem__(self, i: int) -> Array:
+        wi, nx = self.w[i], self.w.shape[-1]
+        out = np.empty(wi.shape[:-1] + (nx + self.dw.shape[1],))
+        out[..., :nx] = wi
+        out[..., nx:] = self.dw[i]
+        return out
 
 
 def _per_row(fn: Callable[[Array, Array], Array]) -> Callable[[Array, Array], Array]:
@@ -502,6 +523,39 @@ def _f_rows(sys: ControlSystem) -> Callable[[Array, Array], Array]:
 def _df_dx_rows(sys: ControlSystem) -> Callable[[Array, Array], Array]:
     """The system's df_dx on stacked rows, or a per-row fallback."""
     return _per_row(sys.df_dx) if sys.df_dx_rows is None else sys.df_dx_rows
+
+
+def _at_nodes(fn: Callable[[Array, Array], Array], xs: Array, us: Array,
+              shape: tuple[int, ...], name: str) -> Array:
+    """fn(xs[i], us[i]) of a row callback at every node i of a row block
+    xs, (n, B, n_x), laid out (B, n) + shape so that each row's values are
+    contiguous; DimensionMismatch if a call does not return (B,) + shape."""
+    n, b = xs.shape[:2]
+    out = np.empty((b, n) + shape)
+    for i in range(n):
+        v = np.asarray(fn(xs[i], us[i]))
+        if v.shape != (b,) + shape:
+            raise DimensionMismatch(
+                f"{name} returned shape {v.shape}, expected {(b,) + shape}")
+        out[:, i] = v
+    return out
+
+
+def outputs_rows(sys: ControlSystem, xs: Array, us: Array) -> Array:
+    """The outputs h of every row of a block xs, (n, B, n_x), at the node
+    inputs us, (n, n_u): one `h_rows` call (or its per-row fallback) per
+    node. Returns (B, n, n_y); [b] equals the per-row outputs of xs[:, b]
+    bit for bit."""
+    return _at_nodes(sys.h_rows or _per_row(sys.h), xs, us, (sys.n_y,), "h_rows")
+
+
+def output_jacobians_rows(sys: ControlSystem, xs: Array, us: Array) -> Array:
+    """The output Jacobians dh_dx of every row of a block xs, (n, B, n_x),
+    at the node inputs us: one `dh_dx_rows` call (or its per-row
+    fallback) per node. Returns (B, n, n_y, n_x); [b] equals the per-row
+    Jacobians bit for bit."""
+    return _at_nodes(sys.dh_dx_rows or _per_row(sys.dh_dx), xs, us,
+                     (sys.n_y, sys.n_x), "dh_dx_rows")
 
 
 def _guard_rows(sys: ControlSystem) -> Optional[Callable[[Array], Array]]:

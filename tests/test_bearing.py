@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obsmhe import DomainViolation, TimeGrid, check_jacobians, flow, bearing
 
@@ -127,7 +128,32 @@ def test_row_callbacks_equal_per_row_callbacks(circ):
     ui = u.at(0.3)
     for xs in (rng.standard_normal((5, 2)), aug[:, :2]):
         f_rows, jac_rows = sys_.f_rows(xs, ui), sys_.df_dx_rows(xs, ui)
+        y_rows, hjac_rows = sys_.h_rows(xs, ui), sys_.dh_dx_rows(xs, ui)
         assert f_rows.shape == xs.shape and jac_rows.shape == (len(xs), 2, 2)
-        for x, fr, jr in zip(xs, f_rows, jac_rows):
+        assert y_rows.shape == xs.shape and hjac_rows.shape == (len(xs), 2, 2)
+        for x, fr, jr, yr, hr in zip(xs, f_rows, jac_rows, y_rows, hjac_rows):
             assert np.asarray(sys_.f(x, ui)).tobytes() == fr.tobytes()
             assert sys_.df_dx(x, ui).tobytes() == jr.tobytes()
+            assert sys_.h(x, ui).tobytes() == yr.tobytes()
+            assert sys_.dh_dx(x, ui).tobytes() == hr.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(landmark=st.tuples(*[st.floats(-100.0, 100.0)] * 2),
+       log_ranges=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8),
+       angle=st.floats(0.0, 2.0 * np.pi))
+def test_output_rows_equal_per_row_outputs(landmark, log_ranges, angle):
+    # h_rows and dh_dx_rows repeat h and dh_dx bit for bit at ranges from
+    # 1e-4 to 1e4, also on a strided view of the states.
+    sys_ = bearing.bearing_system(landmark)
+    n = len(log_ranges)
+    angles = angle + np.arange(n)
+    xs = np.asarray(landmark) + (10.0 ** np.asarray(log_ranges))[:, None] * np.stack(
+        [np.cos(angles), np.sin(angles)], axis=-1)
+    aug = np.zeros((n, 6))
+    aug[:, :2] = xs
+    for rows in (xs, aug[:, :2]):
+        ys, hs = sys_.h_rows(rows, None), sys_.dh_dx_rows(rows, None)
+        for x, y, hx in zip(rows, ys, hs):
+            assert sys_.h(x).tobytes() == y.tobytes()
+            assert sys_.dh_dx(x).tobytes() == hx.tobytes()

@@ -229,10 +229,11 @@ def test_stability_audit_integrates_shared_trajectories_once(tmp_path, monkeypat
     # difference points of the Hessians at xi +- delta e_j, the 4 of the
     # Hessian at xi shared by all output-noise shifts, and xi itself for
     # every noise gradient. The scan adds one STM per window Grammian.
-    # Each noise draw's reference comes from the augmented flow of its
-    # noise sensitivities, with no separate perturbed flow.
+    # Both noise draws' references come from one augmented block of 2
+    # rows with their noise sensitivities, with no separate perturbed flow.
     calls = count_calls(monkeypatch, ode_core.flow_and_stm)
     blocks = count_calls(monkeypatch, ode_core.flow_and_stm_rows)
+    refs = count_calls(monkeypatch, ode_core.perturbed_flow_and_sensitivities_rows)
     perturbed = count_calls(monkeypatch, ode_core.perturbed_flow)
     code, _ = run(tmp_path, "stability-audit",
                   {"system": "circ-default",
@@ -240,6 +241,8 @@ def test_stability_audit_integrates_shared_trajectories_once(tmp_path, monkeypat
     assert code == 0
     assert len(calls) == 6
     assert [args[3].shape for args in blocks] == [(21, 2), (21, 2)]
+    # perturbed_flow_and_sensitivities_rows(sys, t_end, xi, u, ws, dws, grid)
+    assert [len(args[4]) for args in refs] == [2]
     assert perturbed == []
 
 

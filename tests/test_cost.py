@@ -11,8 +11,9 @@ from obsmhe.cost import (cum_output_error, fd_gradient, fd_hessian, fd_step,
                          grad_cum_error, grad_perturbed_cost,
                          grad_sensitivities, grad_sensitivity_v,
                          grad_sensitivity_w, hess_cum_error,
-                         noise_output_directions, perturbed_cost,
-                         perturbed_reference, simpson_weights)
+                         noise_output_directions, output_jacobians,
+                         perturbed_cost, perturbed_reference,
+                         reference_and_noise_directions_rows, simpson_weights)
 from conftest import assert_bits_equal
 
 
@@ -209,6 +210,37 @@ def test_one_pass_gradient_maps_match_per_direction_calls(system, request, grid6
         dw = SampledSignal.constant(e, 0.0, t, grid6.h)
         assert_bits_equal(g[:, 2 + j], grad_sensitivity_w(sys_, t, T, x0, xi, u, eta,
                                                           grid6, dw))
+
+
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+def test_reference_rows_equal_per_draw_references(system, request, grid6, x0):
+    # Row b of the reference block gives draw b's measured reference and
+    # its output shifts along the unit v then w directions, bit for bit
+    # as one flow, one sensitivity per direction and per-row output
+    # Jacobians of that draw alone give them.
+    sys_, u = request.getfixturevalue(system)
+    t, T = 2.0, 1.0
+    win = grid6.subgrid(t - T, t)
+    full = TimeGrid.with_step(0.0, t, win.h)
+    rng = np.random.default_rng(37)
+    etas = [ZERO_NOISE] + [NoiseSignals(
+        v=SampledSignal(t - T, win.h, 1e-2 * rng.standard_normal((win.n_steps + 1, 2))),
+        w=SampledSignal(0.0, full.h, 1e-2 * rng.standard_normal((full.n_steps + 1, 2))))
+        for _ in range(2)]
+    rows = reference_and_noise_directions_rows(sys_, t, T, x0, u, etas, grid6)
+    i0 = full.index_of(t - T)
+    for eta, (ref_out, dys) in zip(etas, rows):
+        xs, want_out = perturbed_reference(sys_, t, T, x0, u, eta, grid6)
+        assert_bits_equal(ref_out, want_out)
+        hs = output_jacobians(sys_, xs, u.at_nodes(win))
+        want = [np.tile(e, (win.n_steps + 1, 1)) for e in np.eye(2)]
+        for e in np.eye(2):
+            z = noise_sensitivity(sys_, t, x0, u, eta.w,
+                                  SampledSignal.constant(e, 0.0, t, full.h), full)
+            want.append(np.einsum("nij,nj->ni", hs, z[i0:]))
+        assert len(dys) == len(want)
+        for got, w in zip(dys, want):
+            assert_bits_equal(got, w)
 
 
 @pytest.mark.parametrize("channel", ["v", "dv", "w", "dw"])

@@ -153,6 +153,19 @@ def test_wrong_shaped_output_rejected_not_broadcast(callback):
             gauss_newton_term(sys_, 0.0, 1.0, xi, u, g)
 
 
+@pytest.mark.parametrize("callback", ["h_rows", "dh_dx_rows"])
+def test_wrong_shaped_row_output_rejected_not_broadcast(callback):
+    # A row callback that returns one row's value for the whole block
+    # must not be broadcast over the block's rows.
+    base = linear_system([[-1.0]])
+    per_row = {"h_rows": base.h, "dh_dx_rows": base.dh_dx}[callback]
+    sys_ = dataclasses.replace(base, **{callback: lambda xs, u: per_row(xs[0], u)})
+    outputs = {"h_rows": ode_core.outputs_rows,
+               "dh_dx_rows": ode_core.output_jacobians_rows}[callback]
+    with pytest.raises(DimensionMismatch, match=callback):
+        outputs(sys_, np.ones((3, 2, 1)), np.zeros((3, 1)))
+
+
 def test_input_breakpoint_off_grid_rejected():
     pieces = ((0.0, lambda s: np.array([1.0])), (0.33, lambda s: np.array([2.0])))
     u = InputSignal(pieces=pieces)

@@ -17,7 +17,7 @@ from obsmhe import (
     multistart_uniqueness, ode_core, rolling_estimate, solve_fie, solve_mhe,
     solve_pmhe)
 from obsmhe.cost import (fd_gradient, fd_hessian, grad_sensitivities,
-                         perturbed_reference, reference_and_noise_directions)
+                         output_jacobians, perturbed_reference)
 from obsmhe.grammian import ball_samples
 from conftest import assert_bits_equal, count_calls
 
@@ -175,18 +175,68 @@ def test_nonuniform_audit_rejects_no_noise_draws(circ, x0, grid6):
 
 def test_nonuniform_audit_integrates_each_noise_draw_once(spi, x0, monkeypatch):
     # The perturbed states and the n_x sensitivities of every draw come
-    # from one augmented integration of a block with one row per draw; no
-    # separate perturbed flow. One window STM serves the Grammian and the
-    # output-noise channel.
+    # from one augmented integration of a block with one row per draw,
+    # plus a zero-noise row whose state at t - T is the window center; no
+    # separate perturbed flow and no reference flow. One window STM serves
+    # the Grammian and the output-noise channel.
     sys_, u = spi
     flows = count_calls(monkeypatch, ode_core.perturbed_flow)
+    plain = count_calls(monkeypatch, ode_core.flow)
     sens = count_calls(monkeypatch, ode_core.rk4_flow_sens)
     stms = count_calls(monkeypatch, ode_core.flow_and_stm)
     grid = TimeGrid.with_step(0.0, 3.0, 0.01)
     audit_nonuniform_stability(sys_, x0, u, 3.0, 2.0, 1e-3, grid, n_noise_samples=3)
-    assert (len(flows), len(stms)) == (0, 1)
-    # rk4_flow_sens(f, dfdx, x0, h, u0, um, u1, w, dw): w is (n, 3, n_x)
-    assert [args[7].shape for args in sens] == [(grid.n_steps, 3, sys_.n_x)]
+    assert (len(flows), len(plain), len(stms)) == (0, 0, 1)
+    # rk4_flow_sens(f, dfdx, x0, h, u0, um, u1, w, dw): w is (n, 1 + 3, n_x)
+    assert [args[7].shape for args in sens] == [(grid.n_steps, 4, sys_.n_x)]
+
+
+def _nonuniform_reference(sys_, x0, u, t, T, nu, grid, seed, n_noise_samples):
+    """audit_nonuniform_stability from `_reference_state` and one flow and
+    one per-row output Jacobian per node for each noise draw."""
+    win = grid.subgrid(t - T, t)
+    full = TimeGrid.with_step(0.0, t, win.h)
+    center = mhe_solver._reference_state(sys_, x0, u, t, T, win.h)
+    xs, ps = ode_core.flow_and_stm(sys_, t - T, t, center, u, win)
+    us = u.at_nodes(win)
+    hs = output_jacobians(sys_, xs, us)
+    mu_t = 2.0 * mhe_solver.grammian_report(
+        t, T, center, mhe_solver.window_grammian(win, hs, ps)).min_eig
+    norms = mhe_solver._spectral_norms
+    hphi = float(np.max(norms(hs @ ps)))
+    rng = np.random.default_rng(seed)
+    dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(2)]
+    c2 = 0.0
+    for _ in range(n_noise_samples):
+        w = mhe_solver._uniform_noise(rng, 0.0, full.h, full.n_steps, 2, nu)
+        xt, zs = ode_core.perturbed_flow_and_sensitivities(sys_, t, x0, u, w, dws, full)
+        i0 = full.index_of(t - T)
+        sup = float(np.max(norms(output_jacobians(sys_, xt[i0:], us)) * norms(zs[i0:])))
+        c2 = max(c2, 2.0 * T * hphi * sup)
+    return mhe_solver.NonuniformStabilityAudit(t=t, T=T, nu=nu, mu_t=mu_t,
+                                               C1_t=2.0 * T * hphi, C2_t=c2)
+
+
+@pytest.mark.parametrize("system", ["spi", "nonlinear"])
+@pytest.mark.parametrize("t, T, h", [(3.0, 2.0, 0.01), (2.0, 2.0, 0.01),
+                                     (5.0, 1.5, 0.005), (3.3, 1.0, 0.01)])
+def test_nonuniform_audit_equals_per_draw_reference(system, request, x0, t, T, h):
+    # The zero-noise row's state at t - T is the window center, and the
+    # noise rows' output Jacobians come per node across the rows (on
+    # `nonlinear`, Phi != I and the per-row fallbacks).
+    sys_, u = request.getfixturevalue(system)
+    grid = TimeGrid.with_step(0.0, 6.0, h)
+    got = audit_nonuniform_stability(sys_, x0, u, t, T, 1e-3, grid, seed=9)
+    want = _nonuniform_reference(sys_, x0, u, t, T, 1e-3, grid, 9, 3)
+    full = TimeGrid.with_step(0.0, t, grid.h)
+    if t == T or full.subgrid(0.0, t - T).h == full.h:
+        assert got == want
+    else:
+        # `_reference_state` flows on the [0, t - T] subgrid, whose step
+        # (t - T) / n rounds away from the [0, t] grid's here, so the two
+        # centers differ in their last bits.
+        for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(want)):
+            assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_nonuniform_audit_circ_constant_over_time(circ, x0, grid6):
@@ -211,14 +261,35 @@ def test_nonuniform_audit_bounds_actual_error(circ, x0, grid6):
     assert sol.error_to_reference <= a.K_t * nu
 
 
+def _strict_outputs(sys_):
+    """sys_ with output callbacks, per-row and on rows, that require an
+    input row u, as the ControlSystem contract allows."""
+    def requiring_u(fn):
+        def call(x, u):
+            if np.shape(u) != (sys_.n_u,):
+                raise TypeError(f"output callback got input {u!r}")
+            return fn(x, u)
+        return call
+
+    assert None not in (sys_.h_rows, sys_.dh_dx_rows)
+    return dataclasses.replace(sys_, **{name: requiring_u(getattr(sys_, name))
+                                        for name in ("h", "dh_dx", "h_rows", "dh_dx_rows")})
+
+
 def test_nonuniform_audit_passes_inputs_to_dh_dx(spi, x0):
-    # A system whose dh_dx requires u, as the ControlSystem contract allows.
     sys_, u = spi
-    dh = sys_.dh_dx
-    strict = dataclasses.replace(sys_, dh_dx=lambda x, u: dh(x, u))
     grid = TimeGrid.with_step(0.0, 3.0, 0.01)
     a = audit_nonuniform_stability(sys_, x0, u, 3.0, 2.0, 1e-3, grid)
-    b = audit_nonuniform_stability(strict, x0, u, 3.0, 2.0, 1e-3, grid)
+    b = audit_nonuniform_stability(_strict_outputs(sys_), x0, u, 3.0, 2.0, 1e-3, grid)
+    assert a == b
+
+
+def test_uniform_audit_passes_inputs_to_outputs(circ, x0):
+    sys_, u = circ
+    kw = dict(T=1.0, t_grid=[2.0], R=0.02, nu=1e-4, alpha=0.6, grid_step=0.01,
+              t_subsample=1, raise_on_failure=False)
+    a = audit_uniform_stability(sys_, x0, u, **kw)
+    b = audit_uniform_stability(_strict_outputs(sys_), x0, u, **kw)
     assert a == b
 
 
@@ -248,27 +319,43 @@ def _per_point_hess(problem, x):
     return fd_hessian(lambda pts: np.stack([problem.grad(p) for p in pts]), x)
 
 
+def _reference_and_directions(sys_, t, T, x0, u, eta, full):
+    """The measured reference and the output shifts along the unit v then
+    w directions, from per-row output callbacks on one trajectory."""
+    win = full.subgrid(t - T, t)
+    _, ref_out = perturbed_reference(sys_, t, T, x0, u, eta, full)
+    dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(2)]
+    xs, zs = ode_core.perturbed_flow_and_sensitivities(sys_, t, x0, u, eta.w, dws, full)
+    i0 = full.index_of(t - T)
+    hs = output_jacobians(sys_, xs[i0:], u.at_nodes(win))
+    dys = ([np.tile(e, (win.n_steps + 1, 1)) for e in np.eye(2)]
+           + [np.einsum("nij,nj->ni", hs, zs[i0:, :, j]) for j in range(2)])
+    return ref_out, dys
+
+
 def test_uniform_audit_equals_per_point_reference(nonlinear, x0):
     # The row blocks give the constants that per-point FD Hessians and
-    # gradient maps give, bit for bit, on a system with Phi != I. The
-    # reference replays the audit's seeded draws: one window, the zero
-    # draw and one noise draw, the center and one ball point.
+    # gradient maps give, bit for bit, on a system with Phi != I and no
+    # row callbacks (the per-row fallbacks). The reference replays the
+    # audit's seeded draws: one window, the zero draw and two noise draws,
+    # the center and one ball point.
     sys_, u = nonlinear
     T, t, R, nu, h, delta = 1.0, 2.0, 0.05, 1e-3, 0.01, 1e-3
     audit = audit_uniform_stability(sys_, x0, u, T, [t], R=R, nu=nu, alpha=0.6,
-                                    grid_step=h, seed=1, t_subsample=1,
-                                    raise_on_failure=False)
+                                    grid_step=h, seed=3, n_eta_samples=3,
+                                    t_subsample=1, raise_on_failure=False)
     full = TimeGrid.with_step(0.0, t, h)
     win = full.subgrid(t - T, t)
     center = flow(sys_, 0.0, t, x0, u, full)[full.index_of(t - T)]
-    rng = np.random.default_rng(1)
-    eta = NoiseSignals(
+    rng = np.random.default_rng(3)
+    etas = [ZERO_NOISE] + [NoiseSignals(
         v=mhe_solver._uniform_noise(rng, t - T, win.h, win.n_steps, 2, nu),
         w=mhe_solver._uniform_noise(rng, 0.0, full.h, full.n_steps, 2, nu))
+        for _ in range(2)]
     xi_pts = [center, ball_samples(rng, center, R, 1)[0]]
     a1 = a2 = g3 = 0.0
-    for e in (ZERO_NOISE, eta):
-        ref_out, dys = reference_and_noise_directions(sys_, t, T, x0, u, e, full)
+    for e in etas:
+        ref_out, dys = _reference_and_directions(sys_, t, T, x0, u, e, full)
         problem = mhe_solver._WindowProblem(sys_, u, win, ref_out)
         for xi in xi_pts:
             pairs = [(_per_point_hess(problem, xi + s), _per_point_hess(problem, xi - s))
@@ -286,6 +373,24 @@ def test_uniform_audit_equals_per_point_reference(nonlinear, x0):
     assert (audit.a1_hat, audit.a2_hat, audit.g3_hat) == (a1, a2, g3)
     # On this seed the ball point, not the center, sets g3.
     assert a1 > 0 and g3 > a2 > 0
+
+
+def test_uniform_audit_a2_is_translation_invariant():
+    # a2_hat is taken at the reference point, the first xi, by position. Far
+    # from the origin np.allclose(xi, center) also matched the ball points
+    # (rtol * |center| exceeds R), so a2_hat read g3_hat.
+    audits = []
+    for shift in (0.0, 1e4):
+        landmark = np.array([shift, shift])
+        start = landmark + [1.0, 0.0]
+        audits.append(audit_uniform_stability(
+            bearing.bearing_system(landmark), start,
+            bearing.u_circ(landmark, start, 1.0), 1.0, [2.0], R=0.02, nu=1e-4,
+            alpha=0.6, grid_step=0.0025, seed=3, n_xi_samples=3, t_subsample=1,
+            raise_on_failure=False))
+    plain, moved = audits
+    assert moved.a2_hat == pytest.approx(plain.a2_hat, rel=1e-6)
+    assert moved.a2_hat < moved.g3_hat
 
 
 def test_uniform_audit_is_seed_deterministic(circ, x0):
