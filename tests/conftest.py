@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from obsmhe import (ControlSystem, InputSignal, TimeGrid, bearing, cost, grammian,
-                    mhe_solver, ode_core)
+from golden.regenerate import nonlinear_scenario
+from obsmhe import TimeGrid, bearing, cost, grammian, mhe_solver, ode_core
 
 
 @pytest.fixture(scope="session")
@@ -33,17 +33,8 @@ def spi():
 
 @pytest.fixture(scope="session")
 def nonlinear():
-    """(system, input) whose state-transition matrix is not the identity:
-    x' = (-x1^3 + u1, x1 - 0.5 x2 + u2), y = (x1 + 0.1 x2^2, x2)."""
-    sys_ = ControlSystem(
-        n_x=2, n_u=2, n_y=2,
-        f=lambda x, u: np.array([-x[0] ** 3 + u[0], x[0] - 0.5 * x[1] + u[1]]),
-        h=lambda x, u: np.array([x[0] + 0.1 * x[1] ** 2, x[1]]),
-        df_dx=lambda x, u: np.array([[-3.0 * x[0] ** 2, 0.0], [1.0, -0.5]]),
-        dh_dx=lambda x, u: np.array([[1.0, 0.2 * x[1]], [0.0, 1.0]]),
-    )
-    u = InputSignal.from_callable(lambda s: np.array([np.sin(s), np.cos(2.0 * s)]))
-    return sys_, u
+    """(system, input) whose state-transition matrix is not the identity."""
+    return nonlinear_scenario()
 
 
 def assert_bits_equal(a, b):
