@@ -20,6 +20,13 @@ once with the system's `h_rows` and `dh_dx_rows` (one call per node) and
 once with the per-row fallback (one `h` or `dh_dx` call per node and
 row). Reports thousands of rows per second.
 
+Last, times input staging for the circle and spiral inputs on the run
+grid [0, 6] at h = 0.0025: one staging of the run grid, from which every
+span is sliced (2N + 1 evaluations), against restaging span by span as
+obsmhe once did, three evaluations per step for each of the reference
+span [0, 6] and the windows [t - 1, t], t = 1 .. 6. Reports the input
+evaluations and the milliseconds of each.
+
     python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """
 
@@ -29,8 +36,8 @@ import time
 
 import numpy as np
 
-from obsmhe import ode_core
-from obsmhe.bearing import bearing_system, u_circ
+from obsmhe import InputSignal, ode_core
+from obsmhe.bearing import bearing_system, u_circ, u_spi
 
 
 def bench(fn, repeats):
@@ -97,6 +104,48 @@ def main():
                          ("dh_dx", ode_core.output_jacobians_rows)):
             t = bench(lambda: fn(system, block, us), args.repeats)
             print(f"{name + ' ' + label:<24}{block.shape[0] * block.shape[1] / t / 1e3:>14.1f}")
+
+    bench_staging(args.repeats)
+
+
+def _stage_per_step(fn, t0, h, n):
+    """A span staged on its own: start, midpoint and end of every step."""
+    for i in range(n):
+        a = t0 + i * h
+        fn(a), fn(a + 0.5 * h), fn(a + h)
+
+
+def bench_staging(repeats):
+    landmark, x0 = np.zeros(2), np.array([1.0, 0.0])
+    grid = ode_core.TimeGrid.with_step(0.0, 6.0, 0.0025)
+    spans = [grid] + [grid.subgrid(t - 1.0, t) for t in range(1, 7)]
+    print(f"\ninput staging on [0, 6], h = {grid.h}, best of {repeats} runs\n")
+    print(f"{'input':<8}{'staging':<22}{'evals':>8}{'ms':>10}")
+    for name, u in (("circ", u_circ(landmark, x0, 1.0)),
+                    ("spi", u_spi(landmark, x0, 1.0, 0.3))):
+        calls = []
+        fn = u.pieces[0][1]
+
+        def counted(s):
+            calls.append(s)
+            return fn(s)
+
+        def run_grid():
+            # A new evaluator each run, so the memo does not serve it.
+            v = InputSignal.from_callable(lambda s: counted(s), bound=u.bound)
+            v.stage_values(grid.t_start, grid.h, grid.n_steps, grid)
+
+        def per_window():
+            for span in spans:
+                _stage_per_step(counted, span.t_start, span.h, span.n_steps)
+
+        for label, job in (("run grid, sliced", run_grid),
+                           ("per span (3 a step)", per_window)):
+            calls.clear()
+            job()
+            evals = len(calls)
+            ms = bench(job, repeats) * 1e3
+            print(f"{name:<8}{label:<22}{evals:>8}{ms:>10.2f}")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from .ode_core import (ControlSystem, InputSignal, NoiseSignals, SampledSignal,
                        noise_sensitivity, perturbed_flow,
                        perturbed_flow_and_sensitivities,
                        perturbed_flow_and_sensitivities_rows, stm)
-from .cost import (CostDerivatives, WindowCost, cum_output_error,
+from .cost import (WindowCost, cum_output_error,
                    gauss_newton_term, grad_cum_error, grad_perturbed_cost,
                    grad_sensitivities, grad_sensitivity_v, grad_sensitivity_w,
                    hess_cum_error, noise_output_directions, perturbed_cost,
@@ -55,7 +55,7 @@ __all__ = [
     "noise_sensitivity", "perturbed_flow_and_sensitivities",
     "perturbed_flow_and_sensitivities_rows",
     # cost
-    "WindowCost", "CostDerivatives", "simpson_weights", "cum_output_error",
+    "WindowCost", "simpson_weights", "cum_output_error",
     "grad_cum_error", "gauss_newton_term", "hess_cum_error",
     "perturbed_reference", "perturbed_cost", "grad_perturbed_cost",
     "grad_sensitivity_v", "grad_sensitivity_w", "grad_sensitivities",

@@ -53,15 +53,6 @@ class WindowCost:
     grid: TimeGrid
 
 
-@dataclass(frozen=True)
-class CostDerivatives:
-    """Gradient and (symmetrized) Hessian of a window cost at `point`."""
-
-    point: Array
-    gradient: Array
-    hessian: Array
-
-
 def simpson_weights(grid: TimeGrid) -> Array:
     """Composite Simpson weights for the grid nodes (n_steps must be even)."""
     n = grid.n_steps
@@ -210,13 +201,13 @@ def perturbed_reference(sys: ControlSystem, t: float, T: float, x0: Array,
     """Perturbed reference on the window: states x~(s, w) and measured
     outputs h(x~) + v at the window nodes.
 
-    The reference is integrated from (0, x0) on a [0, t] grid with the
-    window's step, so process noise accumulated before the window is
+    The reference is integrated from (0, x0) on the [0, t] span of the
+    run grid, so process noise accumulated before the window is
     accounted for.
     """
     require_width(eta.v, sys.n_y, "measurement noise v")
     win = _window_grid(t, T, grid)
-    full = TimeGrid.with_step(0.0, t, win.h)
+    full = grid.subgrid(0.0, t)
     xs = perturbed_flow(sys, 0.0, t, x0, u, eta.w, full)[full.index_of(t - T):]
     ys = _outputs(sys, xs, u.at_nodes(win))
     return xs, ys if eta.v is None else ys + eta.v.at_nodes(win)
@@ -324,7 +315,7 @@ def reference_and_noise_directions_rows(sys: ControlSystem, t: float, T: float,
     for eta in etas:
         require_width(eta.v, sys.n_y, "measurement noise v")
     win = _window_grid(t, T, grid)
-    full = TimeGrid.with_step(0.0, t, win.h)
+    full = grid.subgrid(0.0, t)
     dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(sys.n_x)]
     xs, zs = perturbed_flow_and_sensitivities_rows(
         sys, t, x0, u, [eta.w for eta in etas], dws, full)
@@ -381,7 +372,7 @@ def grad_sensitivity_w(sys: ControlSystem, t: float, T: float, x0: Array,
     reference: -2 * integral of (H(x^) Phi)^T H(x~) z(s).
     """
     win = _window_grid(t, T, grid)
-    full = TimeGrid.with_step(0.0, t, win.h)
+    full = grid.subgrid(0.0, t)
     xs_ref, zs_full = perturbed_flow_and_sensitivities(sys, t, x0, u, eta.w,
                                                        [dw], full)
     i0 = full.index_of(t - T)

@@ -227,11 +227,11 @@ def _minimize(problem: _WindowProblem, x_init: Array, opts: SolverOptions):
 
 
 def _reference_state(sys: ControlSystem, x0: Array, u: InputSignal, t: float,
-                     T: float, h: float) -> Array:
-    """The reference state x(t-T), integrated on the [0, t] grid of step h."""
+                     T: float, grid: TimeGrid) -> Array:
+    """The reference state x(t-T), integrated on the run grid from 0."""
     if t <= T:
         return np.asarray(x0, dtype=float)
-    return flow(sys, 0.0, t - T, x0, u, TimeGrid.with_step(0.0, t, h))[-1]
+    return flow(sys, 0.0, t - T, x0, u, grid)[-1]
 
 
 def _window_mu(report: GrammianReport, note: str = "") -> float:
@@ -269,7 +269,7 @@ def solve_pmhe(sys: ControlSystem, x0: Array, u: InputSignal, t: float,
     """
     win = grid.subgrid(t - T, t)
     _, ref_out = perturbed_reference(sys, t, T, x0, u, eta, grid)
-    x_ref = _reference_state(sys, x0, u, t, T, win.h)
+    x_ref = _reference_state(sys, x0, u, t, T, grid)
     problem = _WindowProblem(sys, u, win, ref_out)
     return _solve_window(problem, x_ref, opts, x_init)
 
@@ -304,7 +304,7 @@ def rolling_estimate(sys: ControlSystem, x0: Array, u: InputSignal,
     prev_xi: Optional[Array] = None
     for t in t_list:
         if prev_xi is None:
-            warm = _reference_state(sys, x0, u, t, T, grid.h)
+            warm = _reference_state(sys, x0, u, t, T, grid)
         else:
             warm = flow(sys, prev_t - T, t - T, prev_xi, u, grid)[-1]
         try:
@@ -352,12 +352,12 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     Grammian is numerically singular (K_t would be meaningless).
 
     The noise draws and a zero-noise row 0 flow from (0, x0) as one block
-    on the [0, t] grid of the window's step; row 0's state at t - T is the
+    on the [0, t] span of the run grid; row 0's state at t - T is the
     window center.
     """
     _require_samples(n_noise_samples=n_noise_samples)
     win = grid.subgrid(t - T, t)
-    full = TimeGrid.with_step(0.0, t, win.h)
+    full = grid.subgrid(0.0, t)
     rng = np.random.default_rng(seed)
     n_x = sys.n_x
     dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(n_x)]
@@ -526,8 +526,8 @@ def multistart_uniqueness(sys: ControlSystem, x0: Array, u: InputSignal,
     R/10 so a flat valley cannot trivially pass).
     """
     _require_samples(n_starts=n_starts)
-    win = grid.subgrid(t - T, t)
-    center = _reference_state(sys, x0, u, t, T, win.h)
+    grid.subgrid(t - T, t)  # GridMismatch up front for a window off the grid
+    center = _reference_state(sys, x0, u, t, T, grid)
     rng = np.random.default_rng(seed)
     starts = [center]
     if n_starts > 1:

@@ -2,18 +2,24 @@
 
 Everything here is immutable after construction and every operation is a
 pure function of its inputs, so all of it is safe to call concurrently.
-Input evaluators must therefore be pure functions of s: the RK4 stage
-inputs and the node inputs of an InputSignal come from a bounded,
-thread-safe, process-wide memo of read-only arrays, so a span staged once
-is not evaluated again while it stays in the memo.
+
+One time base: a run grid is a root `TimeGrid`, and every span a flow,
+cost or Grammian integrates over is a subgrid of it, an index range with
+the root's step h bit for bit and its node k at origin + k*h. An
+InputSignal is staged once per (signal, root grid): its value at every
+node and step midpoint, and its left limit at each breakpoint node. The
+stagings live in one bounded, thread-safe, process-wide memo of read-only
+arrays, and every span's stage inputs and node inputs are slices of its
+root's staging. Input evaluators must therefore be pure functions of s.
 
 Integration is fixed-step classical RK4 on a uniform grid, stepped by
-one loop, `rk4_flow`. The stage inputs of every step are evaluated
-before the loop runs (u0 at the step start, um at the midpoint, u1 at the
-step end, all from the piece active on the open step), so piecewise
-inputs whose breakpoints sit on grid nodes do not break the order of the
-scheme; breakpoints off the grid raise GridMismatch. Process noise is
-sample-and-hold: one value per step, constant across the four stages.
+one loop, `rk4_flow`. The stage inputs of every step come from the
+staging before the loop runs (u0 at the step's start node, um at its
+midpoint, u1 at its end node, all from the piece active on the open
+step), so piecewise inputs whose breakpoints sit on grid nodes do not
+break the order of the scheme; breakpoints off the grid raise
+GridMismatch. Process noise is sample-and-hold: one value per step,
+constant across the four stages.
 
 Tangents are not kernels of their own. `rk4_flow_stm` (Z(0) = I) and
 `rk4_flow_sens` (Z(0) = 0, per-step forcing [w; vec F]) run `rk4_flow`
@@ -24,7 +30,7 @@ The augmented state may be one row or a block of B rows, (B, n_x +
 n_x*k), with the noise forcing shared by the rows or given per row.
 
 The batched flows step a block of B starts over one span through one
-call of `rk4_flow`, after staging the span once: `flow_rows` for states,
+call of `rk4_flow`, on one slice of the staging: `flow_rows` for states,
 `flow_and_stm_rows` for states and STMs (every difference point of a
 finite-difference Hessian), and `perturbed_flow_and_sensitivities_rows`
 for several process-noise draws from one start. They use the system's
@@ -40,8 +46,9 @@ fallback from `h` and `dh_dx`).
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -51,10 +58,10 @@ from .errors import DimensionMismatch, DomainViolation, GridMismatch
 Array = np.ndarray
 
 _NODE_TOL = 1e-9
-# Entries per memo of InputSignal staging. The windows and flows of one
-# certificate, solve or audit restage a handful of spans over and over;
-# eight entries already hit as often as an unbounded memo would.
-_MEMO_ENTRIES = 8
+# Stagings held by the input memo, one per (signal, root grid). A
+# certificate, solve or audit slices all its spans from the staging of its
+# run grid, so a few entries serve every signal and grid in use at once.
+_MEMO_ENTRIES = 4
 # State rows per finiteness and domain-guard check, so a check allocates
 # no temporary the size of a whole batch of trajectories.
 _GUARD_BLOCK = 256
@@ -154,11 +161,23 @@ def check_jacobians(sys: ControlSystem, points: Sequence[tuple[Array, Array]],
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid with n_steps intervals on [t_start, t_end]."""
+    """Uniform grid with n_steps intervals on [t_start, t_end].
+
+    A grid made directly is a root grid: its step is h = (t_end - t_start)
+    / n_steps and its node k is t_start + k*h. `subgrid` cuts index ranges
+    from the root: a subgrid keeps the root (`root`) and the root index of
+    its first node (`offset`), has the root's h bit for bit, and its node k
+    is the root's node offset + k. So every span of one run grid lies on one
+    time base: a flow over [a, b] equals the first rows of a flow over
+    [a, c] bit for bit, and every span's inputs are slices of one staging
+    of the root (`InputSignal`).
+    """
 
     t_start: float
     t_end: float
     n_steps: int
+    root: Optional["TimeGrid"] = field(default=None, repr=False)
+    offset: int = 0
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -167,12 +186,20 @@ class TimeGrid:
             raise GridMismatch("t_end must exceed t_start")
 
     @property
+    def base(self) -> "TimeGrid":
+        """The root grid this grid is an index range of (itself for a root)."""
+        return self if self.root is None else self.root
+
+    @property
     def h(self) -> float:
+        if self.root is not None:
+            return self.root.h
         return (self.t_end - self.t_start) / self.n_steps
 
     @property
     def nodes(self) -> Array:
-        return self.t_start + self.h * np.arange(self.n_steps + 1)
+        k = np.arange(self.offset, self.offset + self.n_steps + 1)
+        return self.base.t_start + self.h * k
 
     @classmethod
     def with_step(cls, t_start: float, t_end: float, h: float) -> "TimeGrid":
@@ -183,16 +210,21 @@ class TimeGrid:
         return cls(t_start, t_end, n)
 
     def index_of(self, t: float) -> int:
-        i = round((t - self.t_start) / self.h)
-        if i < 0 or i > self.n_steps or abs(self.t_start + i * self.h - t) > _NODE_TOL * max(1.0, abs(t)):
+        origin, h = self.base.t_start, self.h
+        k = round((t - origin) / h)
+        i = k - self.offset
+        if i < 0 or i > self.n_steps or abs(origin + k * h - t) > _NODE_TOL * max(1.0, abs(t)):
             raise GridMismatch(f"time {t} is not a node of {self}")
         return i
 
     def subgrid(self, t0: float, t1: float) -> "TimeGrid":
+        """The nodes of this grid from t0 to t1, as an index range of the root."""
         i0, i1 = self.index_of(t0), self.index_of(t1)
         if i1 <= i0:
             raise GridMismatch("empty subgrid")
-        return TimeGrid(self.t_start + i0 * self.h, self.t_start + i1 * self.h, i1 - i0)
+        base, h = self.base, self.h
+        k0, k1 = self.offset + i0, self.offset + i1
+        return TimeGrid(base.t_start + k0 * h, base.t_start + k1 * h, i1 - i0, base, k0)
 
 
 @dataclass(frozen=True)
@@ -203,11 +235,14 @@ class InputSignal:
     start must be <= 0 so the signal is defined for every s >= 0. `bound`
     is an optional sup-norm bound checked on every evaluated sample.
 
-    Evaluators must be pure functions of s. `stage_values` and `at_nodes`
-    return read-only arrays from a bounded, thread-safe, process-wide memo
-    keyed on the exact signal and span, so repeated stagings of a span
-    reuse one evaluation. A bound violation raises on every call; it is
-    never cached.
+    Evaluators must be pure functions of s. The signal is staged once per
+    root time base (origin, h, N): the value at every node and at every
+    step midpoint, and the left limit at each breakpoint node, held as
+    read-only arrays in one bounded, thread-safe, process-wide memo keyed
+    on the signal and the root. `stage_values` and `at_nodes` serve every
+    span of that root as slices of its staging. A sample above the bound
+    raises DomainViolation for every span that uses it, on every call, and
+    for no other span.
     """
 
     pieces: tuple[tuple[float, Callable[[float], Array]], ...]
@@ -237,60 +272,152 @@ class InputSignal:
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(s for s, _ in self.pieces[1:])
 
-    def _piece_at(self, s: float) -> Callable[[float], Array]:
-        fn = self.pieces[0][1]
-        for start, ev in self.pieces:
-            if start <= s + _NODE_TOL:
-                fn = ev
-            else:
-                break
-        return fn
+    def _piece_index(self, times: Sequence[float]) -> Array:
+        """Index of the piece active at each time (the last piece starting
+        at or before it, up to _NODE_TOL; the first piece before any)."""
+        starts = np.array([s for s, _ in self.pieces])
+        idx = np.searchsorted(starts, np.asarray(times) + _NODE_TOL, side="right") - 1
+        return np.maximum(idx, 0)
 
-    def _checked(self, value: Array, s: float) -> Array:
-        v = np.asarray(value, dtype=float)
-        if self.bound is not None and np.linalg.norm(v) > self.bound + 1e-12:
-            raise DomainViolation(
-                f"input sample at s={s} exceeds declared bound {self.bound}")
-        return v
+    def _exceeds(self, v: Array) -> bool:
+        return self.bound is not None and np.linalg.norm(v) > self.bound + 1e-12
 
     def at(self, s: float) -> Array:
         """Right-continuous evaluation at time s."""
-        return self._checked(self._piece_at(s)(s), s)
+        v = np.asarray(self.pieces[int(self._piece_index([s])[0])][1](s), dtype=float)
+        if self._exceeds(v):
+            raise DomainViolation(f"input sample at s={s} exceeds declared bound "
+                                  f"{self.bound}")
+        return v
 
-    @functools.lru_cache(maxsize=_MEMO_ENTRIES)
     def at_nodes(self, grid: TimeGrid) -> Array:
-        """Right-continuous values at every grid node (read-only, memoized)."""
-        us = stack_rows((self.at(s) for s in grid.nodes), grid.n_steps + 1)
-        us.flags.writeable = False
-        return us
+        """Right-continuous values at every grid node: a read-only slice of
+        the staging of the grid's root."""
+        return _root_staging(self, grid).node_values(grid.offset, grid.n_steps)
 
-    @functools.lru_cache(maxsize=_MEMO_ENTRIES)
-    def stage_values(self, t0: float, h: float, n: int) -> tuple[Array, Array, Array]:
-        """Per-step RK4 stage inputs: start, midpoint and end of each step.
+    def stage_values(self, t0: float, h: float, n: int,
+                     grid: Optional[TimeGrid] = None) -> tuple[Array, Array, Array]:
+        """Per-step RK4 stage inputs of the n steps of size h from t0, as
+        read-only slices of one staging: u0 at each step's start node, um
+        at its midpoint, u1 at its end node or, at a breakpoint node, the
+        left limit, so RK4 keeps its order when breakpoints sit on nodes.
 
-        All three stages use the piece active on the open step (so the end
-        value is the one-sided limit from inside the step), which keeps
-        RK4 at full order when breakpoints sit on nodes. The arrays are
-        read-only and memoized on (signal, t0, h, n).
+        `grid` is the TimeGrid whose span (t0, h, n) is, sliced from its
+        root's staging; without it the span is a root of its own.
         """
         if n < 1:
             raise ValueError("stage_values needs at least one step")
-        u0 = um = u1 = None
-        for i in range(n):
-            a = t0 + i * h
-            mid, end = a + 0.5 * h, a + h
-            ev = self._piece_at(mid)
-            u0 = _fill(u0, i, self._checked(ev(a), a), n)
-            um = _fill(um, i, self._checked(ev(mid), mid), n)
-            u1 = _fill(u1, i, self._checked(ev(end), end), n)
-        for stage in (u0, um, u1):
-            stage.flags.writeable = False
-        return u0, um, u1
+        if grid is None:
+            return _staging(self, t0, h, n).stages(0, n)
+        if (t0, h, n) != (grid.t_start, grid.h, grid.n_steps):
+            raise GridMismatch(f"span ({t0}, {h}, {n}) is not the span of {grid}")
+        return _root_staging(self, grid).stages(grid.offset, n)
 
     def check_breakpoints_on(self, grid: TimeGrid) -> None:
         for b in self.breakpoints:
             if grid.t_start - _NODE_TOL < b < grid.t_end + _NODE_TOL:
                 grid.index_of(b)  # raises GridMismatch if off-grid
+
+
+class _Staging:
+    """One signal on the root time base of n steps of size h from origin:
+    the right-continuous value at each node k (origin + k*h) and at each
+    step midpoint, and each step's end input u1, the next node's value or,
+    at a breakpoint node, the left limit. Read-only arrays from 2n + 1
+    evaluations plus one per breakpoint node.
+
+    Samples above the bound are recorded, not raised, so that exactly the
+    spans that use one raise, every time they are served.
+    """
+
+    def __init__(self, u: InputSignal, origin: float, h: float, n: int):
+        times = origin + h * np.arange(n + 1)
+        mids = times[:-1] + 0.5 * h
+        at_node, at_mid = u._piece_index(times), u._piece_index(mids)
+        self.bound = u.bound
+        self.nodes, self.mids = _evaluate(u, at_node, times), _evaluate(u, at_mid, mids)
+        over_node, over_mid = _over_bound(u, self.nodes), _over_bound(u, self.mids)
+        self.ends, over_end = self.nodes[1:], over_node[1:]
+        breaks = np.flatnonzero(at_node[1:] != at_mid)  # steps ending on a breakpoint
+        if breaks.size:
+            lefts = _evaluate(u, at_mid[breaks], times[breaks + 1])
+            self.ends, over_end = np.array(self.ends), over_end.copy()
+            self.ends[breaks], over_end[breaks] = lefts, _over_bound(u, lefts)
+            self.ends.flags.writeable = False
+        # The time of each node's offending sample and of each step's first
+        # one (u0, um, u1), NaN where there is none.
+        self.over = None
+        if over_node.any() or over_mid.any() or over_end.any():
+            self.over = (np.where(over_node, times, np.nan),
+                         np.select([over_node[:-1], over_mid, over_end],
+                                   [times[:-1], mids, times[1:]], np.nan))
+
+    def _check(self, which: int, i0: int, count: int) -> None:
+        if self.over is not None:
+            hits = self.over[which][i0:i0 + count]
+            hits = hits[~np.isnan(hits)]
+            if hits.size:
+                raise DomainViolation(f"input sample at s={float(hits[0])} "
+                                      f"exceeds declared bound {self.bound}")
+
+    def stages(self, i0: int, n: int) -> tuple[Array, Array, Array]:
+        """u0, um and u1 of the steps i0 .. i0 + n - 1."""
+        self._check(1, i0, n)
+        return self.nodes[i0:i0 + n], self.mids[i0:i0 + n], self.ends[i0:i0 + n]
+
+    def node_values(self, i0: int, n_steps: int) -> Array:
+        """The values at the nodes i0 .. i0 + n_steps."""
+        self._check(0, i0, n_steps + 1)
+        return self.nodes[i0:i0 + n_steps + 1]
+
+
+def _evaluate(u: InputSignal, pieces: Array, times: Array) -> Array:
+    """The samples of u's pieces at the times, stacked read-only."""
+    out = stack_rows((u.pieces[p][1](s) for p, s in zip(pieces, times.tolist())),
+                     len(times))
+    out.flags.writeable = False
+    return out
+
+
+def _over_bound(u: InputSignal, values: Array) -> Array:
+    """Which stacked samples exceed u's bound, as `at` decides it. Norms
+    of all rows at once are within 2 m eps (m entries a row) of the
+    per-sample norms, so only rows that close to the limit are checked
+    one by one."""
+    over = np.zeros(len(values), dtype=bool)
+    if u.bound is not None:
+        rows = values.reshape(len(values), -1)
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        margin = 4.0 * rows.shape[1] * np.finfo(float).eps
+        for i in np.flatnonzero(~(norms <= (u.bound + 1e-12) * (1.0 - margin))):
+            over[i] = u._exceeds(values[i])
+    return over
+
+
+_STAGINGS: "OrderedDict[tuple, _Staging]" = OrderedDict()
+_STAGINGS_LOCK = threading.Lock()
+
+
+def _staging(u: InputSignal, origin: float, h: float, n: int) -> _Staging:
+    """The memoized staging of u on the root time base (origin, h, n)."""
+    key = (u, origin, h, n)
+    with _STAGINGS_LOCK:
+        staging = _STAGINGS.get(key)
+        if staging is not None:
+            _STAGINGS.move_to_end(key)
+            return staging
+    staging = _Staging(u, origin, h, n)
+    with _STAGINGS_LOCK:
+        staging = _STAGINGS.setdefault(key, staging)
+        _STAGINGS.move_to_end(key)
+        while len(_STAGINGS) > _MEMO_ENTRIES:
+            _STAGINGS.popitem(last=False)
+    return staging
+
+
+def _root_staging(u: InputSignal, grid: TimeGrid) -> _Staging:
+    base = grid.base
+    return _staging(u, base.t_start, base.h, base.n_steps)
 
 
 @dataclass(frozen=True)
@@ -593,7 +720,7 @@ def flow(sys: ControlSystem, s1: float, s2: float, xi: Array, u: InputSignal,
          grid: TimeGrid) -> Array:
     """States of x' = f(x, u) from (s1, xi) at every grid node in [s1, s2]."""
     sub = _span(grid, s1, s2, u)
-    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
+    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
     xs = rk4_flow(sys.f, np.asarray(xi, dtype=float), sub.h, u0, um, u1)
     _check_guard(sys, xs, "flow")
     return xs
@@ -618,7 +745,7 @@ def flow_rows(sys: ControlSystem, s1: float, s2: float, xis: Array,
     """
     xis = _starts(sys, xis)
     sub = _span(grid, s1, s2, u)
-    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
+    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
     xs = rk4_flow(_f_rows(sys), xis, sub.h, u0, um, u1)
     _check_guard(sys, xs, "flow")
     return xs
@@ -635,7 +762,7 @@ def flow_and_stm(sys: ControlSystem, s1: float, s2: float, xi: Array,
                  u: InputSignal, grid: TimeGrid) -> tuple[Array, Array]:
     """State and STM trajectories co-integrated on the same RK4 stages."""
     sub = _span(grid, s1, s2, u)
-    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
+    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
     xs, phis = rk4_flow_stm(sys.f, sys.df_dx, np.asarray(xi, dtype=float),
                             sub.h, u0, um, u1)
     _check_guard(sys, xs, "stm")
@@ -652,7 +779,7 @@ def flow_and_stm_rows(sys: ControlSystem, s1: float, s2: float, xis: Array,
     """
     xis = _starts(sys, xis)
     sub = _span(grid, s1, s2, u)
-    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
+    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
     xs, phis = rk4_flow_stm(_f_rows(sys), _df_dx_rows(sys), xis, sub.h,
                             u0, um, u1)
     _check_guard(sys, xs, "stm")
@@ -665,7 +792,7 @@ def perturbed_flow(sys: ControlSystem, s1: float, s2: float, xi: Array,
     """States of x' = f(x, u) + w; with w = None this is exactly `flow`."""
     require_width(w, sys.n_x, "process noise w")
     sub = _span(grid, s1, s2, u)
-    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
+    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
     wv = None if w is None else w.step_values(sub.t_start, sub.h, sub.n_steps)
     xs = rk4_flow(sys.f, np.asarray(xi, dtype=float), sub.h, u0, um, u1, wv)
     _check_guard(sys, xs, "perturbed_flow")
@@ -706,7 +833,7 @@ def perturbed_flow_and_sensitivities_rows(
     for dw in dws:
         require_width(dw, sys.n_x, "noise direction dw")
     sub = _span(grid, 0.0, t_end, u)
-    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps)
+    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
     wv = np.zeros((sub.n_steps, len(ws), sys.n_x))
     for b, w in enumerate(ws):
         if w is not None:

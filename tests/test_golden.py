@@ -10,6 +10,7 @@ that moves results on purpose regenerates the file with
 
 import json
 import math
+import re
 
 import pytest
 
@@ -23,17 +24,37 @@ SAME_PLATFORM = GOLDEN["recorded_on"] == regenerate.platform_record()
 # few ulp: rel 1e-12. The absolute floor covers values that are roundoff
 # themselves, such as the error of a noise-free estimate (~1e-17).
 REL, ABS = 1e-12, 1e-15
+# The final gradient norm of a noise-free solve is the roundoff of a
+# Simpson sum over the window's few hundred nodes, of terms of order one:
+# n * eps ~ 5e-14. 1.3e-15 -> 0 was measured for one change of the input
+# roundings.
+GRAD_NORM_ABS = 1e-13
+# One finite-difference level: an FD Hessian of the analytic gradient at
+# step 1e-5 divides the gradient's roundoff (~1e-16 rel) by the step, so
+# ~1e-11 rel. This covers hess_min_eig, hess_cum_error full_fd and the
+# multistart cluster radius taken from hess_min_eig; 1.4e-11 rel was
+# measured.
+FD = ("hess_min_eig", "hessian", "cluster_radius")
+FD_REL = 1e-10
 # The uniform audit's a1_hat differences FD Hessians (step 1e-5) at
-# delta = 1e-3, so a rounding in the inputs is amplified by about
-# 1 / (1e-5 * 1e-3); g1, bound_factor and predicted_bound inherit that.
-# 3.3e-10 rel was measured for one change of the input roundings.
+# delta = 1e-3, so input roundoff is amplified by about 1 / (1e-5 * 1e-3):
+# ~1e-8 rel. g1, bound_factor and predicted_bound inherit it; 1.1e-9 rel
+# was measured.
 NESTED_FD = ("a1_hat", "g1", "bound_factor", "predicted_bound")
 NESTED_FD_REL = 1e-8
 
 
 def _tolerance(key: str) -> tuple[float, float]:
-    name = key.rsplit(":", 1)[-1].rsplit(".", 1)[-1]
-    return (NESTED_FD_REL, ABS) if name in NESTED_FD else (REL, ABS)
+    """(rel, abs floor) for the quantity a key names, e.g. "xi_star[0]",
+    "audit.json:.a1_hat" or "windows.csv:r2:grad_norm"."""
+    name = re.sub(r"\[\d+\]", "", key.rsplit(":", 1)[-1].rsplit(".", 1)[-1])
+    if name in NESTED_FD:
+        return NESTED_FD_REL, ABS
+    if name in FD:
+        return FD_REL, ABS
+    if name == "grad_norm":
+        return REL, GRAD_NORM_ABS
+    return REL, ABS
 
 
 def _close(got: float, want: float, rel: float, floor: float) -> bool:

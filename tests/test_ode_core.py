@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import obsmhe
 from obsmhe import (ControlSystem, DimensionMismatch, DomainViolation, GridMismatch,
@@ -55,6 +56,41 @@ def test_grid_subgrid_and_index_of():
         g.index_of(0.123)
 
 
+# A root grid [t0, t0 + length] of n steps and two node indices i0 < i1.
+roots = st.builds(
+    lambda t0, length, n: TimeGrid(t0, t0 + length, n),
+    st.floats(-10.0, 10.0), st.floats(0.01, 50.0), st.integers(2, 400))
+
+
+@st.composite
+def root_and_span(draw):
+    g = draw(roots)
+    i0 = draw(st.integers(0, g.n_steps - 1))
+    return g, i0, draw(st.integers(i0 + 1, g.n_steps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(root_and_span(), st.data())
+def test_subgrids_are_index_ranges_of_their_root(case, data):
+    g, i0, i1 = case
+    nodes = g.nodes
+    sub = g.subgrid(nodes[i0], nodes[i1])
+    assert (sub.base, sub.offset, sub.n_steps) == (g, i0, i1 - i0)
+    assert sub.h == g.h  # the same step, bit for bit
+    assert_bits_equal(sub.nodes, nodes[i0:i1 + 1])
+    assert (sub.t_start, sub.t_end) == (nodes[i0], nodes[i1])
+    for k in (i0, (i0 + i1) // 2, i1):
+        assert g.index_of(nodes[k]) == k and sub.index_of(nodes[k]) == k - i0
+    assert sub.subgrid(sub.t_start, sub.t_end) == sub
+    # A prefix of the root, and a subgrid of a subgrid, are the root's own
+    # index ranges.
+    assert g.subgrid(g.t_start, nodes[i1]) == TimeGrid(
+        nodes[0], nodes[i1], i1, g, 0)
+    j0 = data.draw(st.integers(i0, i1 - 1))
+    j1 = data.draw(st.integers(j0 + 1, i1))
+    assert sub.subgrid(nodes[j0], nodes[j1]) == g.subgrid(nodes[j0], nodes[j1])
+
+
 # -- InputSignal / SampledSignal -------------------------------------------
 
 def test_input_constant_and_bound():
@@ -71,56 +107,83 @@ def test_input_constant_and_bound():
             bounded.at_nodes(g)
 
 
+def _counted(fn, calls):
+    def counted(s):
+        calls.append(s)
+        return fn(s)
+    return counted
+
+
 def test_input_stage_values_respect_breakpoints():
-    pieces = ((0.0, lambda s: np.array([1.0])), (0.5, lambda s: np.array([3.0])))
+    calls = []
+    pieces = ((0.0, _counted(lambda s: np.array([1.0]), calls)),
+              (0.5, _counted(lambda s: np.array([3.0]), calls)))
     u = InputSignal(pieces=pieces)
     g = TimeGrid.with_step(0.0, 1.0, 0.25)
     u0, um, u1 = u.stage_values(g.t_start, g.h, g.n_steps)
-    # steps [0, .25) and [.25, .5) read the first piece, later steps the second
+    # steps [0, .25) and [.25, .5) read the first piece, later steps the
+    # second; u1 of the step ending at the breakpoint is the left limit
     np.testing.assert_array_equal(u0[:, 0], [1.0, 1.0, 3.0, 3.0])
     np.testing.assert_array_equal(u1[:, 0], [1.0, 1.0, 3.0, 3.0])
+    # One staging: 2N + 1 samples plus the left limit at the breakpoint.
+    assert len(calls) == 2 * g.n_steps + 1 + 1
     assert u.at(0.5)[0] == 3.0  # right-continuous
-    # The second call is served by the memo: the same read-only arrays,
-    # equal bit for bit to an uncached evaluation.
+    # The second call is served by the memo: slices of the same read-only
+    # staging, equal bit for bit to a fresh staging outside the memo.
+    staged = len(calls)
     again = u.stage_values(g.t_start, g.h, g.n_steps)
-    uncached = InputSignal.stage_values.__wrapped__(u, g.t_start, g.h, g.n_steps)
-    for memo, first, fresh in zip(again, (u0, um, u1), uncached):
-        assert memo is first and not memo.flags.writeable
-        assert memo.tobytes() == fresh.tobytes()
+    assert len(calls) == staged
+    fresh = ode_core._Staging(u, g.t_start, g.h, g.n_steps).stages(0, g.n_steps)
+    for memo, first, new in zip(again, (u0, um, u1), fresh):
+        assert np.shares_memory(memo, first) and not memo.flags.writeable
+        assert memo.tobytes() == first.tobytes() == new.tobytes()
     with pytest.raises(ValueError):
         u0[0, 0] = 0.0
     nodes = u.at_nodes(g)
-    assert nodes is u.at_nodes(g) and not nodes.flags.writeable
+    assert np.shares_memory(nodes, u.at_nodes(g)) and not nodes.flags.writeable
     assert nodes.tobytes() == np.stack([u.at(s) for s in g.nodes]).tobytes()
     np.testing.assert_array_equal(nodes[:, 0], [1.0, 1.0, 3.0, 3.0, 3.0])
+    # A span from the breakpoint starts on the second piece; one that ends
+    # there takes the left limit, and both are slices of the root staging.
+    staged = len(calls)
+    late, early = g.subgrid(0.5, 1.0), g.subgrid(0.0, 0.5)
+    assert u.stage_values(late.t_start, late.h, late.n_steps, late)[0][0, 0] == 3.0
+    assert u.stage_values(early.t_start, early.h, early.n_steps, early)[2][-1, 0] == 1.0
+    assert len(calls) == staged
 
 
 def test_input_memo_holds_at_most_its_capacity():
     u = InputSignal.from_callable(lambda s: np.array([s]))
-    memos = (InputSignal.stage_values, InputSignal.at_nodes)
-    cap = max(memo.cache_info().maxsize for memo in memos)
+    cap = ode_core._MEMO_ENTRIES
     for n in range(1, cap + 4):
         u.stage_values(0.0, 0.1, n)
         u.at_nodes(TimeGrid(0.0, 1.0, n))
-    for memo in memos:
-        assert memo.cache_info().currsize <= memo.cache_info().maxsize
+    assert len(ode_core._STAGINGS) <= cap
+    # The staging used last is kept; the oldest are evicted.
+    assert (u, 0.0, 1.0 / (cap + 3), cap + 3) in ode_core._STAGINGS
+    assert (u, 0.0, 0.1, 1) not in ode_core._STAGINGS
 
 
 def test_input_memo_is_consistent_under_threads():
-    # More threads than cores and more spans than entries, so lookups,
-    # insertions and evictions interleave; every result must still equal
-    # an uncached evaluation.
+    # More threads than cores and more roots than entries, so lookups,
+    # insertions and evictions interleave; every span, root or slice of a
+    # root, must still equal a fresh staging outside the memo.
     u = InputSignal.from_callable(lambda s: np.array([np.sin(s), s]))
-    spans = [(0.1 * k, 0.01, 20 + k) for k in range(12)]
-    expected = {span: InputSignal.stage_values.__wrapped__(u, *span) for span in spans}
+    roots = [TimeGrid(0.1 * k, 0.1 * k + 0.01 * (20 + k), 20 + k) for k in range(12)]
+    spans = roots + [g.subgrid(g.nodes[3], g.nodes[15]) for g in roots]
+    expected = {}
+    for g in spans:
+        base = g.base
+        staged = ode_core._Staging(u, base.t_start, base.h, base.n_steps)
+        expected[g] = staged.stages(g.offset, g.n_steps)
     errors = []
 
     def work(offset):
         for i in range(60):
-            span = spans[(i + offset) % len(spans)]
-            got = u.stage_values(*span)
-            if any(a.tobytes() != b.tobytes() for a, b in zip(got, expected[span])):
-                errors.append(span)
+            g = spans[(i + offset) % len(spans)]
+            got = u.stage_values(g.t_start, g.h, g.n_steps, g)
+            if any(a.tobytes() != b.tobytes() for a, b in zip(got, expected[g])):
+                errors.append(g)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -134,6 +197,41 @@ def test_input_memo_is_consistent_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def test_input_bound_violation_raises_only_on_spans_that_use_it():
+    # One node sample (s = 0.5) exceeds the bound. Every span whose stages
+    # or nodes use it raises, on every call; the others are served. With
+    # a breakpoint at 0.5, a span ending there takes the left limit from
+    # the first piece instead, so only its nodes use the sample.
+    spike = lambda s: np.array([5.0 if s == 0.5 else 0.0])
+    zero = lambda s: np.array([0.0])
+    g = TimeGrid.with_step(0.0, 1.0, 0.125)
+    for u, ends_on_left_limit in ((InputSignal(((0.0, spike),), bound=1.0), False),
+                                  (InputSignal(((0.0, zero), (0.5, spike)), bound=1.0),
+                                   True)):
+        for _ in range(2):
+            for t0, t1, stages_raise, nodes_raise in (
+                    (0.0, 0.375, False, False), (0.25, 0.5, not ends_on_left_limit, True),
+                    (0.5, 0.75, True, True), (0.625, 1.0, False, False),
+                    (0.0, 1.0, True, True)):
+                sub = g.subgrid(t0, t1)
+                for call, raises in (
+                        (lambda: u.stage_values(sub.t_start, sub.h, sub.n_steps, sub),
+                         stages_raise),
+                        (lambda: u.at_nodes(sub), nodes_raise)):
+                    if raises:
+                        with pytest.raises(DomainViolation, match="s=0.5"):
+                            call()
+                    else:
+                        call()
+
+
+def test_stage_values_rejects_a_span_that_is_not_the_grid():
+    u = InputSignal.constant([1.0])
+    g = TimeGrid.with_step(0.0, 1.0, 0.25)
+    with pytest.raises(GridMismatch):
+        u.stage_values(0.25, g.h, g.n_steps, g)
 
 
 @pytest.mark.parametrize("callback", ["h", "dh_dx"])
@@ -173,6 +271,63 @@ def test_input_breakpoint_off_grid_rejected():
         u.check_breakpoints_on(TimeGrid.with_step(0.0, 1.0, 0.25))
 
 
+def _stage_span_alone(u, sub):
+    """The stages of the span sub evaluated sample by sample at its own
+    nodes, with every stage of a step on the piece active on the open step."""
+    nodes, h = sub.nodes.tolist(), sub.h
+    u0, um, u1 = [], [], []
+    for a, b in zip(nodes, nodes[1:]):
+        mid = a + 0.5 * h
+        ev = u.pieces[0][1]
+        for start, e in u.pieces:
+            if start <= mid + 1e-9:
+                ev = e
+        u0.append(ev(a))
+        um.append(ev(mid))
+        u1.append(ev(b))
+    return np.array(u0), np.array(um), np.array(u1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_and_span(), st.lists(st.integers(1, 399), max_size=3, unique=True))
+def test_slice_of_root_staging_equals_the_span_staged_alone(case, breaks):
+    # With breakpoints on root nodes, the span sliced from the root's
+    # staging equals the span's own samples bit for bit.
+    g, i0, i1 = case
+    nodes = g.nodes.tolist()
+    starts = sorted(nodes[k] for k in breaks if k < g.n_steps)
+    laws = [lambda s: np.array([np.sin(s), s * s]),
+            lambda s: np.array([np.cos(3.0 * s), -s]),
+            lambda s: np.array([s ** 3, 1.0]),
+            lambda s: np.array([np.exp(-s * s), 2.0 * s])]
+    u = InputSignal(pieces=((min(0.0, nodes[0]), laws[0]),)
+                    + tuple((b, laws[k + 1]) for k, b in enumerate(starts)))
+    sub = g.subgrid(nodes[i0], nodes[i1])
+    u.check_breakpoints_on(sub)
+    got = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
+    for a, b in zip(got, _stage_span_alone(u, sub)):
+        assert_bits_equal(a, b)
+    assert_bits_equal(u.at_nodes(sub), np.stack([u.at(s) for s in sub.nodes.tolist()]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_and_span())
+def test_sampled_signal_step_values_align_on_subgrids(case):
+    # A sample-and-hold signal on the root, or on a subgrid, serves any
+    # subgrid inside it the samples of the subgrid's own steps.
+    g, i0, i1 = case
+    values = np.arange(2.0 * (g.n_steps + 1)).reshape(-1, 2)
+    on_root = SampledSignal(g.t_start, g.h, values)
+    sub = g.subgrid(g.nodes[i0], g.nodes[i1])
+    assert_bits_equal(on_root.step_values(sub.t_start, sub.h, sub.n_steps),
+                      values[i0:i1])
+    on_sub = SampledSignal(sub.t_start, sub.h, values[i0:i1 + 1])
+    inner = sub.subgrid(sub.t_start, sub.t_end)
+    assert_bits_equal(on_sub.step_values(inner.t_start, inner.h, inner.n_steps),
+                      values[i0:i1])
+    assert_bits_equal(on_root.at_nodes(sub), values[i0:i1 + 1])
+
+
 def test_sampled_signal_basics():
     vals = np.array([[0.0], [1.0], [2.0]])
     s = SampledSignal(0.0, 0.5, vals)  # three held steps -> covers [0, 1.5]
@@ -206,6 +361,20 @@ def test_flow_matches_matrix_exponential():
     np.testing.assert_allclose(xs[-1], exact, atol=1e-10)
     np.testing.assert_array_equal(xs[0], xi)
     assert obsmhe.BACKEND == "python"
+
+
+@pytest.mark.parametrize("h", [0.01, 0.005, 0.02])
+def test_flow_on_a_prefix_equals_the_longer_flow(spi, x0, h):
+    # The [0, t - T] subgrid has the [0, t] grid's step and nodes, so the
+    # flow over it is the longer flow's first rows, bit for bit.
+    sys_, u = spi
+    t, T = 3.3, 1.0
+    full = TimeGrid.with_step(0.0, t, h)
+    prefix = full.subgrid(0.0, t - T)
+    assert prefix.h == full.h
+    i = full.index_of(t - T)
+    assert_bits_equal(flow(sys_, 0.0, t - T, x0, u, prefix),
+                      flow(sys_, 0.0, t, x0, u, full)[:i + 1])
 
 
 def test_flow_fourth_order_convergence():

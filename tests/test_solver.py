@@ -195,8 +195,8 @@ def _nonuniform_reference(sys_, x0, u, t, T, nu, grid, seed, n_noise_samples):
     """audit_nonuniform_stability from `_reference_state` and one flow and
     one per-row output Jacobian per node for each noise draw."""
     win = grid.subgrid(t - T, t)
-    full = TimeGrid.with_step(0.0, t, win.h)
-    center = mhe_solver._reference_state(sys_, x0, u, t, T, win.h)
+    full = grid.subgrid(0.0, t)
+    center = mhe_solver._reference_state(sys_, x0, u, t, T, grid)
     xs, ps = ode_core.flow_and_stm(sys_, t - T, t, center, u, win)
     us = u.at_nodes(win)
     hs = output_jacobians(sys_, xs, us)
@@ -228,15 +228,10 @@ def test_nonuniform_audit_equals_per_draw_reference(system, request, x0, t, T, h
     grid = TimeGrid.with_step(0.0, 6.0, h)
     got = audit_nonuniform_stability(sys_, x0, u, t, T, 1e-3, grid, seed=9)
     want = _nonuniform_reference(sys_, x0, u, t, T, 1e-3, grid, 9, 3)
-    full = TimeGrid.with_step(0.0, t, grid.h)
-    if t == T or full.subgrid(0.0, t - T).h == full.h:
-        assert got == want
-    else:
-        # `_reference_state` flows on the [0, t - T] subgrid, whose step
-        # (t - T) / n rounds away from the [0, t] grid's here, so the two
-        # centers differ in their last bits.
-        for a, b in zip(dataclasses.astuple(got), dataclasses.astuple(want)):
-            assert a == pytest.approx(b, rel=1e-12)
+    # `_reference_state` flows on the [0, t - T] span of the run grid,
+    # which has the [0, t] span's step and nodes: the centers agree bit
+    # for bit on every window.
+    assert got == want
 
 
 def test_nonuniform_audit_circ_constant_over_time(circ, x0, grid6):
