@@ -22,10 +22,10 @@ row). Reports thousands of rows per second.
 
 Last, times input staging for the circle and spiral inputs on the run
 grid [0, 6] at h = 0.0025: one staging of the run grid, from which every
-span is sliced (2N + 1 evaluations), against restaging span by span as
-obsmhe once did, three evaluations per step for each of the reference
-span [0, 6] and the windows [t - 1, t], t = 1 .. 6. Reports the input
-evaluations and the milliseconds of each.
+span is sliced (2N + 1 evaluations), against staging each span on its
+own with three evaluations per step, for the reference span [0, 6] and
+the windows [t - 1, t], t = 1 .. 6. Reports the input evaluations and the
+milliseconds of each.
 
     python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """

@@ -60,8 +60,8 @@ Array = np.ndarray
 _NODE_TOL = 1e-9
 # Stagings held by the input memo, one per (signal, root grid). A
 # certificate, solve or audit slices all its spans from the staging of its
-# run grid, so a few entries serve every signal and grid in use at once.
-_MEMO_ENTRIES = 4
+# run grid, so two entries serve a signal in use and the one before it.
+_MEMO_ENTRIES = 2
 # State rows per finiteness and domain-guard check, so a check allocates
 # no temporary the size of a whole batch of trajectories.
 _GUARD_BLOCK = 256
@@ -290,10 +290,30 @@ class InputSignal:
                                   f"{self.bound}")
         return v
 
+    def _samples(self, pieces: Array, times: Array) -> tuple[Array, Array]:
+        """The samples of the pieces at the times, stacked read-only, and
+        which of them exceed the bound as `at` decides it. Norms of all rows
+        at once are within 2 m eps (m entries a row) of the per-sample
+        norms, so only rows that close to the limit are checked one by one."""
+        out = stack_rows((self.pieces[p][1](s) for p, s in zip(pieces, times.tolist())),
+                         len(times))
+        out.flags.writeable = False
+        over = np.zeros(len(times), dtype=bool)
+        if self.bound is not None:
+            rows = out.reshape(len(times), -1)
+            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+            margin = 4.0 * rows.shape[1] * np.finfo(float).eps
+            for i in np.flatnonzero(~(norms <= (self.bound + 1e-12) * (1.0 - margin))):
+                over[i] = self._exceeds(out[i])
+        return out, over
+
     def at_nodes(self, grid: TimeGrid) -> Array:
         """Right-continuous values at every grid node: a read-only slice of
         the staging of the grid's root."""
-        return _root_staging(self, grid).node_values(grid.offset, grid.n_steps)
+        base, i, m = grid.base, grid.offset, grid.n_steps + 1
+        nodes, _, _, over = _staging(self, base.t_start, base.h, base.n_steps)
+        _check_span(over, 0, i, m, self.bound)
+        return nodes[i:i + m]
 
     def stage_values(self, t0: float, h: float, n: int,
                      grid: Optional[TimeGrid] = None) -> tuple[Array, Array, Array]:
@@ -307,11 +327,14 @@ class InputSignal:
         """
         if n < 1:
             raise ValueError("stage_values needs at least one step")
-        if grid is None:
-            return _staging(self, t0, h, n).stages(0, n)
-        if (t0, h, n) != (grid.t_start, grid.h, grid.n_steps):
-            raise GridMismatch(f"span ({t0}, {h}, {n}) is not the span of {grid}")
-        return _root_staging(self, grid).stages(grid.offset, n)
+        i, root = 0, (t0, h, n)
+        if grid is not None:
+            if (t0, h, n) != (grid.t_start, grid.h, grid.n_steps):
+                raise GridMismatch(f"span ({t0}, {h}, {n}) is not the span of {grid}")
+            i, root = grid.offset, (grid.base.t_start, h, grid.base.n_steps)
+        nodes, mids, ends, over = _staging(self, *root)
+        _check_span(over, 1, i, n, self.bound)
+        return nodes[i:i + n], mids[i:i + n], ends[i:i + n]
 
     def check_breakpoints_on(self, grid: TimeGrid) -> None:
         for b in self.breakpoints:
@@ -319,94 +342,51 @@ class InputSignal:
                 grid.index_of(b)  # raises GridMismatch if off-grid
 
 
-class _Staging:
-    """One signal on the root time base of n steps of size h from origin:
-    the right-continuous value at each node k (origin + k*h) and at each
-    step midpoint, and each step's end input u1, the next node's value or,
-    at a breakpoint node, the left limit. Read-only arrays from 2n + 1
-    evaluations plus one per breakpoint node.
+def _stage(u: InputSignal, origin: float, h: float, n: int) -> tuple:
+    """u on the root time base of n steps of size h from origin, as
+    (nodes, mids, ends, over): the right-continuous value at each node k
+    (origin + k*h) and at each step midpoint, and each step's end input
+    u1, the next node's value or, at a breakpoint node, the left limit.
+    Read-only arrays from 2n + 1 evaluations plus one per breakpoint node.
 
     Samples above the bound are recorded, not raised, so that exactly the
-    spans that use one raise, every time they are served.
+    spans that use one raise, every time they are served: `over` is None,
+    or the time of each node's offending sample and of each step's first
+    one (u0, um, u1), NaN where there is none.
     """
-
-    def __init__(self, u: InputSignal, origin: float, h: float, n: int):
-        times = origin + h * np.arange(n + 1)
-        mids = times[:-1] + 0.5 * h
-        at_node, at_mid = u._piece_index(times), u._piece_index(mids)
-        self.bound = u.bound
-        self.nodes, self.mids = _evaluate(u, at_node, times), _evaluate(u, at_mid, mids)
-        over_node, over_mid = _over_bound(u, self.nodes), _over_bound(u, self.mids)
-        self.ends, over_end = self.nodes[1:], over_node[1:]
-        breaks = np.flatnonzero(at_node[1:] != at_mid)  # steps ending on a breakpoint
-        if breaks.size:
-            lefts = _evaluate(u, at_mid[breaks], times[breaks + 1])
-            self.ends, over_end = np.array(self.ends), over_end.copy()
-            self.ends[breaks], over_end[breaks] = lefts, _over_bound(u, lefts)
-            self.ends.flags.writeable = False
-        # The time of each node's offending sample and of each step's first
-        # one (u0, um, u1), NaN where there is none.
-        self.over = None
-        if over_node.any() or over_mid.any() or over_end.any():
-            self.over = (np.where(over_node, times, np.nan),
-                         np.select([over_node[:-1], over_mid, over_end],
-                                   [times[:-1], mids, times[1:]], np.nan))
-
-    def _check(self, which: int, i0: int, count: int) -> None:
-        if self.over is not None:
-            hits = self.over[which][i0:i0 + count]
-            hits = hits[~np.isnan(hits)]
-            if hits.size:
-                raise DomainViolation(f"input sample at s={float(hits[0])} "
-                                      f"exceeds declared bound {self.bound}")
-
-    def stages(self, i0: int, n: int) -> tuple[Array, Array, Array]:
-        """u0, um and u1 of the steps i0 .. i0 + n - 1."""
-        self._check(1, i0, n)
-        return self.nodes[i0:i0 + n], self.mids[i0:i0 + n], self.ends[i0:i0 + n]
-
-    def node_values(self, i0: int, n_steps: int) -> Array:
-        """The values at the nodes i0 .. i0 + n_steps."""
-        self._check(0, i0, n_steps + 1)
-        return self.nodes[i0:i0 + n_steps + 1]
+    times = origin + h * np.arange(n + 1)
+    mids = times[:-1] + 0.5 * h
+    at_node, at_mid = u._piece_index(times), u._piece_index(mids)
+    (nodes, over_node), (mid_values, over_mid) = (u._samples(at_node, times),
+                                                  u._samples(at_mid, mids))
+    ends, over_end = nodes[1:], over_node[1:]
+    breaks = np.flatnonzero(at_node[1:] != at_mid)  # steps ending on a breakpoint
+    if breaks.size:
+        lefts, over_left = u._samples(at_mid[breaks], times[breaks + 1])
+        ends, over_end = np.array(ends), over_end.copy()
+        ends[breaks], over_end[breaks] = lefts, over_left
+        ends.flags.writeable = False
+    over = None
+    if over_node.any() or over_mid.any() or over_end.any():
+        over = (np.where(over_node, times, np.nan),
+                np.select([over_node[:-1], over_mid, over_end],
+                          [times[:-1], mids, times[1:]], np.nan))
+    return nodes, mid_values, ends, over
 
 
-def _evaluate(u: InputSignal, pieces: Array, times: Array) -> Array:
-    """The samples of u's pieces at the times, stacked read-only."""
-    out = stack_rows((u.pieces[p][1](s) for p, s in zip(pieces, times.tolist())),
-                     len(times))
-    out.flags.writeable = False
-    return out
-
-
-def _over_bound(u: InputSignal, values: Array) -> Array:
-    """Which stacked samples exceed u's bound, as `at` decides it. Norms
-    of all rows at once are within 2 m eps (m entries a row) of the
-    per-sample norms, so only rows that close to the limit are checked
-    one by one."""
-    over = np.zeros(len(values), dtype=bool)
-    if u.bound is not None:
-        rows = values.reshape(len(values), -1)
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-        margin = 4.0 * rows.shape[1] * np.finfo(float).eps
-        for i in np.flatnonzero(~(norms <= (u.bound + 1e-12) * (1.0 - margin))):
-            over[i] = u._exceeds(values[i])
-    return over
-
-
-_STAGINGS: "OrderedDict[tuple, _Staging]" = OrderedDict()
+_STAGINGS: "OrderedDict[tuple, tuple]" = OrderedDict()
 _STAGINGS_LOCK = threading.Lock()
 
 
-def _staging(u: InputSignal, origin: float, h: float, n: int) -> _Staging:
-    """The memoized staging of u on the root time base (origin, h, n)."""
+def _staging(u: InputSignal, origin: float, h: float, n: int) -> tuple:
+    """`_stage` of u on (origin, h, n), from the memo when it holds it."""
     key = (u, origin, h, n)
     with _STAGINGS_LOCK:
         staging = _STAGINGS.get(key)
         if staging is not None:
             _STAGINGS.move_to_end(key)
             return staging
-    staging = _Staging(u, origin, h, n)
+    staging = _stage(u, origin, h, n)
     with _STAGINGS_LOCK:
         staging = _STAGINGS.setdefault(key, staging)
         _STAGINGS.move_to_end(key)
@@ -415,9 +395,16 @@ def _staging(u: InputSignal, origin: float, h: float, n: int) -> _Staging:
     return staging
 
 
-def _root_staging(u: InputSignal, grid: TimeGrid) -> _Staging:
-    base = grid.base
-    return _staging(u, base.t_start, base.h, base.n_steps)
+def _check_span(over: Optional[tuple], which: int, i0: int, count: int,
+                bound: Optional[float]) -> None:
+    """DomainViolation if one of the nodes (which = 0) or steps (1) i0 ..
+    i0 + count - 1 of a staging uses a sample above the bound."""
+    if over is not None:
+        hits = over[which][i0:i0 + count]
+        hits = hits[~np.isnan(hits)]
+        if hits.size:
+            raise DomainViolation(f"input sample at s={float(hits[0])} exceeds "
+                                  f"declared bound {bound}")
 
 
 @dataclass(frozen=True)

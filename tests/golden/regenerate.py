@@ -48,8 +48,8 @@ MHE_VARIANTS = {
 }
 
 # Library cases: one window of the [0, 6] run grid at a coarse step. At
-# t = 3.3, T = 1, h = 0.005 the subgrid [0, t - T] and the grid [0, t] were
-# once cut with steps that differed in the last bit.
+# t = 3.3, T = 1 a [0, t - T] grid cut with its own step (t - T) / n would
+# differ from the run grid's step in the last bit.
 GRID_END, STEP, T_END, HORIZON = 6.0, 0.005, 3.3, 1.0
 SYSTEMS = ("circ", "spi", "nonlinear")
 

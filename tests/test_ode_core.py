@@ -133,7 +133,7 @@ def test_input_stage_values_respect_breakpoints():
     staged = len(calls)
     again = u.stage_values(g.t_start, g.h, g.n_steps)
     assert len(calls) == staged
-    fresh = ode_core._Staging(u, g.t_start, g.h, g.n_steps).stages(0, g.n_steps)
+    fresh = [a[:g.n_steps] for a in ode_core._stage(u, g.t_start, g.h, g.n_steps)[:3]]
     for memo, first, new in zip(again, (u0, um, u1), fresh):
         assert np.shares_memory(memo, first) and not memo.flags.writeable
         assert memo.tobytes() == first.tobytes() == new.tobytes()
@@ -173,9 +173,9 @@ def test_input_memo_is_consistent_under_threads():
     spans = roots + [g.subgrid(g.nodes[3], g.nodes[15]) for g in roots]
     expected = {}
     for g in spans:
-        base = g.base
-        staged = ode_core._Staging(u, base.t_start, base.h, base.n_steps)
-        expected[g] = staged.stages(g.offset, g.n_steps)
+        base, i, n = g.base, g.offset, g.n_steps
+        staged = ode_core._stage(u, base.t_start, base.h, base.n_steps)[:3]
+        expected[g] = [a[i:i + n] for a in staged]
     errors = []
 
     def work(offset):
