@@ -83,8 +83,10 @@ def _record() -> dict:
 
 def _put(rec: dict, key: str, value) -> None:
     """File a leaf value under "numbers" (floats, as hex) or "other"."""
-    if isinstance(value, (bool, np.bool_)) or value is None or isinstance(value, str):
-        rec["other"][key] = value if not isinstance(value, np.bool_) else bool(value)
+    if isinstance(value, (bool, np.bool_)):
+        rec["other"][key] = bool(value)
+    elif value is None or isinstance(value, str):
+        rec["other"][key] = value
     elif isinstance(value, (int, np.integer)):
         rec["other"][key] = int(value)
     else:
