@@ -27,6 +27,16 @@ own with three evaluations per step, for the reference span [0, 6] and
 the windows [t - 1, t], t = 1 .. 6. Reports the input evaluations and the
 milliseconds of each.
 
+Then times the two window blocks of a Grammian scan for the circle and
+spiral inputs on the run grid [0, 6] at h = 0.0025, windows [t - 1, t],
+t = 1 .. 6: the six window Grammians from one STM block with per-row
+inputs (`grammian.window_grammians`) against one `cost.gauss_newton_term`
+per window, and the ball samples of the boundedness check, 20 a window,
+as one 120-row `ode_core.flow_windows` block against six 20-row
+`ode_core.flow_rows` blocks. Reports the milliseconds of each and
+thousands of steps per second, counting one step of a B-row block as B
+steps.
+
     python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """
 
@@ -38,6 +48,8 @@ import numpy as np
 
 from obsmhe import InputSignal, ode_core
 from obsmhe.bearing import bearing_system, u_circ, u_spi
+from obsmhe.cost import gauss_newton_term
+from obsmhe.grammian import ball_samples, window_grammians
 
 
 def bench(fn, repeats):
@@ -106,6 +118,7 @@ def main():
             print(f"{name + ' ' + label:<24}{block.shape[0] * block.shape[1] / t / 1e3:>14.1f}")
 
     bench_staging(args.repeats)
+    bench_windows(args.repeats)
 
 
 def _stage_per_step(fn, t0, h, n):
@@ -146,6 +159,40 @@ def bench_staging(repeats):
             evals = len(calls)
             ms = bench(job, repeats) * 1e3
             print(f"{name:<8}{label:<22}{evals:>8}{ms:>10.2f}")
+
+
+def bench_windows(repeats):
+    landmark, x0 = np.zeros(2), np.array([1.0, 0.0])
+    sys_ = bearing_system(landmark)
+    grid = ode_core.TimeGrid.with_step(0.0, 6.0, 0.0025)
+    ends = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    wins = [grid.subgrid(t - 1.0, t) for t in ends]
+    n = wins[0].n_steps
+    print(f"\nwindows [t - 1, t], t = 1 .. 6, of [0, 6] at h = {grid.h}, "
+          f"best of {repeats} runs\n")
+    print(f"{'input':<8}{'work':<34}{'ms':>10}{'ksteps/s':>12}")
+    for name, u in (("circ", u_circ(landmark, x0, 1.0)),
+                    ("spi", u_spi(landmark, x0, 1.0, 0.3))):
+        xs = ode_core.flow(sys_, 0.0, 6.0, x0, u, grid)
+        centers = xs[[w.offset for w in wins]]
+        rng = np.random.default_rng(0)
+        points = np.stack([ball_samples(rng, c, 0.02, 16) for c in centers])
+        rows = points.shape[0] * points.shape[1]
+        jobs = (
+            ("6 Grammians, one STM block", len(wins),
+             lambda: window_grammians(sys_, wins, centers, u)),
+            ("6 Grammians, one per window", len(wins),
+             lambda: [gauss_newton_term(sys_, w.t_start, w.t_end, c, u, grid)
+                      for w, c in zip(wins, centers)]),
+            (f"ball, one {rows}-row block", rows,
+             lambda: ode_core.flow_windows(sys_, wins, points, u)),
+            (f"ball, 6 blocks of {points.shape[1]} rows", rows,
+             lambda: [ode_core.flow_rows(sys_, w.t_start, w.t_end, p, u, grid)
+                      for w, p in zip(wins, points)]),
+        )
+        for label, b, job in jobs:
+            t = bench(job, repeats)
+            print(f"{name:<8}{label:<34}{t * 1e3:>10.2f}{b * n / t / 1e3:>12.1f}")
 
 
 if __name__ == "__main__":

@@ -66,6 +66,12 @@ _DEFAULTS = {
 }
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; true and false are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _require(cond: bool, field: str, msg: str) -> None:
     if not cond:
         raise ConfigError(msg, field=field)
@@ -117,12 +123,19 @@ def normalize_config(raw: dict) -> dict:
              "apply_to must be v, w, or both")
     _require(cfg["solver"]["hessian_mode"] in HESSIAN_MODES, "solver.hessian_mode",
              f"hessian_mode must be one of {HESSIAN_MODES}")
-    _require(0.0 < cfg["audit"]["alpha"] < 1.0, "audit.alpha",
+    au = cfg["audit"]
+    _require(_is_number(au["alpha"]) and 0.0 < au["alpha"] < 1.0, "audit.alpha",
              "alpha must lie in (0, 1)")
+    for key in ("R", "witness_step"):
+        _require(_is_number(au[key]) and au[key] > 0, f"audit.{key}",
+                 f"{key} must be a positive number")
+    for key in ("nu", "mu_threshold"):
+        _require(_is_number(au[key]) and au[key] >= 0, f"audit.{key}",
+                 f"{key} must be a nonnegative number")
     for key in ("n_ball_samples", "n_xi_samples", "n_eta_samples", "t_subsample"):
-        value = cfg["audit"][key]
-        _require(isinstance(value, (int, float)) and int(value) >= 1,
-                 f"audit.{key}", f"{key} must be at least 1")
+        value = au[key]
+        _require(_is_number(value) and value == int(value) and value >= 1,
+                 f"audit.{key}", f"{key} must be an integer of at least 1")
     # Canonicalize (tuples from preset tables -> lists) so the expanded
     # config is a JSON fixed point: normalize(normalize(x)) == normalize(x).
     return json.loads(json.dumps(cfg))

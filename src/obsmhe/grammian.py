@@ -7,7 +7,11 @@ and are therefore *sampled evidence, not a proof*: the underlying
 conditions quantify over all t >= T.
 
 `reference_scan` is the one place where window Grammians along the
-reference are computed: one reference flow, then one Grammian per window.
+reference are computed: one reference flow, then one STM block for all
+windows, from which each window's Grammian is taken (`window_grammians`).
+The boundedness check flows the ball samples of all windows as one block
+too. Both blocks give each row its own window's inputs, and each
+window's results equal those of the window flowed alone, bit for bit.
 Certificates (and CertificationInconclusive) carry the windows they
 scanned, and the uniform stability audit takes its mu_hat from the scan.
 """
@@ -20,9 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import cum_output_error, gauss_newton_term
+from .cost import cum_output_error, window_grammian
 from .errors import CertificationInconclusive, DomainViolation, EigFailure, Unbounded
-from .ode_core import Array, ControlSystem, InputSignal, TimeGrid, flow, flow_rows
+from .ode_core import (Array, ControlSystem, InputSignal, TimeGrid, flow,
+                       flow_and_stm_windows, flow_windows, output_jacobians_windows)
 
 SAMPLED_DISCLAIMER = "sampled evidence, not a proof"
 
@@ -138,8 +143,38 @@ class BoundednessReport:
 
 def observability_grammian(sys: ControlSystem, t: float, T: float, center: Array,
                            u: InputSignal, grid: TimeGrid) -> GrammianReport:
-    """Grammian of the window [t-T, t] along the trajectory from (t-T, center)."""
-    return grammian_report(t, T, center, gauss_newton_term(sys, t - T, t, center, u, grid))
+    """Grammian of the window [t-T, t] along the trajectory from (t-T,
+    center): `window_grammians` of that one window."""
+    center = np.asarray(center, dtype=float)
+    win = grid.subgrid(t - T, t)
+    return grammian_report(t, T, center, window_grammians(sys, [win], center[None], u)[0])
+
+
+def _by_steps(wins: list[TimeGrid]) -> list[list[int]]:
+    """The indices of wins grouped by step count, each group ascending: the
+    windows that can flow as one block."""
+    groups: dict[int, list[int]] = {}
+    for i, win in enumerate(wins):
+        groups.setdefault(win.n_steps, []).append(i)
+    return list(groups.values())
+
+
+def window_grammians(sys: ControlSystem, wins: list[TimeGrid], centers: Array,
+                     u: InputSignal) -> list[Array]:
+    """The Grammian of each window wins[w] of one run grid along the
+    trajectory from its start at centers[w], (W, n_x): the STMs of all
+    windows with one step count flow as one block with per-row inputs,
+    their output Jacobians take one `dh_dx_rows` call per node, and each
+    window's Grammian is `cost.window_grammian` of its own rows. Equal bit
+    for bit to one `cost.gauss_newton_term` per window."""
+    out: list[Array] = [None] * len(wins)
+    for group in _by_steps(wins):
+        block = [wins[i] for i in group]
+        xs, phis = flow_and_stm_windows(sys, block, centers[group][:, None], u)
+        hs = output_jacobians_windows(sys, xs, block, u)
+        for b, i in enumerate(group):
+            out[i] = window_grammian(wins[i], hs[b], np.ascontiguousarray(phis[:, b]))
+    return out
 
 
 def grammian_report(t: float, T: float, center: Array, c: Array) -> GrammianReport:
@@ -169,10 +204,13 @@ def reference_flow(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
 def reference_scan(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
                    t_grid, grid_step: float) -> tuple[TimeGrid, Array, list[GrammianReport]]:
     """The reference flow's grid and states, and one Grammian per window
-    [t-T, t] along it, t ascending."""
+    [t-T, t] along it, t ascending, from one STM block for all windows
+    (`window_grammians`)."""
     t_list, full, xs = reference_flow(sys, x0, u, T, t_grid, grid_step)
-    reports = [observability_grammian(sys, t, T, xs[full.index_of(t - T)], u, full)
-               for t in t_list]
+    centers = xs[[full.index_of(t - T) for t in t_list]]
+    wins = [full.subgrid(t - T, t) for t in t_list]
+    reports = [grammian_report(t, T, center, c) for t, center, c in
+               zip(t_list, centers, window_grammians(sys, wins, centers, u))]
     return full, xs, reports
 
 
@@ -325,8 +363,13 @@ def check_regular_boundedness(sys: ControlSystem, x0: Array, u: InputSignal,
                               ) -> BoundednessReport:
     """Sampled check of the uniform trajectory bound over ball-perturbed starts.
 
-    For each sampled window, flows the seeded points in the ball around
-    x(t-T) as one batch and records the largest trajectory norm seen.
+    Draws the seeded points in the ball around x(t-T) for every sampled
+    window, in window order from one rng stream, flows the points of all
+    windows with one step count as one block of rows, and records each
+    window's largest trajectory norm from its own rows. Raises
+    DomainViolation when a flow leaves the system domain, and otherwise
+    Unbounded for the first window, in window order, whose norm exceeds
+    `overflow_guard`.
     `reference=(grid, states)` supplies the reference flow from (0, x0)
     on the [0, max t] grid at `grid_step`, as `reference_scan` returns it,
     instead of integrating it again; ValueError if it starts elsewhere or
@@ -345,15 +388,18 @@ def check_regular_boundedness(sys: ControlSystem, x0: Array, u: InputSignal,
             raise ValueError(f"reference grid step {full.h} differs from "
                              f"grid_step {grid_step}")
     rng = np.random.default_rng(seed)
-    per_window = []
-    for t in t_list:
-        center = xs[full.index_of(t - T)]
-        sup = _sup_norm(flow_rows(sys, t - T, t,
-                                  ball_samples(rng, center, R, n_ball_samples),
-                                  u, full))
+    points = np.stack([ball_samples(rng, xs[full.index_of(t - T)], R, n_ball_samples)
+                       for t in t_list])
+    wins = [full.subgrid(t - T, t) for t in t_list]
+    m = points.shape[1]
+    per_window = [0.0] * len(wins)
+    for group in _by_steps(wins):
+        trajs = flow_windows(sys, [wins[i] for i in group], points[group], u)
+        for b, i in enumerate(group):
+            per_window[i] = _sup_norm(trajs[:, b * m:(b + 1) * m])
+    for sup in per_window:
         if sup > overflow_guard:
             raise Unbounded(f"trajectory norm {sup:.3e} exceeds the overflow guard")
-        per_window.append(sup)
     return BoundednessReport(horizon=T, radius=R, L_hat=max(per_window),
                              per_window_sup=tuple(per_window),
                              n_ball_samples=n_ball_samples, seed=seed)

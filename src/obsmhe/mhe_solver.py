@@ -465,6 +465,10 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if R <= 0:
+        raise ValueError("R must be positive")
+    if nu < 0:
+        raise ValueError("nu must be nonnegative")
     _require_samples(n_xi_samples=n_xi_samples, n_eta_samples=n_eta_samples,
                      t_subsample=t_subsample)
     full, xs, scan = reference_scan(sys, x0, u, T, t_grid, grid_step)

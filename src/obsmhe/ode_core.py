@@ -33,15 +33,21 @@ The batched flows step a block of B starts over one span through one
 call of `rk4_flow`, on one slice of the staging: `flow_rows` for states,
 `flow_and_stm_rows` for states and STMs (every difference point of a
 finite-difference Hessian), and `perturbed_flow_and_sensitivities_rows`
-for several process-noise draws from one start. They use the system's
-optional row callbacks `f_rows` and `df_dx_rows` (stacked rows, one input
-row shared by all of them) and `domain_guard_rows`, or a per-row
-fallback built from `f`, `df_dx` and `domain_guard`. Row b of a batch
-equals the single-row flow from its start bit for bit. The domain guard
-of every flow is checked on blocks of nodes through the row guard.
-`outputs_rows` and `output_jacobians_rows` take the outputs of such a
-block with one `h_rows` or `dh_dx_rows` call per node (or the per-row
-fallback from `h` and `dh_dx`).
+for several process-noise draws from one start. `flow_windows` and
+`flow_and_stm_windows` step the starts of several windows at different
+times of one run grid, with one step count, as one block: each row gets
+its own window's inputs, gathered from the run grid's staging and built
+one step at a time as the loop reads them, so the scan's window STMs and
+its ball samples each flow as one block. They use the system's optional
+row callbacks `f_rows` and `df_dx_rows` (stacked rows, with one input
+row shared by all of them or one input row per state) and
+`domain_guard_rows`, or a per-row fallback built from `f`, `df_dx` and
+`domain_guard`. Row b of a batch equals the single-row flow from its
+start on its own span bit for bit. The domain guard of every flow is
+checked on blocks of nodes through the row guard. `outputs_rows`,
+`output_jacobians_rows` and `output_jacobians_windows` take the outputs
+of such a block with one `h_rows` or `dh_dx_rows` call per node (or the
+per-row fallback from `h` and `dh_dx`).
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -105,15 +112,18 @@ class ControlSystem:
     Five optional row callbacks serve batched flows (`flow_rows`,
     `flow_and_stm_rows`, `perturbed_flow_and_sensitivities_rows`), the
     guard checks and the outputs of row blocks (`outputs_rows`,
-    `output_jacobians_rows`). `f_rows(X, u)` takes stacked states X of
-    shape (B, n_x) and one input row u shared by all of them, and returns
-    (B, n_x). `df_dx_rows`, `h_rows` and `dh_dx_rows` take the same
-    arguments and return (B, n_x, n_x), (B, n_y) and (B, n_y, n_x).
+    `output_jacobians_rows`), and the window blocks (`flow_windows`,
+    `flow_and_stm_windows`, `output_jacobians_windows`). `f_rows(X, u)`
+    takes stacked states X of shape (B, n_x) and either one input row u,
+    (n_u,), shared by all of them, or one input row per state, (B, n_u),
+    and returns (B, n_x). `df_dx_rows`, `h_rows` and `dh_dx_rows` take the
+    same arguments and return (B, n_x, n_x), (B, n_y) and (B, n_y, n_x).
     `domain_guard_rows(X)` returns a (B,) bool array. Each must equal its
     per-row callback on every row, bit for bit (for the guard, the same
     verdict), also when X is a strided view, since batched results are
     promised equal to per-row ones. A system that leaves them None gets a
-    fallback that calls the per-row callback once per row.
+    fallback that calls the per-row callback once per row, with the shared
+    input row or with that row's own.
     """
 
     n_x: int
@@ -516,33 +526,37 @@ def rk4_flow(f, x0: Array, h: float, u0: Array, um: Array, u1: Array,
              w: Optional[Array] = None) -> Array:
     """Integrate x' = f(x, u) + w over n steps of size h.
 
-    u0, um and u1 hold the stage inputs of each step, (n, n_u). x0 is one
-    state (n_x,) or a block of stacked states (B, n_x); for a block, `f`
-    takes the stacked rows and one input row shared by all of them and
+    u0, um and u1 hold the stage inputs of each step, read as u0[i] at
+    step i: one input row per step, (n, n_u), or for a block one row per
+    step and per block row, (n, B, n_u). x0 is one state (n_x,) or a block
+    of stacked states (B, n_x); for a block, `f` takes the stacked rows and
+    one input row shared by all of them, or one input row per state, and
     returns (B, n_x). `w` is None or holds the process noise of each step,
     read as w[i] at step i: one row per step, (n, n_x), which a block
     shares across its rows, or one row per step and per block row,
-    (n, B, n_x). Every operation
-    between the f calls is elementwise, so row b of the result equals, bit
-    for bit, the flow of x0[b] alone under its own noise when f's rows
-    equal its per-row results. Returns the states at all n+1 nodes,
-    (n+1,) + x0.shape, with states[0] == x0 exactly.
+    (n, B, n_x). Each of these may be a per-step view (`_StepRows`) that
+    builds step i when it is read; each is read once per step. Every
+    operation between the f calls is elementwise, so row b of the result
+    equals, bit for bit, the flow of x0[b] alone under its own inputs and
+    noise when f's rows equal its per-row results. Returns the states at
+    all n+1 nodes, (n+1,) + x0.shape, with states[0] == x0 exactly.
     """
-    n = u0.shape[0]
+    n = len(u0)
     xs = np.empty((n + 1,) + x0.shape)
     xs[0] = x0
     x = np.array(x0, dtype=float)
     for i in range(n):
+        umi = um[i]
         if w is None:
             k1 = f(x, u0[i])
-            k2 = f(x + (0.5 * h) * k1, um[i])
-            k3 = f(x + (0.5 * h) * k2, um[i])
+            k2 = f(x + (0.5 * h) * k1, umi)
+            k3 = f(x + (0.5 * h) * k2, umi)
             k4 = f(x + h * k3, u1[i])
         else:
             wi = w[i]
             k1 = f(x, u0[i]) + wi
-            k2 = f(x + (0.5 * h) * k1, um[i]) + wi
-            k3 = f(x + (0.5 * h) * k2, um[i]) + wi
+            k2 = f(x + (0.5 * h) * k1, umi) + wi
+            k3 = f(x + (0.5 * h) * k2, umi) + wi
             k4 = f(x + h * k3, u1[i]) + wi
         x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         xs[i + 1] = x
@@ -604,29 +618,46 @@ def rk4_flow_sens(f, dfdx, x0: Array, h: float, u0: Array, um: Array,
     """
     n, nx, k = dw.shape
     rows = w.shape[1:-1]
+    forcing = _StepRows(rows + (nx + nx * k,), (w, dw.reshape(n, nx * k)))
     return _rk4_tangents(f, dfdx, np.broadcast_to(x0, rows + (nx,)),
-                         np.zeros((nx, k)), h, u0, um, u1, _StepForcing(w, dw))
+                         np.zeros((nx, k)), h, u0, um, u1, forcing)
 
 
-class _StepForcing:
-    """The forcing [w_i; vec F_i] of `rk4_flow_sens`, built one step at a
-    time when `rk4_flow` asks for step i, so the directions F, shared by
-    every row, are not copied into every row for all steps at once."""
+class _StepRows:
+    """A per-step array of n steps whose step i, of shape `step_shape`, is
+    built only when `rk4_flow` reads it: the step-i values of the parts
+    side by side in the last axis, each broadcast over the rows, the rows
+    taken as `groups` equal groups. So values that many rows of a block
+    share, the noise directions of `rk4_flow_sens` or a window's inputs
+    repeated for each of its rows, are not copied into every row for all
+    steps at once."""
 
-    def __init__(self, w: Array, dw: Array):
-        self.w, self.dw = w, dw.reshape(dw.shape[0], -1)
+    def __init__(self, step_shape: tuple, parts: Sequence[Array], groups: int = 1):
+        self.step_shape, self.groups = step_shape, groups
+        ends = np.cumsum([part.shape[-1] for part in parts]).tolist()
+        self.parts = [(part, slice(end - part.shape[-1], end))
+                      for part, end in zip(parts, ends)]
+
+    def __len__(self) -> int:
+        return len(self.parts[0][0])
 
     def __getitem__(self, i: int) -> Array:
-        wi, nx = self.w[i], self.w.shape[-1]
-        out = np.empty(wi.shape[:-1] + (nx + self.dw.shape[1],))
-        out[..., :nx] = wi
-        out[..., nx:] = self.dw[i]
+        out = np.empty(self.step_shape)
+        rows = out if self.groups == 1 else out.reshape(
+            (self.groups, -1, self.step_shape[-1]))
+        for part, cols in self.parts:
+            rows[..., cols] = part[i]
         return out
 
 
 def _per_row(fn: Callable[[Array, Array], Array]) -> Callable[[Array, Array], Array]:
-    """fn of one state and one input row, applied to each stacked state."""
-    return lambda xs, u: stack_rows((fn(x, u) for x in xs), xs.shape[0])
+    """fn of one state and one input row, applied to each stacked state
+    with the input row u, (n_u,), that they share, or with its own row of
+    u, (B, n_u)."""
+    def rows(xs: Array, u: Array) -> Array:
+        us = u if np.ndim(u) == 2 else repeat(u)
+        return stack_rows((fn(x, ui) for x, ui in zip(xs, us)), xs.shape[0])
+    return rows
 
 
 def _f_rows(sys: ControlSystem) -> Callable[[Array, Array], Array]:
@@ -657,17 +688,17 @@ def _at_nodes(fn: Callable[[Array, Array], Array], xs: Array, us: Array,
 
 def outputs_rows(sys: ControlSystem, xs: Array, us: Array) -> Array:
     """The outputs h of every row of a block xs, (n, B, n_x), at the node
-    inputs us, (n, n_u): one `h_rows` call (or its per-row fallback) per
-    node. Returns (B, n, n_y); [b] equals the per-row outputs of xs[:, b]
-    bit for bit."""
+    inputs us, (n, n_u), or one input row per state, (n, B, n_u): one
+    `h_rows` call (or its per-row fallback) per node. Returns (B, n, n_y);
+    [b] equals the per-row outputs of xs[:, b] bit for bit."""
     return _at_nodes(sys.h_rows or _per_row(sys.h), xs, us, (sys.n_y,), "h_rows")
 
 
 def output_jacobians_rows(sys: ControlSystem, xs: Array, us: Array) -> Array:
     """The output Jacobians dh_dx of every row of a block xs, (n, B, n_x),
-    at the node inputs us: one `dh_dx_rows` call (or its per-row
-    fallback) per node. Returns (B, n, n_y, n_x); [b] equals the per-row
-    Jacobians bit for bit."""
+    at the node inputs us, as in `outputs_rows`: one `dh_dx_rows` call (or
+    its per-row fallback) per node. Returns (B, n, n_y, n_x); [b] equals
+    the per-row Jacobians bit for bit."""
     return _at_nodes(sys.dh_dx_rows or _per_row(sys.dh_dx), xs, us,
                      (sys.n_y, sys.n_x), "dh_dx_rows")
 
@@ -771,6 +802,88 @@ def flow_and_stm_rows(sys: ControlSystem, s1: float, s2: float, xis: Array,
                             u0, um, u1)
     _check_guard(sys, xs, "stm")
     return xs, phis
+
+
+def _window_inputs(u: InputSignal, wins: Sequence[TimeGrid], m: int,
+                   which: int) -> list:
+    """The inputs of W windows of one run grid with one step count n, each
+    window's repeated for m rows of a block, window-major: for which = 1
+    its stage inputs (u0, um, u1) at the n steps, for which = 0 its inputs
+    at the n + 1 nodes. Window w's inputs are the slice of the run grid's
+    staging that `stage_values` or `at_nodes` serves for it, gathered for
+    all windows at once, and they raise DomainViolation and GridMismatch
+    as those and the flows on each window do. Each array holds (W*m, n_u)
+    rows per step: gathered from the staging when m = 1, otherwise a
+    `_StepRows` that repeats each window's row when a step is read."""
+    base, n = wins[0].base, wins[0].n_steps
+    if any(win.base != base or win.n_steps != n for win in wins):
+        raise GridMismatch("windows of one block need one run grid and one step count")
+    for win in wins:
+        u.check_breakpoints_on(win)
+    staging = _staging(u, base.t_start, base.h, base.n_steps)
+    starts = np.array([win.offset for win in wins])
+    count = n + 1 - which
+    for i0 in starts.tolist():
+        _check_span(staging[3], which, i0, count, u.bound)
+    index = starts + np.arange(count)[:, None]
+    gathered = [values[index] for values in staging[:1 if which == 0 else 3]]
+    if m == 1:
+        return gathered
+    return [_StepRows((len(wins) * m,) + g.shape[2:], (g[:, :, None],), len(wins))
+            for g in gathered]
+
+
+def _window_starts(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Array) -> Array:
+    """xis as a float block (W, m >= 1, n_x), W = len(wins) >= 1;
+    DimensionMismatch otherwise."""
+    xis = np.asarray(xis, dtype=float)
+    if not wins or xis.ndim != 3 or xis.shape[0] != len(wins) or xis.shape[1] < 1 \
+            or xis.shape[2] != sys.n_x:
+        raise DimensionMismatch(
+            f"starts have shape {xis.shape}, expected ({len(wins)} >= 1, m >= 1, {sys.n_x})")
+    return xis
+
+
+def flow_windows(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Array,
+                 u: InputSignal) -> Array:
+    """`flow_rows` on several windows of one run grid with one step count
+    n, as one block: xis, (W, m, n_x), holds m starts at the start of each
+    window wins[w], and every row flows on its own window's inputs.
+
+    Returns (n+1, W*m, n_x), window-major; [:, w*m + j] equals `flow` from
+    xis[w, j] on wins[w] bit for bit. A start whose flow `flow` rejects
+    makes the block raise DomainViolation.
+    """
+    xis = _window_starts(sys, wins, xis)
+    u0, um, u1 = _window_inputs(u, wins, xis.shape[1], 1)
+    xs = rk4_flow(_f_rows(sys), xis.reshape(-1, sys.n_x), wins[0].h, u0, um, u1)
+    _check_guard(sys, xs, "flow")
+    return xs
+
+
+def flow_and_stm_windows(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Array,
+                         u: InputSignal) -> tuple[Array, Array]:
+    """`flow_and_stm_rows` on several windows of one run grid with one step
+    count n, as one block with per-row inputs, as in `flow_windows`.
+
+    Returns states (n+1, W*m, n_x) and STMs (n+1, W*m, n_x, n_x); row
+    w*m + j equals `flow_and_stm` from xis[w, j] on wins[w] bit for bit.
+    """
+    xis = _window_starts(sys, wins, xis)
+    u0, um, u1 = _window_inputs(u, wins, xis.shape[1], 1)
+    xs, phis = rk4_flow_stm(_f_rows(sys), _df_dx_rows(sys), xis.reshape(-1, sys.n_x),
+                            wins[0].h, u0, um, u1)
+    _check_guard(sys, xs, "stm")
+    return xs, phis
+
+
+def output_jacobians_windows(sys: ControlSystem, xs: Array, wins: Sequence[TimeGrid],
+                             u: InputSignal) -> Array:
+    """`output_jacobians_rows` of a block xs of `flow_windows` or
+    `flow_and_stm_windows` on wins, every row at its own window's node
+    inputs: one `dh_dx_rows` call per node. Returns (W*m, n+1, n_y, n_x)."""
+    (us,) = _window_inputs(u, wins, xs.shape[1] // len(wins), 0)
+    return output_jacobians_rows(sys, xs, us)
 
 
 def perturbed_flow(sys: ControlSystem, s1: float, s2: float, xi: Array,

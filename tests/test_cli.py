@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from obsmhe import ConfigError, ControlSystem, InputSignal, cli, grammian, ode_core
+from obsmhe import ConfigError, ControlSystem, InputSignal, cli, cost, ode_core
 from conftest import count_calls
 
 
@@ -214,6 +214,33 @@ def test_ball_sample_count_below_one_exit_2(tmp_path, count):
     assert not (out / "certificate.json").exists()
 
 
+@pytest.mark.parametrize("command, field, value", [
+    ("grammian-scan", "R", 0),
+    ("grammian-scan", "R", -1),
+    ("stability-audit", "R", 0),
+    ("stability-audit", "R", -1),
+    ("stability-audit", "nu", -1e-4),
+    ("grammian-scan", "mu_threshold", -1e-3),
+    ("grammian-scan", "witness_step", 0),
+    ("grammian-scan", "witness_step", -0.01),
+    ("grammian-scan", "n_ball_samples", 2.5),
+    ("stability-audit", "n_xi_samples", 1.5),
+    ("stability-audit", "n_eta_samples", 2.5),
+    ("stability-audit", "t_subsample", 2.5),
+])
+def test_invalid_audit_value_exit_2(tmp_path, capsys, command, field, value):
+    # Out-of-range audit values are config errors naming the field, not
+    # internal errors, failed margins or silently truncated counts.
+    cfg = {"system": "circ-default", "audit": {field: value}}
+    with pytest.raises(ConfigError) as info:
+        cli.normalize_config(cfg)
+    assert info.value.field == f"audit.{field}"
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert f"(field: audit.{field})" in capsys.readouterr().err
+    assert not any(out.glob("*.json"))
+
+
 def test_grammian_scan_integrates_the_reference_once(tmp_path, monkeypatch):
     # The scan and the boundedness check share one [0, 6] reference flow.
     calls = count_calls(monkeypatch, ode_core.flow)
@@ -228,10 +255,12 @@ def test_stability_audit_integrates_shared_trajectories_once(tmp_path, monkeypat
     # ball point xi takes one block of 21 rows for both draws: the 16
     # difference points of the Hessians at xi +- delta e_j, the 4 of the
     # Hessian at xi shared by all output-noise shifts, and xi itself for
-    # every noise gradient. The scan adds one STM per window Grammian.
-    # Both noise draws' references come from one augmented block of 2
-    # rows with their noise sensitivities, with no separate perturbed flow.
+    # every noise gradient. The scan adds one STM block holding every
+    # window, and no window flows its STM alone. Both noise draws'
+    # references come from one augmented block of 2 rows with their noise
+    # sensitivities, with no separate perturbed flow.
     calls = count_calls(monkeypatch, ode_core.flow_and_stm)
+    scans = count_calls(monkeypatch, ode_core.flow_and_stm_windows)
     blocks = count_calls(monkeypatch, ode_core.flow_and_stm_rows)
     refs = count_calls(monkeypatch, ode_core.perturbed_flow_and_sensitivities_rows)
     perturbed = count_calls(monkeypatch, ode_core.perturbed_flow)
@@ -239,7 +268,9 @@ def test_stability_audit_integrates_shared_trajectories_once(tmp_path, monkeypat
                   {"system": "circ-default",
                    "audit": {"R": 0.02, "nu": 1e-4, "alpha": 0.6, "t_subsample": 1}})
     assert code == 0
-    assert len(calls) == 6
+    assert calls == []
+    # flow_and_stm_windows(sys, wins, xis, u)
+    assert [(len(args[1]), args[2].shape) for args in scans] == [(6, (6, 1, 2))]
     assert [args[3].shape for args in blocks] == [(21, 2), (21, 2)]
     # perturbed_flow_and_sensitivities_rows(sys, t_end, xi, u, ws, dws, grid)
     assert [len(args[4]) for args in refs] == [2]
@@ -247,17 +278,17 @@ def test_stability_audit_integrates_shared_trajectories_once(tmp_path, monkeypat
 
 
 def test_grammian_scan_computes_each_window_grammian_once(tmp_path, monkeypatch):
-    calls = []
-    original = grammian.gauss_newton_term
-
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(grammian, "gauss_newton_term", counted)
+    # One STM block holds the six windows [t - 1, t], t = 1 .. 6, one row
+    # each; no window flows its STM or takes its Grammian alone.
+    scans = count_calls(monkeypatch, ode_core.flow_and_stm_windows)
+    singles = count_calls(monkeypatch, ode_core.flow_and_stm)
+    grammians = count_calls(monkeypatch, cost.gauss_newton_term)
     code, _ = run(tmp_path, "grammian-scan", {"system": "circ-default"})
     assert code == 0
-    assert calls == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]  # one per window end
+    assert [[(w.offset, w.n_steps) for w in args[1]] for args in scans] == \
+        [[(400 * k, 400) for k in range(6)]]  # one block, window ends 1 .. 6
+    assert [args[2].shape for args in scans] == [(6, 1, 2)]
+    assert singles == [] and grammians == []
 
 
 def test_grammian_scan_inconclusive_still_writes_scan(tmp_path, capsys):

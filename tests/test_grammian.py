@@ -1,5 +1,7 @@
 """Eigensolver, Grammian reports, and persistence certificates."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from obsmhe import (CertificationInconclusive, ControlSystem, InputSignal,
                     TimeGrid, Unbounded, Verdict, certify_weak_persistence,
                     certify_weak_regular_persistence,
                     check_regular_boundedness, jacobi_eigh,
-                    observability_grammian, bearing, flow)
-from obsmhe.grammian import ball_samples, reference_scan
+                    observability_grammian, bearing, flow, gauss_newton_term)
+from obsmhe.grammian import ball_samples, reference_scan, window_grammians
 from conftest import assert_bits_equal
 
 
@@ -108,6 +110,32 @@ def test_boundedness_overflow_guard(circ, x0):
         check_regular_boundedness(sys_, x0, u, T=1.0, R=0.1, t_grid=[1.0],
                                   n_ball_samples=4, seed=0, grid_step=0.005,
                                   overflow_guard=0.5)
+
+
+def test_boundedness_raises_for_the_first_window_over_the_guard(spi, x0):
+    # The spiral's trajectory norms grow with t, so a guard between the
+    # first two windows' sups is exceeded by both later windows; the error
+    # names the sup of the first of them in window order.
+    sys_, u = spi
+    args = (1.0, 0.1, [3.0, 1.0, 2.0], 4, 5, 0.005)
+    sups = check_regular_boundedness(sys_, x0, u, *args).per_window_sup
+    assert sups[0] < sups[1] < sups[2]
+    for guard, k in ((0.5 * (sups[0] + sups[1]), 1), (0.5 * sups[0], 0)):
+        with pytest.raises(Unbounded, match=re.escape(f"norm {sups[k]:.3e} exceeds")):
+            check_regular_boundedness(sys_, x0, u, *args, overflow_guard=guard)
+
+
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+def test_window_grammians_equal_one_gauss_newton_term_per_window(system, request, x0):
+    # Windows of two lengths, interleaved: one STM block per length, and
+    # the Grammians come back in window order.
+    sys_, u = request.getfixturevalue(system)
+    grid = TimeGrid.with_step(0.0, 3.0, 0.01)
+    spans = [(0.5, 1.5), (1.0, 2.5), (2.0, 3.0), (0.0, 1.5)]
+    centers = x0 + 0.1 * np.random.default_rng(5).standard_normal((len(spans), 2))
+    got = window_grammians(sys_, [grid.subgrid(a, b) for a, b in spans], centers, u)
+    for (a, b), center, c in zip(spans, centers, got):
+        assert_bits_equal(c, gauss_newton_term(sys_, a, b, center, u, grid))
 
 
 def test_ball_samples_stay_in_ball_and_cover_axes():

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import obsmhe
+from golden.regenerate import nonlinear_scenario
 from obsmhe import (ControlSystem, DimensionMismatch, DomainViolation, GridMismatch,
                     InputSignal, NoiseSignals, SampledSignal, TimeGrid, ZERO_NOISE,
                     check_jacobians, cum_output_error, flow, flow_and_stm,
                     flow_and_stm_rows, flow_rows, gauss_newton_term,
-                    noise_sensitivity, ode_core, perturbed_flow,
+                    bearing, cost, noise_sensitivity, ode_core, perturbed_flow,
                     perturbed_flow_and_sensitivities,
                     perturbed_flow_and_sensitivities_rows, stm)
 from conftest import assert_bits_equal
@@ -643,6 +644,125 @@ def test_flow_rows_non_finite_row_matches_flow(system, request, grid2, x0):
         message = _first_violation(lambda: flow(sys_, 0.0, 1.0, bad, u, grid2))
         assert message == "non-finite state during flow"
         assert _first_violation(lambda: flow_rows(sys_, 0.0, 1.0, xis, u, grid2)) == message
+
+
+# -- window blocks ------------------------------------------------------------
+
+# The bearing system has row callbacks; the nonlinear fixture goes through
+# the per-row fallbacks, has Phi != I and an input that enters f.
+_BLOCK_SYSTEMS = {"bearing": bearing.bearing_system([0.0, 0.0]),
+                  "nonlinear": nonlinear_scenario()[0]}
+_LAWS = (lambda s: np.array([-np.sin(s), np.cos(s)]),
+         lambda s: np.array([0.5 * np.cos(3.0 * s), 0.3 - s]))
+
+
+@st.composite
+def window_block(draw):
+    """A root grid, 1-6 windows of one length at random offsets of it,
+    1-5 rows a window, an optional breakpoint on a root node, and a seed."""
+    n = draw(st.integers(4, 48))
+    length = draw(st.integers(1, n))
+    offsets = draw(st.lists(st.integers(0, n - length), min_size=1, max_size=6))
+    m = draw(st.integers(1, 5))
+    k = draw(st.none() | st.integers(1, n - 1))
+    return TimeGrid(0.0, 2.0, n), length, offsets, m, k, draw(st.integers(0, 2 ** 16))
+
+
+def _block_case(case, second_law):
+    root, length, offsets, m, k, seed = case
+    nodes = root.nodes
+    pieces = ((0.0, _LAWS[0]),)
+    if k is not None:
+        pieces += ((float(nodes[k]), second_law),)
+    wins = [root.subgrid(nodes[o], nodes[o + length]) for o in offsets]
+    xis = np.array([1.0, 0.5]) + 0.2 * np.random.default_rng(seed).standard_normal(
+        (len(wins), m, 2))
+    return root, pieces, wins, xis
+
+
+@pytest.mark.parametrize("system", sorted(_BLOCK_SYSTEMS))
+@settings(max_examples=60, deadline=None)
+@given(case=window_block())
+def test_window_block_rows_equal_each_window_alone(system, case):
+    sys_ = _BLOCK_SYSTEMS[system]
+    root, pieces, wins, xis = _block_case(case, _LAWS[1])
+    u = InputSignal(pieces)
+    m = xis.shape[1]
+    xs = ode_core.flow_windows(sys_, wins, xis, u)
+    xs_stm, phis = ode_core.flow_and_stm_windows(sys_, wins, xis, u)
+    hs = ode_core.output_jacobians_windows(sys_, xs_stm, wins, u)
+    for w, win in enumerate(wins):
+        for j in range(m):
+            b = w * m + j
+            x1, p1 = flow_and_stm(sys_, win.t_start, win.t_end, xis[w, j], u, root)
+            assert_bits_equal(xs[:, b], flow(sys_, win.t_start, win.t_end, xis[w, j], u,
+                                             root))
+            assert_bits_equal(xs_stm[:, b], x1)
+            assert_bits_equal(phis[:, b], p1)
+            assert_bits_equal(hs[b], cost.output_jacobians(sys_, x1, u.at_nodes(win)))
+
+
+def _violation(call):
+    """The DomainViolation message of call(), or None if it returns."""
+    try:
+        call()
+    except DomainViolation as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=window_block(), spike=st.integers(0, 48))
+def test_window_block_raises_exactly_when_a_window_uses_a_bad_sample(case, spike):
+    # One node sample, on the second piece when there is a breakpoint,
+    # exceeds the bound. A block raises exactly when some window alone
+    # does: its stages for the flows, its stages or nodes for the STMs and
+    # output Jacobians (a window ending on the breakpoint takes the left
+    # limit at its end, so only its nodes use a sample there).
+    sys_ = _BLOCK_SYSTEMS["bearing"]
+    root = case[0]
+    spike_t = float(root.nodes[min(spike, root.n_steps)])
+    law = lambda s: np.array([5.0 if s == spike_t else 0.5, 0.0])
+    _, pieces, wins, xis = _block_case(case, law)
+    if len(pieces) == 1:
+        pieces = ((0.0, law),)
+    u = InputSignal(pieces, bound=1.0)
+
+    def alone(win, x):
+        flow_and_stm(sys_, win.t_start, win.t_end, x, u, root)
+        u.at_nodes(win)
+
+    for block, single in (
+            (lambda: ode_core.flow_windows(sys_, wins, xis, u),
+             lambda win, x: flow(sys_, win.t_start, win.t_end, x, u, root)),
+            (lambda: ode_core.output_jacobians_windows(
+                sys_, ode_core.flow_and_stm_windows(sys_, wins, xis, u)[0], wins, u),
+             alone)):
+        singles = [_violation(lambda: single(win, x[0])) for win, x in zip(wins, xis)]
+        message = _violation(block)
+        assert (message is not None) == any(singles)
+        if message is not None:
+            assert message == next(s for s in singles if s is not None)
+            assert f"s={spike_t}" in message
+
+
+def test_window_block_rejects_misshaped_starts_and_mixed_windows(circ, grid2, x0):
+    sys_, u = circ
+    wins = [grid2.subgrid(0.0, 0.5), grid2.subgrid(1.0, 1.5)]
+    for xis in (np.zeros((2, 2)), np.zeros((1, 1, 2)), np.zeros((2, 0, 2)),
+                np.zeros((2, 1, 3))):
+        with pytest.raises(DimensionMismatch):
+            ode_core.flow_windows(sys_, wins, xis, u)
+    starts = np.tile(x0, (2, 1, 1))
+    other = TimeGrid.with_step(0.0, 2.0, 0.01)
+    for mixed in ([wins[0], grid2.subgrid(1.0, 2.0)], [wins[0], other.subgrid(1.0, 1.5)]):
+        with pytest.raises(GridMismatch):
+            ode_core.flow_and_stm_windows(sys_, mixed, starts, u)
+    # A breakpoint off the grid inside the second window only.
+    off_grid = InputSignal(((0.0, _LAWS[0]), (1.2345, _LAWS[1])))
+    ode_core.flow_windows(sys_, wins[:1], starts[:1], off_grid)
+    with pytest.raises(GridMismatch):
+        ode_core.flow_windows(sys_, wins, starts, off_grid)
 
 
 def test_domain_guard_rows_agrees_with_domain_guard(circ):

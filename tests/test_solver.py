@@ -166,6 +166,15 @@ def test_uniform_audit_rejects_sample_counts_below_one(circ, x0, field):
                                 alpha=0.6, grid_step=0.005, **{field: 0})
 
 
+@pytest.mark.parametrize("R, nu, match", [(0.0, 1e-4, "R"), (-1.0, 1e-4, "R"),
+                                          (0.02, -1e-4, "nu")])
+def test_uniform_audit_rejects_bad_radius_and_noise_bound(circ, x0, R, nu, match):
+    sys_, u = circ
+    with pytest.raises(ValueError, match=match):
+        audit_uniform_stability(sys_, x0, u, 1.0, [2, 4], R=R, nu=nu,
+                                alpha=0.6, grid_step=0.005)
+
+
 def test_nonuniform_audit_rejects_no_noise_draws(circ, x0, grid6):
     sys_, u = circ
     with pytest.raises(ValueError, match="n_noise_samples"):
@@ -257,17 +266,21 @@ def test_nonuniform_audit_bounds_actual_error(circ, x0, grid6):
 
 
 def _strict_outputs(sys_):
-    """sys_ with output callbacks, per-row and on rows, that require an
-    input row u, as the ControlSystem contract allows."""
-    def requiring_u(fn):
+    """sys_ with output callbacks, per-row and on rows, that require the
+    inputs the ControlSystem contract gives them: one input row (n_u,),
+    or for the row callbacks also one row per state, (B, n_u) with B the
+    number of states."""
+    def requiring_u(fn, rows):
         def call(x, u):
-            if np.shape(u) != (sys_.n_u,):
+            shapes = [(sys_.n_u,)] + ([(np.shape(x)[0], sys_.n_u)] if rows else [])
+            if np.shape(u) not in shapes:
                 raise TypeError(f"output callback got input {u!r}")
             return fn(x, u)
         return call
 
     assert None not in (sys_.h_rows, sys_.dh_dx_rows)
-    return dataclasses.replace(sys_, **{name: requiring_u(getattr(sys_, name))
+    return dataclasses.replace(sys_, **{name: requiring_u(getattr(sys_, name),
+                                                          name.endswith("_rows"))
                                         for name in ("h", "dh_dx", "h_rows", "dh_dx_rows")})
 
 
