@@ -259,6 +259,30 @@ def _hessian_case(system: str):
     return run
 
 
+def _window_cost_case(system: str):
+    def run() -> dict:
+        from obsmhe import (cum_output_error, flow, grad_cum_error,
+                            grad_perturbed_cost, hess_cum_error, perturbed_cost)
+
+        sys_, u, x0, grid = _setting(system)
+        t1 = T_END - HORIZON
+        xi1 = flow(sys_, 0.0, t1, x0, u, grid)[-1]
+        xi2 = xi1 + np.array([0.01, -0.02])
+        eta = _noises(sys_, grid)["uniform-vw"]
+        rec = _record()
+        _put(rec, "cum_output_error",
+             cum_output_error(sys_, t1, T_END, xi1, xi2, u, grid).value)
+        _put_tree(rec, "grad_cum_error", grad_cum_error(sys_, t1, T_END, xi1, xi2, u, grid))
+        _put_tree(rec, "hess_cum_error", hess_cum_error(
+            sys_, t1, T_END, xi1, xi2, u, grid, mode="gauss_newton"))
+        _put(rec, "perturbed_cost",
+             perturbed_cost(sys_, T_END, HORIZON, x0, xi2, u, eta, grid).value)
+        _put_tree(rec, "grad_perturbed_cost",
+                  grad_perturbed_cost(sys_, T_END, HORIZON, x0, xi2, u, eta, grid))
+        return rec
+    return run
+
+
 def _multistart_case(system: str):
     def run() -> dict:
         from obsmhe import SolverOptions, multistart_uniqueness
@@ -285,6 +309,7 @@ def _library_cases() -> dict:
         cases[f"lib/audit_uniform_stability/{system}"] = _uniform_audit_case(system)
         cases[f"lib/audit_nonuniform_stability/{system}"] = _nonuniform_audit_case(system)
         cases[f"lib/hess_cum_error_full_fd/{system}"] = _hessian_case(system)
+        cases[f"lib/window_costs/{system}"] = _window_cost_case(system)
         cases[f"lib/multistart_uniqueness/{system}"] = _multistart_case(system)
     return cases
 
