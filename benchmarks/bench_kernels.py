@@ -6,9 +6,10 @@ Times, on the 2D bearing system over one revolution of the circle input:
 [x; vec Phi] with Phi(0) = I; `ode_core.rk4_flow_sens` (augmented, Z(0) = 0)
 with k = 1 and k = n_x noise directions; `rk4_flow` on one state
 (B = 1, per-row f) and on a block of B = 20 stacked states (the system's
-f_rows), as in `ode_core.flow_rows`; `rk4_flow_stm` on row blocks of
-B = 1, 2 n_x (the difference points of one FD Hessian) and 21 (the block
-of one uniform-audit ball point), as in `ode_core.flow_and_stm_rows`; and
+f_rows), as in a one-window `ode_core.flow_windows`; `rk4_flow_stm` on
+row blocks of B = 1, 2 n_x (the difference points of one FD Hessian) and
+21 (the block of one uniform-audit ball point), as in a one-window
+`ode_core.flow_and_stm_windows`; and
 `rk4_flow_sens` on B = 3 noise draws with per-row forcing, as in
 `ode_core.perturbed_flow_and_sensitivities_rows`. Reports thousands of
 steps per second, counting one step of a B-row block as B steps.
@@ -20,7 +21,7 @@ once with the system's `h_rows` and `dh_dx_rows` (one call per node) and
 once with the per-row fallback (one `h` or `dh_dx` call per node and
 row). Reports thousands of rows per second.
 
-Last, times input staging for the circle and spiral inputs on the run
+Then times input staging for the circle and spiral inputs on the run
 grid [0, 6] at h = 0.0025: one staging of the run grid, from which every
 span is sliced (2N + 1 evaluations), against staging each span on its
 own with three evaluations per step, for the reference span [0, 6] and
@@ -32,10 +33,18 @@ spiral inputs on the run grid [0, 6] at h = 0.0025, windows [t - 1, t],
 t = 1 .. 6: the six window Grammians from one STM block with per-row
 inputs (`grammian.window_grammians`) against one `cost.gauss_newton_term`
 per window, and the ball samples of the boundedness check, 20 a window,
-as one 120-row `ode_core.flow_windows` block against six 20-row
-`ode_core.flow_rows` blocks. Reports the milliseconds of each and
-thousands of steps per second, counting one step of a B-row block as B
-steps.
+as one 120-row `ode_core.flow_windows` block against six one-window
+blocks of 20 rows. Reports the milliseconds of each and thousands of
+steps per second, counting one step of a B-row block as B steps.
+
+Last, times a single trajectory two ways each, on the circle input and
+the run grid [0, 6] at h = 0.0025: the [0, 6] flow as `ode_core.flow`
+(the per-row f) against the same flow as a one-row block
+(`ode_core.flow_windows`, the system's f_rows); and the outputs h and
+output Jacobians dh_dx of the 401 nodes of the window [1, 2], one
+per-row call per node (`cost._outputs`, `cost.output_jacobians`)
+against one `h_rows` or `dh_dx_rows` call with one input row per node.
+Reports the milliseconds of each.
 
     python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """
@@ -48,6 +57,7 @@ import numpy as np
 
 from obsmhe import InputSignal, ode_core
 from obsmhe.bearing import bearing_system, u_circ, u_spi
+from obsmhe import cost
 from obsmhe.cost import gauss_newton_term
 from obsmhe.grammian import ball_samples, window_grammians
 
@@ -119,6 +129,7 @@ def main():
 
     bench_staging(args.repeats)
     bench_windows(args.repeats)
+    bench_single(args.repeats)
 
 
 def _stage_per_step(fn, t0, h, n):
@@ -187,12 +198,37 @@ def bench_windows(repeats):
             (f"ball, one {rows}-row block", rows,
              lambda: ode_core.flow_windows(sys_, wins, points, u)),
             (f"ball, 6 blocks of {points.shape[1]} rows", rows,
-             lambda: [ode_core.flow_rows(sys_, w.t_start, w.t_end, p, u, grid)
+             lambda: [ode_core.flow_windows(sys_, [w], p[None], u)
                       for w, p in zip(wins, points)]),
         )
         for label, b, job in jobs:
             t = bench(job, repeats)
             print(f"{name:<8}{label:<34}{t * 1e3:>10.2f}{b * n / t / 1e3:>12.1f}")
+
+
+def bench_single(repeats):
+    landmark, x0 = np.zeros(2), np.array([1.0, 0.0])
+    sys_ = bearing_system(landmark)
+    u = u_circ(landmark, x0, 1.0)
+    grid = ode_core.TimeGrid.with_step(0.0, 6.0, 0.0025)
+    win = grid.subgrid(1.0, 2.0)
+    xs = ode_core.flow(sys_, 1.0, 2.0, x0, u, grid)
+    us = u.at_nodes(win)
+    print(f"\none circle trajectory at h = {grid.h}, best of {repeats} runs\n")
+    print(f"{'work':<42}{'ms':>10}")
+    jobs = (
+        ("[0, 6] flow, flow", lambda: ode_core.flow(sys_, 0.0, 6.0, x0, u, grid)),
+        ("[0, 6] flow, one-row block",
+         lambda: ode_core.flow_windows(sys_, [grid], x0[None, None], u)),
+        (f"h at {len(xs)} nodes, one call per node", lambda: cost._outputs(sys_, xs, us)),
+        (f"h at {len(xs)} nodes, one h_rows call", lambda: sys_.h_rows(xs, us)),
+        (f"dh_dx at {len(xs)} nodes, one call per node",
+         lambda: cost.output_jacobians(sys_, xs, us)),
+        (f"dh_dx at {len(xs)} nodes, one dh_dx_rows call",
+         lambda: sys_.dh_dx_rows(xs, us)),
+    )
+    for label, job in jobs:
+        print(f"{label:<42}{bench(job, repeats) * 1e3:>10.2f}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from .errors import (BoundaryStuck, CertificationInconclusive, ConditionsFailed,
                      Unbounded)
 from .ode_core import (ControlSystem, InputSignal, NoiseSignals, SampledSignal,
                        TimeGrid, ZERO_NOISE, check_jacobians, flow,
-                       flow_and_stm, flow_and_stm_rows, flow_rows,
+                       flow_and_stm, flow_and_stm_windows, flow_windows,
                        noise_sensitivity, perturbed_flow,
                        perturbed_flow_and_sensitivities,
                        perturbed_flow_and_sensitivities_rows, stm)
@@ -50,8 +50,8 @@ __all__ = [
     "MaxItersExceeded", "BoundaryStuck", "ConditionsFailed", "ConfigError",
     # ode core
     "ControlSystem", "TimeGrid", "InputSignal", "SampledSignal",
-    "NoiseSignals", "ZERO_NOISE", "check_jacobians", "flow", "flow_rows",
-    "stm", "flow_and_stm", "flow_and_stm_rows", "perturbed_flow",
+    "NoiseSignals", "ZERO_NOISE", "check_jacobians", "flow", "flow_windows",
+    "stm", "flow_and_stm", "flow_and_stm_windows", "perturbed_flow",
     "noise_sensitivity", "perturbed_flow_and_sensitivities",
     "perturbed_flow_and_sensitivities_rows",
     # cost

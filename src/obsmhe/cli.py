@@ -66,6 +66,27 @@ _DEFAULTS = {
 }
 
 
+# The numeric fields of each section and the rule each must meet (the
+# audit's alpha and singular_tol are checked on their own).
+_NUMERIC_FIELDS = {
+    "t_grid": {"start": "number", "stop": "number", "count": "count"},
+    "noise": {"amplitude": "nonnegative", "seed": "whole"},
+    "solver": {"ball_radius": "positive", "max_iters": "whole",
+               "grad_tol": "nonnegative"},
+    "audit": {"R": "positive", "witness_step": "positive", "nu": "nonnegative",
+              "mu_threshold": "nonnegative", "seed": "whole",
+              "n_ball_samples": "count", "n_xi_samples": "count",
+              "n_eta_samples": "count", "t_subsample": "count"},
+}
+_RULES = {
+    "number": ("a number", lambda v: True),
+    "positive": ("a positive number", lambda v: v > 0),
+    "nonnegative": ("a nonnegative number", lambda v: v >= 0),
+    "whole": ("an integer of at least 0", lambda v: v == int(v) and v >= 0),
+    "count": ("an integer of at least 1", lambda v: v == int(v) and v >= 1),
+}
+
+
 def _is_number(value) -> bool:
     """A finite JSON number; true and false are not numbers here."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -75,6 +96,13 @@ def _is_number(value) -> bool:
 def _require(cond: bool, field: str, msg: str) -> None:
     if not cond:
         raise ConfigError(msg, field=field)
+
+
+def _require_number(value, field: str, rule: str) -> None:
+    """ConfigError naming the field unless value is a number meeting rule."""
+    desc, ok = _RULES[rule]
+    _require(_is_number(value) and ok(value), field,
+             f"{field.rpartition('.')[2]} must be {desc}")
 
 
 def normalize_config(raw: dict) -> dict:
@@ -103,22 +131,21 @@ def normalize_config(raw: dict) -> dict:
 
     for key in ("T", "grid_step"):
         cfg.setdefault(key, _DEFAULTS[key])
-        _require(isinstance(cfg[key], (int, float)) and cfg[key] > 0, key,
-                 f"{key} must be a positive number")
+        _require_number(cfg[key], key, "positive")
     for key in ("t_grid", "noise", "solver", "audit"):
         merged = dict(_DEFAULTS[key])
         user = cfg.get(key, {})
         _require(isinstance(user, dict), key, f"{key} must be an object")
         merged.update(user)
         cfg[key] = merged
+        for name, rule in _NUMERIC_FIELDS[key].items():
+            _require_number(merged[name], f"{key}.{name}", rule)
 
     tg = cfg["t_grid"]
     _require(tg["stop"] >= tg["start"], "t_grid", "stop must be >= start")
-    _require(int(tg["count"]) >= 1, "t_grid.count", "count must be >= 1")
     nz = cfg["noise"]
     _require(nz["family"] in NOISE_FAMILIES, "noise.family",
              f"noise family must be one of {NOISE_FAMILIES}")
-    _require(nz["amplitude"] >= 0, "noise.amplitude", "amplitude must be >= 0")
     _require(nz.get("apply_to", "v") in ("v", "w", "both"), "noise.apply_to",
              "apply_to must be v, w, or both")
     _require(cfg["solver"]["hessian_mode"] in HESSIAN_MODES, "solver.hessian_mode",
@@ -126,16 +153,8 @@ def normalize_config(raw: dict) -> dict:
     au = cfg["audit"]
     _require(_is_number(au["alpha"]) and 0.0 < au["alpha"] < 1.0, "audit.alpha",
              "alpha must lie in (0, 1)")
-    for key in ("R", "witness_step"):
-        _require(_is_number(au[key]) and au[key] > 0, f"audit.{key}",
-                 f"{key} must be a positive number")
-    for key in ("nu", "mu_threshold"):
-        _require(_is_number(au[key]) and au[key] >= 0, f"audit.{key}",
-                 f"{key} must be a nonnegative number")
-    for key in ("n_ball_samples", "n_xi_samples", "n_eta_samples", "t_subsample"):
-        value = au[key]
-        _require(_is_number(value) and value == int(value) and value >= 1,
-                 f"audit.{key}", f"{key} must be an integer of at least 1")
+    if au["singular_tol"] is not None:
+        _require_number(au["singular_tol"], "audit.singular_tol", "nonnegative")
     # Canonicalize (tuples from preset tables -> lists) so the expanded
     # config is a JSON fixed point: normalize(normalize(x)) == normalize(x).
     return json.loads(json.dumps(cfg))

@@ -1,13 +1,21 @@
 """Cumulative output error, its perturbed variant, and analytic derivatives.
 
-The cost of comparing two state hypotheses over a window is the integral
-of the squared output mismatch of their flows. Quadrature is composite
-Simpson on the RK4 grid, so the window grid must have an even number of
-steps. All functions are pure; trajectories are integrated per call.
+FIE, MHE and perturbed MHE minimize one window cost: the integral over a
+window of the squared mismatch between the outputs of the flow from a
+candidate start and a reference output. `WindowProblem` is its one
+implementation, with the gradient and the Hessian in the start. The
+cumulative output error compares two state hypotheses, so its reference
+is the outputs of the flow from the first (`cum_output_error`,
+`grad_cum_error`, `hess_cum_error`); the perturbed cost's reference is
+the noisy record (`perturbed_cost`, `grad_perturbed_cost`), and so is
+the window solvers'. Quadrature is composite Simpson on the RK4 grid, so
+the window grid must have an even number of steps. All functions are
+pure; trajectories are integrated per call.
 
 A finite-difference Hessian needs the gradients at its 2 n_x difference
 points. `fd_hessian` asks for them all at once, so the window costs
-flow the points as one block of rows (`candidate_terms_rows`). Several
+flow the points as one block of rows, a one-window block of
+`ode_core.flow_and_stm_windows` (`candidate_terms_rows`). Several
 noise draws of one reference flow as one block as well
 (`reference_and_noise_directions_rows`). The outputs and output
 Jacobians of a block are taken with one row-callback call per node
@@ -32,7 +40,7 @@ from .ode_core import (
     TimeGrid,
     flow,
     flow_and_stm,
-    flow_and_stm_rows,
+    flow_and_stm_windows,
     output_jacobians_rows,
     outputs_rows,
     perturbed_flow,
@@ -111,35 +119,67 @@ def fd_hessian(grads_at: Callable[[Array], Array], x: Array) -> Array:
     return 0.5 * (h + h.T)
 
 
+class WindowProblem:
+    """The window cost of a candidate start xi against a reference output
+    ref_out at the nodes of win, with its gradient and Hessian in xi: the
+    Simpson integral over win of |y(s) - ref_out(s)|^2, y the outputs of
+    the flow from (win.t_start, xi)."""
+
+    def __init__(self, sys: ControlSystem, u: InputSignal, win: TimeGrid,
+                 ref_out: Array):
+        self.sys = sys
+        self.u = u
+        self.win = win
+        self.ref_out = ref_out
+
+    def cost(self, xi: Array) -> float:
+        return perturbed_cost_from_reference(self.sys, self.win, xi, self.u,
+                                             self.ref_out)
+
+    def grad(self, xi: Array) -> Array:
+        return grad_perturbed_cost_from_reference(self.sys, self.win, xi,
+                                                  self.u, self.ref_out)
+
+    def hess(self, xi: Array, mode: str) -> Array:
+        """gauss_newton: 2*C(t, T, xi, u), exact where the residual
+        vanishes. full_fd: `hess_fd`, which captures the residual term as
+        well."""
+        if mode == "gauss_newton":
+            return 2.0 * gauss_newton_term(self.sys, self.win.t_start,
+                                           self.win.t_end, xi, self.u, self.win)
+        if mode == "full_fd":
+            return self.hess_fd(xi)
+        raise ValueError(f"unknown hessian mode {mode!r}")
+
+    def hess_fd(self, xi: Array) -> Array:
+        """fd_hessian of the cost at xi; its difference points flow as one
+        block of rows."""
+        return fd_hessian(lambda pts: grads_from_terms(
+            self.win, candidate_terms_rows(self.sys, self.win, pts, self.u),
+            self.ref_out), xi)
+
+
+def _flow_problem(sys: ControlSystem, t1: float, t2: float, xi1: Array,
+                  u: InputSignal, grid: TimeGrid) -> WindowProblem:
+    """The window [t1, t2] against the outputs of the flow from (t1, xi1)."""
+    win = grid.subgrid(t1, t2)
+    y1 = _outputs(sys, flow(sys, t1, t2, xi1, u, win), u.at_nodes(win))
+    return WindowProblem(sys, u, win, y1)
+
+
 def cum_output_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
                      xi2: Array, u: InputSignal, grid: TimeGrid) -> WindowCost:
     """Integral over [t1, t2] of the squared output mismatch of the flows
     started at (t1, xi1) and (t1, xi2)."""
-    sub = grid.subgrid(t1, t2)
-    us = u.at_nodes(sub)
-    y1 = _outputs(sys, flow(sys, t1, t2, xi1, u, sub), us)
-    y2 = _outputs(sys, flow(sys, t1, t2, xi2, u, sub), us)
-    mismatch = np.sum((y2 - y1) ** 2, axis=1)
-    value = float(simpson_weights(sub) @ mismatch)
-    return WindowCost(t1, t2, value, sub)
+    problem = _flow_problem(sys, t1, t2, xi1, u, grid)
+    return WindowCost(t1, t2, problem.cost(xi2), problem.win)
 
 
 def grad_cum_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
                    xi2: Array, u: InputSignal, grid: TimeGrid) -> Array:
-    """Analytic gradient of cum_output_error in xi2.
-
-    Assembles 2 * integral of (y2 - y1)^T H(x2) Phi along the co-integrated
-    xi2-trajectory.
-    """
-    sub = grid.subgrid(t1, t2)
-    us = u.at_nodes(sub)
-    y1 = _outputs(sys, flow(sys, t1, t2, xi1, u, sub), us)
-    x2, phis = flow_and_stm(sys, t1, t2, xi2, u, sub)
-    y2 = _outputs(sys, x2, us)
-    hs = output_jacobians(sys, x2, us)
-    # (y2 - y1)^T H Phi at each node
-    rows = np.einsum("ni,nij,njk->nk", y2 - y1, hs, phis)
-    return 2.0 * (simpson_weights(sub) @ rows)
+    """Analytic gradient of cum_output_error in xi2: 2 * integral of
+    (y2 - y1)^T H(x2) Phi along the co-integrated xi2-trajectory."""
+    return _flow_problem(sys, t1, t2, xi1, u, grid).grad(xi2)
 
 
 def gauss_newton_term(sys: ControlSystem, t1: float, t2: float, xi2: Array,
@@ -166,22 +206,9 @@ def window_grammian(win: TimeGrid, hs: Array, phis: Array) -> Array:
 def hess_cum_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
                    xi2: Array, u: InputSignal, grid: TimeGrid,
                    mode: str = "gauss_newton") -> Array:
-    """Hessian of cum_output_error in xi2.
-
-    gauss_newton: 2*C(t, T, xi2, u); exact at xi2 = xi1 where the residual
-    term vanishes. full_fd: symmetrized central finite differences of the
-    analytic gradient, which captures the residual term as well; its
-    difference points flow as one block against one flow from xi1.
-    """
-    if mode == "gauss_newton":
-        return 2.0 * gauss_newton_term(sys, t1, t2, xi2, u, grid)
-    if mode != "full_fd":
-        raise ValueError(f"unknown hessian mode {mode!r}")
-    sub = grid.subgrid(t1, t2)
-    y1 = _outputs(sys, flow(sys, t1, t2, xi1, u, sub), u.at_nodes(sub))
-    return fd_hessian(
-        lambda pts: grads_from_terms(sub, candidate_terms_rows(sys, sub, pts, u), y1),
-        xi2)
+    """Hessian of cum_output_error in xi2, `WindowProblem.hess` against the
+    flow from xi1 (which gauss_newton does not use)."""
+    return _flow_problem(sys, t1, t2, xi1, u, grid).hess(xi2, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +255,7 @@ def candidate_terms_rows(sys: ControlSystem, win: TimeGrid, xis: Array,
     flow and one output and one Jacobian call per node; item b equals
     `candidate_terms` from xis[b] bit for bit."""
     us = u.at_nodes(win)
-    xs, phis = flow_and_stm_rows(sys, win.t_start, win.t_end, xis, u, win)
+    xs, phis = flow_and_stm_windows(sys, [win], np.asarray(xis)[None], u)
     ys, hs = outputs_rows(sys, xs, us), output_jacobians_rows(sys, xs, us)
     return [(ys[b], hs[b], phis[:, b]) for b in range(xs.shape[1])]
 
@@ -262,22 +289,27 @@ def grad_perturbed_cost_from_reference(sys: ControlSystem, win: TimeGrid, xi: Ar
     return grad_from_terms(win, candidate_terms(sys, win, xi, u), ref_out)
 
 
+def _perturbed_problem(sys: ControlSystem, t: float, T: float, x0: Array,
+                       u: InputSignal, eta: NoiseSignals,
+                       grid: TimeGrid) -> WindowProblem:
+    """The window [t-T, t] against the noisy reference record."""
+    win = _window_grid(t, T, grid)
+    _, ref_out = perturbed_reference(sys, t, T, x0, u, eta, grid)
+    return WindowProblem(sys, u, win, ref_out)
+
+
 def perturbed_cost(sys: ControlSystem, t: float, T: float, x0: Array, xi: Array,
                    u: InputSignal, eta: NoiseSignals, grid: TimeGrid) -> WindowCost:
     """Cost of the hypothesis (t-T, xi) against the noisy reference record."""
-    win = _window_grid(t, T, grid)
-    _, ref_out = perturbed_reference(sys, t, T, x0, u, eta, grid)
-    value = perturbed_cost_from_reference(sys, win, xi, u, ref_out)
-    return WindowCost(t - T, t, value, win)
+    problem = _perturbed_problem(sys, t, T, x0, u, eta, grid)
+    return WindowCost(t - T, t, problem.cost(xi), problem.win)
 
 
 def grad_perturbed_cost(sys: ControlSystem, t: float, T: float, x0: Array,
                         xi: Array, u: InputSignal, eta: NoiseSignals,
                         grid: TimeGrid) -> Array:
     """Gradient of perturbed_cost in xi."""
-    win = _window_grid(t, T, grid)
-    _, ref_out = perturbed_reference(sys, t, T, x0, u, eta, grid)
-    return grad_perturbed_cost_from_reference(sys, win, xi, u, ref_out)
+    return _perturbed_problem(sys, t, T, x0, u, eta, grid).grad(xi)
 
 
 def grad_sensitivities(sys: ControlSystem, win: TimeGrid, xi: Array,

@@ -8,10 +8,12 @@ conditions quantify over all t >= T.
 
 `reference_scan` is the one place where window Grammians along the
 reference are computed: one reference flow, then one STM block for all
-windows, from which each window's Grammian is taken (`window_grammians`).
-The boundedness check flows the ball samples of all windows as one block
-too. Both blocks give each row its own window's inputs, and each
-window's results equal those of the window flowed alone, bit for bit.
+windows, from which each window's Grammian is taken (`window_grammians`;
+`observability_grammian` is its one-window case). The boundedness check
+flows the ball samples of all windows as one block too. Every window of
+a scan is [t-T, t] for one T, so a block's windows have one length. Both
+blocks give each row its own window's inputs, and each window's results
+equal those of the window flowed alone, bit for bit.
 Certificates (and CertificationInconclusive) carry the windows they
 scanned, and the uniform stability audit takes its mu_hat from the scan.
 """
@@ -150,31 +152,19 @@ def observability_grammian(sys: ControlSystem, t: float, T: float, center: Array
     return grammian_report(t, T, center, window_grammians(sys, [win], center[None], u)[0])
 
 
-def _by_steps(wins: list[TimeGrid]) -> list[list[int]]:
-    """The indices of wins grouped by step count, each group ascending: the
-    windows that can flow as one block."""
-    groups: dict[int, list[int]] = {}
-    for i, win in enumerate(wins):
-        groups.setdefault(win.n_steps, []).append(i)
-    return list(groups.values())
-
-
 def window_grammians(sys: ControlSystem, wins: list[TimeGrid], centers: Array,
                      u: InputSignal) -> list[Array]:
-    """The Grammian of each window wins[w] of one run grid along the
-    trajectory from its start at centers[w], (W, n_x): the STMs of all
-    windows with one step count flow as one block with per-row inputs,
-    their output Jacobians take one `dh_dx_rows` call per node, and each
-    window's Grammian is `cost.window_grammian` of its own rows. Equal bit
-    for bit to one `cost.gauss_newton_term` per window."""
-    out: list[Array] = [None] * len(wins)
-    for group in _by_steps(wins):
-        block = [wins[i] for i in group]
-        xs, phis = flow_and_stm_windows(sys, block, centers[group][:, None], u)
-        hs = output_jacobians_windows(sys, xs, block, u)
-        for b, i in enumerate(group):
-            out[i] = window_grammian(wins[i], hs[b], np.ascontiguousarray(phis[:, b]))
-    return out
+    """The Grammian of each window wins[w] of one run grid, all with one
+    step count, along the trajectory from its start at centers[w],
+    (W, n_x): the STMs of all windows flow as one block with per-row
+    inputs, their output Jacobians take one `dh_dx_rows` call per node, and
+    each window's Grammian is `cost.window_grammian` of its own row. Equal
+    bit for bit to one `cost.gauss_newton_term` per window; GridMismatch
+    for windows of different lengths."""
+    xs, phis = flow_and_stm_windows(sys, wins, centers[:, None], u)
+    hs = output_jacobians_windows(sys, xs, wins, u)
+    return [window_grammian(win, hs[b], np.ascontiguousarray(phis[:, b]))
+            for b, win in enumerate(wins)]
 
 
 def grammian_report(t: float, T: float, center: Array, c: Array) -> GrammianReport:
@@ -235,8 +225,7 @@ def _witness_cost(sys: ControlSystem, u: InputSignal, full: TimeGrid,
 def certify_weak_persistence(sys: ControlSystem, x0: Array, u: InputSignal,
                              T: float, t_grid, grid_step: float,
                              singular_tol: Optional[float] = None,
-                             witness_step: float = 0.01,
-                             flat_cost_tol: float = _FLAT_COST_TOL) -> PersistenceCertificate:
+                             witness_step: float = 0.01) -> PersistenceCertificate:
     """Scan window Grammians for positive-definiteness along the reference.
 
     Every sampled window positive definite (min eigenvalue above the
@@ -247,13 +236,12 @@ def certify_weak_persistence(sys: ControlSystem, x0: Array, u: InputSignal,
     does not settle the question.
     """
     full, _, reports = reference_scan(sys, x0, u, T, t_grid, grid_step)
-    return _weak_certificate(sys, u, full, reports, singular_tol, witness_step,
-                             flat_cost_tol)
+    return _weak_certificate(sys, u, full, reports, singular_tol, witness_step)
 
 
 def _weak_certificate(sys: ControlSystem, u: InputSignal, full: TimeGrid,
                       reports: list[GrammianReport], singular_tol: Optional[float],
-                      witness_step: float, flat_cost_tol: float) -> PersistenceCertificate:
+                      witness_step: float) -> PersistenceCertificate:
     """The weak-persistence verdict from the windows of a reference scan."""
     tols = [singular_tol if singular_tol is not None else 1e-8 * r.max_eig
             for r in reports]
@@ -272,11 +260,11 @@ def _weak_certificate(sys: ControlSystem, u: InputSignal, full: TimeGrid,
             evidence=WindowEvidence(worst.t, worst.min_eig, worst.max_eig))
 
     direction, wcost = _witness_cost(sys, u, full, worst, witness_step)
-    if wcost >= flat_cost_tol:
+    if wcost >= _FLAT_COST_TOL:
         raise CertificationInconclusive(
             f"window t={worst.t} has a near-singular Grammian (min_eig="
             f"{worst.min_eig:.3e}) but the flat-cost witness check found cost "
-            f"{wcost:.3e} >= {flat_cost_tol:.1e}", windows=tuple(reports))
+            f"{wcost:.3e} >= {_FLAT_COST_TOL:.1e}", windows=tuple(reports))
     return PersistenceCertificate(
         verdict=Verdict.NOT_WEAKLY_PERSISTENT, t_grid=t_list,
         min_eigs=min_eigs, max_eigs=max_eigs, mu_hat=mu_hat,
@@ -302,8 +290,7 @@ def certify_weak_regular_persistence(sys: ControlSystem, x0: Array, u: InputSign
     """
     _require_ball_samples(n_ball_samples)
     full, xs, reports = reference_scan(sys, x0, u, T, t_grid, grid_step)
-    weak = _weak_certificate(sys, u, full, reports, singular_tol, witness_step,
-                             _FLAT_COST_TOL)
+    weak = _weak_certificate(sys, u, full, reports, singular_tol, witness_step)
     if weak.verdict is Verdict.NOT_WEAKLY_PERSISTENT:
         return weak
     if weak.mu_hat < mu_threshold:
@@ -365,11 +352,10 @@ def check_regular_boundedness(sys: ControlSystem, x0: Array, u: InputSignal,
 
     Draws the seeded points in the ball around x(t-T) for every sampled
     window, in window order from one rng stream, flows the points of all
-    windows with one step count as one block of rows, and records each
-    window's largest trajectory norm from its own rows. Raises
-    DomainViolation when a flow leaves the system domain, and otherwise
-    Unbounded for the first window, in window order, whose norm exceeds
-    `overflow_guard`.
+    windows as one block of rows, and records each window's largest
+    trajectory norm from its own rows. Raises DomainViolation when a flow
+    leaves the system domain, and otherwise Unbounded for the first
+    window, in window order, whose norm exceeds `overflow_guard`.
     `reference=(grid, states)` supplies the reference flow from (0, x0)
     on the [0, max t] grid at `grid_step`, as `reference_scan` returns it,
     instead of integrating it again; ValueError if it starts elsewhere or
@@ -392,11 +378,8 @@ def check_regular_boundedness(sys: ControlSystem, x0: Array, u: InputSignal,
                        for t in t_list])
     wins = [full.subgrid(t - T, t) for t in t_list]
     m = points.shape[1]
-    per_window = [0.0] * len(wins)
-    for group in _by_steps(wins):
-        trajs = flow_windows(sys, [wins[i] for i in group], points[group], u)
-        for b, i in enumerate(group):
-            per_window[i] = _sup_norm(trajs[:, b * m:(b + 1) * m])
+    trajs = flow_windows(sys, wins, points, u)
+    per_window = [_sup_norm(trajs[:, b * m:(b + 1) * m]) for b in range(len(wins))]
     for sup in per_window:
         if sup > overflow_guard:
             raise Unbounded(f"trajectory norm {sup:.3e} exceeds the overflow guard")

@@ -1,11 +1,12 @@
 """Window estimators (FIE / MHE / perturbed MHE) and stability audits.
 
-The estimators minimize the cumulative output error of a window over a
-trust ball around a predicted center, using a Levenberg-damped Newton
-iteration with radial projection back onto the ball. The audits compute
-sampled surrogates for the constants appearing in the contraction-style
-error bounds: per-window (non-uniform) sensitivities and the uniform
-margin conditions that make a rolling estimate provably stable.
+The estimators minimize the window cost against the measured outputs
+(`cost.WindowProblem`) over a trust ball around a predicted center,
+using a Levenberg-damped Newton iteration with radial projection back
+onto the ball. The audits compute sampled surrogates for the constants
+appearing in the contraction-style error bounds: per-window
+(non-uniform) sensitivities and the uniform margin conditions that make
+a rolling estimate provably stable.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import (candidate_terms_rows, fd_hessian, fd_points,
-                   grad_perturbed_cost_from_reference, grads_from_terms,
-                   gauss_newton_term, output_jacobians,
-                   perturbed_cost_from_reference, perturbed_reference,
+from .cost import (WindowProblem, candidate_terms_rows, fd_hessian, fd_points,
+                   grads_from_terms, output_jacobians, perturbed_reference,
                    reference_and_noise_directions_rows,
                    sensitivities_from_terms, window_grammian)
 from .errors import (BoundaryStuck, ConditionsFailed, MaxItersExceeded,
@@ -32,6 +31,11 @@ from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals,
                        perturbed_flow_and_sensitivities_rows)
 
 HESSIAN_MODES = ("gauss_newton", "full_fd")
+# Levenberg damping of the Newton step: its start, its growth after a
+# rejected step and its shrink after an accepted one.
+_DAMPING0 = 1e-3
+_DAMPING_GROWTH = 10.0
+_DAMPING_SHRINK = 0.1
 
 
 @dataclass(frozen=True)
@@ -42,9 +46,6 @@ class SolverOptions:
     ball_radius: float = 1.0
     max_iters: int = 50
     grad_tol: float = 1e-9
-    damping0: float = 1e-3
-    damping_growth: float = 10.0
-    damping_shrink: float = 0.1
     hessian_mode: str = "gauss_newton"
 
     def __post_init__(self):
@@ -132,40 +133,6 @@ class MultistartReport:
     cluster_radius: float
 
 
-class _WindowProblem:
-    """Window cost with a frozen (possibly noisy) output reference."""
-
-    def __init__(self, sys: ControlSystem, u: InputSignal, win: TimeGrid,
-                 ref_out: Array):
-        self.sys = sys
-        self.u = u
-        self.win = win
-        self.ref_out = ref_out
-
-    def cost(self, xi: Array) -> float:
-        return perturbed_cost_from_reference(self.sys, self.win, xi, self.u,
-                                             self.ref_out)
-
-    def grad(self, xi: Array) -> Array:
-        return grad_perturbed_cost_from_reference(self.sys, self.win, xi,
-                                                  self.u, self.ref_out)
-
-    def hess(self, xi: Array, mode: str) -> Array:
-        if mode == "gauss_newton":
-            return 2.0 * gauss_newton_term(self.sys, self.win.t_start,
-                                           self.win.t_end, xi, self.u, self.win)
-        if mode == "full_fd":
-            return self.hess_fd(xi)
-        raise ValueError(f"unknown hessian mode {mode!r}")
-
-    def hess_fd(self, xi: Array) -> Array:
-        """fd_hessian of the cost at xi; its difference points flow as one
-        block of rows."""
-        return fd_hessian(lambda pts: grads_from_terms(
-            self.win, candidate_terms_rows(self.sys, self.win, pts, self.u),
-            self.ref_out), xi)
-
-
 def _project(xi: Array, center: Array, radius: float) -> tuple[Array, bool]:
     d = xi - center
     nrm = float(np.linalg.norm(d))
@@ -174,14 +141,14 @@ def _project(xi: Array, center: Array, radius: float) -> tuple[Array, bool]:
     return center + (radius / nrm) * d, True
 
 
-def _minimize(problem: _WindowProblem, x_init: Array, opts: SolverOptions):
+def _minimize(problem: WindowProblem, x_init: Array, opts: SolverOptions):
     center = np.asarray(opts.ball_center, dtype=float)
     radius = float(opts.ball_radius)
     xi, _ = _project(np.asarray(x_init, dtype=float), center, radius)
     f = problem.cost(xi)
     g = problem.grad(xi)
     tol = opts.grad_tol * max(1.0, f)
-    lam = opts.damping0
+    lam = _DAMPING0
     trace = [(f, float(np.linalg.norm(g)))]
     iterations = 0
     consecutive_projected = 0
@@ -198,7 +165,7 @@ def _minimize(problem: _WindowProblem, x_init: Array, opts: SolverOptions):
             try:
                 step = np.linalg.solve(hess + lam * np.eye(n), -g)
             except np.linalg.LinAlgError:
-                lam = max(lam, 1e-12) * opts.damping_growth
+                lam = max(lam, 1e-12) * _DAMPING_GROWTH
                 continue
             cand, proj = _project(xi + step, center, radius)
             fc = problem.cost(cand)
@@ -206,12 +173,12 @@ def _minimize(problem: _WindowProblem, x_init: Array, opts: SolverOptions):
                 xi, f = cand, fc
                 accepted = True
                 break
-            lam = max(lam, 1e-12) * opts.damping_growth
+            lam = max(lam, 1e-12) * _DAMPING_GROWTH
         if not accepted:
             raise MaxItersExceeded(
                 "damped Newton could not find a descent step "
                 f"(grad_norm={np.linalg.norm(g):.3e}, damping={lam:.3e})")
-        lam = max(lam * opts.damping_shrink, 1e-15)
+        lam = max(lam * _DAMPING_SHRINK, 1e-15)
         g = problem.grad(xi)
         iterations += 1
         trace.append((f, float(np.linalg.norm(g))))
@@ -243,7 +210,7 @@ def _window_mu(report: GrammianReport, note: str = "") -> float:
     return 2.0 * report.min_eig
 
 
-def _solve_window(problem: _WindowProblem, x_ref: Array, opts: SolverOptions,
+def _solve_window(problem: WindowProblem, x_ref: Array, opts: SolverOptions,
                   x_init: Optional[Array]) -> MheSolution:
     if opts.ball_center is None:
         opts = opts.replace(ball_center=x_ref)
@@ -270,7 +237,7 @@ def solve_pmhe(sys: ControlSystem, x0: Array, u: InputSignal, t: float,
     win = grid.subgrid(t - T, t)
     _, ref_out = perturbed_reference(sys, t, T, x0, u, eta, grid)
     x_ref = _reference_state(sys, x0, u, t, T, grid)
-    problem = _WindowProblem(sys, u, win, ref_out)
+    problem = WindowProblem(sys, u, win, ref_out)
     return _solve_window(problem, x_ref, opts, x_init)
 
 

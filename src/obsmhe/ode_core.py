@@ -29,20 +29,20 @@ of noise directions come out of one integration on the same RK4 stages.
 The augmented state may be one row or a block of B rows, (B, n_x +
 n_x*k), with the noise forcing shared by the rows or given per row.
 
-The batched flows step a block of B starts over one span through one
-call of `rk4_flow`, on one slice of the staging: `flow_rows` for states,
-`flow_and_stm_rows` for states and STMs (every difference point of a
-finite-difference Hessian), and `perturbed_flow_and_sensitivities_rows`
-for several process-noise draws from one start. `flow_windows` and
-`flow_and_stm_windows` step the starts of several windows at different
-times of one run grid, with one step count, as one block: each row gets
-its own window's inputs, gathered from the run grid's staging and built
-one step at a time as the loop reads them, so the scan's window STMs and
-its ball samples each flow as one block. They use the system's optional
-row callbacks `f_rows` and `df_dx_rows` (stacked rows, with one input
-row shared by all of them or one input row per state) and
+The batched flows step a block of starts through one call of `rk4_flow`.
+`flow_windows` and `flow_and_stm_windows` step m starts on each of W
+windows of one run grid with one step count as one block: the scan's
+window STMs, its ball samples, and, as one window, the difference
+points of every finite-difference Hessian. One window's rows share its
+input rows, which are slices of the run grid's staging; the rows of
+several windows each get their own window's inputs, gathered from the
+staging and, for several rows a window, built one step at a time as the
+loop reads them. `perturbed_flow_and_sensitivities_rows` steps several
+process-noise draws from one start. They use the system's optional row
+callbacks `f_rows` and `df_dx_rows` (stacked rows, with one input row
+shared by all of them or one input row per state) and
 `domain_guard_rows`, or a per-row fallback built from `f`, `df_dx` and
-`domain_guard`. Row b of a batch equals the single-row flow from its
+`domain_guard`. Row b of a block equals the single-row flow from its
 start on its own span bit for bit. The domain guard of every flow is
 checked on blocks of nodes through the row guard. `outputs_rows`,
 `output_jacobians_rows` and `output_jacobians_windows` take the outputs
@@ -109,11 +109,10 @@ class ControlSystem:
     optional `domain_guard` marks states where h is defined; trajectories
     leaving the guarded region raise DomainViolation.
 
-    Five optional row callbacks serve batched flows (`flow_rows`,
-    `flow_and_stm_rows`, `perturbed_flow_and_sensitivities_rows`), the
+    Five optional row callbacks serve the batched flows (`flow_windows`,
+    `flow_and_stm_windows`, `perturbed_flow_and_sensitivities_rows`), the
     guard checks and the outputs of row blocks (`outputs_rows`,
-    `output_jacobians_rows`), and the window blocks (`flow_windows`,
-    `flow_and_stm_windows`, `output_jacobians_windows`). `f_rows(X, u)`
+    `output_jacobians_rows`, `output_jacobians_windows`). `f_rows(X, u)`
     takes stacked states X of shape (B, n_x) and either one input row u,
     (n_u,), shared by all of them, or one input row per state, (B, n_u),
     and returns (B, n_x). `df_dx_rows`, `h_rows` and `dh_dx_rows` take the
@@ -744,31 +743,6 @@ def flow(sys: ControlSystem, s1: float, s2: float, xi: Array, u: InputSignal,
     return xs
 
 
-def _starts(sys: ControlSystem, xis: Array) -> Array:
-    """xis as a float block (B >= 1, n_x); DimensionMismatch otherwise."""
-    xis = np.asarray(xis, dtype=float)
-    if xis.ndim != 2 or xis.shape[0] < 1 or xis.shape[1] != sys.n_x:
-        raise DimensionMismatch(
-            f"starts have shape {xis.shape}, expected (B >= 1, {sys.n_x})")
-    return xis
-
-
-def flow_rows(sys: ControlSystem, s1: float, s2: float, xis: Array,
-              u: InputSignal, grid: TimeGrid) -> Array:
-    """`flow` from (s1, xis[b]) for each row of xis, (B, n_x), as one batch.
-
-    Returns (n+1, B, n_x); [:, b] equals `flow` from xis[b] bit for bit.
-    A start whose flow `flow` rejects makes the batch raise
-    DomainViolation, with `flow`'s message when it is the only such start.
-    """
-    xis = _starts(sys, xis)
-    sub = _span(grid, s1, s2, u)
-    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
-    xs = rk4_flow(_f_rows(sys), xis, sub.h, u0, um, u1)
-    _check_guard(sys, xs, "flow")
-    return xs
-
-
 def stm(sys: ControlSystem, s1: float, s2: float, xi: Array, u: InputSignal,
         grid: TimeGrid) -> Array:
     """State-transition matrices d_xi phi(s; s1, xi, u) at the grid nodes."""
@@ -787,34 +761,19 @@ def flow_and_stm(sys: ControlSystem, s1: float, s2: float, xi: Array,
     return xs, phis
 
 
-def flow_and_stm_rows(sys: ControlSystem, s1: float, s2: float, xis: Array,
-                      u: InputSignal, grid: TimeGrid) -> tuple[Array, Array]:
-    """`flow_and_stm` from (s1, xis[b]) for each row of xis, (B, n_x), as
-    one batch on the system's row callbacks.
-
-    Returns states (n+1, B, n_x) and STMs (n+1, B, n_x, n_x); [:, b]
-    equals `flow_and_stm` from xis[b] bit for bit.
-    """
-    xis = _starts(sys, xis)
-    sub = _span(grid, s1, s2, u)
-    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
-    xs, phis = rk4_flow_stm(_f_rows(sys), _df_dx_rows(sys), xis, sub.h,
-                            u0, um, u1)
-    _check_guard(sys, xs, "stm")
-    return xs, phis
-
-
 def _window_inputs(u: InputSignal, wins: Sequence[TimeGrid], m: int,
                    which: int) -> list:
     """The inputs of W windows of one run grid with one step count n, each
     window's repeated for m rows of a block, window-major: for which = 1
     its stage inputs (u0, um, u1) at the n steps, for which = 0 its inputs
     at the n + 1 nodes. Window w's inputs are the slice of the run grid's
-    staging that `stage_values` or `at_nodes` serves for it, gathered for
-    all windows at once, and they raise DomainViolation and GridMismatch
-    as those and the flows on each window do. Each array holds (W*m, n_u)
-    rows per step: gathered from the staging when m = 1, otherwise a
-    `_StepRows` that repeats each window's row when a step is read."""
+    staging that `stage_values` or `at_nodes` serves for it, and they
+    raise DomainViolation and GridMismatch as those and the flows on each
+    window do. One window gets those slices themselves, (n, n_u) or
+    (n + 1, n_u): one input row per step, shared by every row. Several
+    windows get them gathered at once, (W*m, n_u) rows per step: as arrays
+    when m = 1, otherwise as `_StepRows` that repeat each window's row
+    when a step is read."""
     base, n = wins[0].base, wins[0].n_steps
     if any(win.base != base or win.n_steps != n for win in wins):
         raise GridMismatch("windows of one block need one run grid and one step count")
@@ -825,8 +784,11 @@ def _window_inputs(u: InputSignal, wins: Sequence[TimeGrid], m: int,
     count = n + 1 - which
     for i0 in starts.tolist():
         _check_span(staging[3], which, i0, count, u.bound)
+    values = staging[:1 if which == 0 else 3]
+    if len(wins) == 1:
+        return [v[wins[0].offset:wins[0].offset + count] for v in values]
     index = starts + np.arange(count)[:, None]
-    gathered = [values[index] for values in staging[:1 if which == 0 else 3]]
+    gathered = [v[index] for v in values]
     if m == 1:
         return gathered
     return [_StepRows((len(wins) * m,) + g.shape[2:], (g[:, :, None],), len(wins))
@@ -846,9 +808,11 @@ def _window_starts(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Array) -> 
 
 def flow_windows(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Array,
                  u: InputSignal) -> Array:
-    """`flow_rows` on several windows of one run grid with one step count
-    n, as one block: xis, (W, m, n_x), holds m starts at the start of each
-    window wins[w], and every row flows on its own window's inputs.
+    """`flow` from m starts on each of W windows of one run grid with one
+    step count n, as one block: xis, (W, m, n_x), holds the m starts at
+    the start of each window wins[w], and every row flows on its own
+    window's inputs. One window, [win] and xis (1, B, n_x), flows a block
+    of B starts on one span.
 
     Returns (n+1, W*m, n_x), window-major; [:, w*m + j] equals `flow` from
     xis[w, j] on wins[w] bit for bit. A start whose flow `flow` rejects
@@ -863,8 +827,8 @@ def flow_windows(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Array,
 
 def flow_and_stm_windows(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Array,
                          u: InputSignal) -> tuple[Array, Array]:
-    """`flow_and_stm_rows` on several windows of one run grid with one step
-    count n, as one block with per-row inputs, as in `flow_windows`.
+    """`flow_and_stm` from m starts on each of W windows of one run grid
+    with one step count n, as one block, as in `flow_windows`.
 
     Returns states (n+1, W*m, n_x) and STMs (n+1, W*m, n_x, n_x); row
     w*m + j equals `flow_and_stm` from xis[w, j] on wins[w] bit for bit.

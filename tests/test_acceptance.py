@@ -20,8 +20,9 @@ from obsmhe import (
     rolling_estimate, solve_mhe, solve_pmhe,
     certify_weak_persistence)
 from obsmhe.grammian import Verdict
-from obsmhe.mhe_solver import _WindowProblem, _uniform_noise
-from obsmhe.cost import fd_gradient, gauss_newton_term, perturbed_reference
+from obsmhe.mhe_solver import _uniform_noise
+from obsmhe.cost import (WindowProblem, fd_gradient, gauss_newton_term,
+                         perturbed_reference)
 
 H = 0.0025  # default integration step
 
@@ -119,7 +120,7 @@ def test_acceptance_4_hessian_grammian_identity(circ, x0, grid6):
         win = grid6.subgrid(t - T, t)
         xi = flow(sys_, 0.0, t - T, x0, u, grid6)[-1]
         _, ref_out = perturbed_reference(sys_, t, T, x0, u, ZERO_NOISE, grid6)
-        problem = _WindowProblem(sys_, u, win, ref_out)
+        problem = WindowProblem(sys_, u, win, ref_out)
         hess = problem.hess_fd(xi)
         twoc = 2.0 * gauss_newton_term(sys_, t - T, t, xi, u, grid6)
         assert float(np.max(np.abs(hess - twoc))) <= 1e-5

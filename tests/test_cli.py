@@ -6,6 +6,7 @@ process, and checks the exit code plus the emitted artifacts.
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -227,17 +228,35 @@ def test_ball_sample_count_below_one_exit_2(tmp_path, count):
     ("stability-audit", "n_xi_samples", 1.5),
     ("stability-audit", "n_eta_samples", 2.5),
     ("stability-audit", "t_subsample", 2.5),
+    ("stability-audit", "seed", -1),
+    ("grammian-scan", "singular_tol", -1),
+    ("mhe-run", "T", True),
+    ("mhe-run", "T", math.inf),
+    ("mhe-run", "t_grid.start", "a"),
+    ("mhe-run", "t_grid.count", 2.5),
+    ("mhe-run", "noise.amplitude", "x"),
+    ("mhe-run", "noise.seed", 1.5),
+    ("mhe-run", "solver.ball_radius", -1),
+    ("mhe-run", "solver.grad_tol", -1),
+    ("mhe-run", "solver.max_iters", 2.5),
 ])
 def test_invalid_audit_value_exit_2(tmp_path, capsys, command, field, value):
-    # Out-of-range audit values are config errors naming the field, not
-    # internal errors, failed margins or silently truncated counts.
-    cfg = {"system": "circ-default", "audit": {field: value}}
+    # Out-of-range values are config errors naming the field, not internal
+    # errors, failed margins, failed windows or silently truncated counts.
+    # Audit fields are named by their key alone, others by their path.
+    path = f"audit.{field}" if field in cli._DEFAULTS["audit"] else field
+    *sections, key = path.split(".")
+    cfg = {"system": "circ-default"}
+    node = cfg
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[key] = value
     with pytest.raises(ConfigError) as info:
         cli.normalize_config(cfg)
-    assert info.value.field == f"audit.{field}"
+    assert info.value.field == path
     code, out = run(tmp_path, command, cfg)
     assert code == 2
-    assert f"(field: audit.{field})" in capsys.readouterr().err
+    assert f"(field: {path})" in capsys.readouterr().err
     assert not any(out.glob("*.json"))
 
 
@@ -256,12 +275,11 @@ def test_stability_audit_integrates_shared_trajectories_once(tmp_path, monkeypat
     # difference points of the Hessians at xi +- delta e_j, the 4 of the
     # Hessian at xi shared by all output-noise shifts, and xi itself for
     # every noise gradient. The scan adds one STM block holding every
-    # window, and no window flows its STM alone. Both noise draws'
-    # references come from one augmented block of 2 rows with their noise
-    # sensitivities, with no separate perturbed flow.
+    # window, before them, and no window flows its STM alone. Both noise
+    # draws' references come from one augmented block of 2 rows with their
+    # noise sensitivities, with no separate perturbed flow.
     calls = count_calls(monkeypatch, ode_core.flow_and_stm)
-    scans = count_calls(monkeypatch, ode_core.flow_and_stm_windows)
-    blocks = count_calls(monkeypatch, ode_core.flow_and_stm_rows)
+    blocks = count_calls(monkeypatch, ode_core.flow_and_stm_windows)
     refs = count_calls(monkeypatch, ode_core.perturbed_flow_and_sensitivities_rows)
     perturbed = count_calls(monkeypatch, ode_core.perturbed_flow)
     code, _ = run(tmp_path, "stability-audit",
@@ -270,8 +288,8 @@ def test_stability_audit_integrates_shared_trajectories_once(tmp_path, monkeypat
     assert code == 0
     assert calls == []
     # flow_and_stm_windows(sys, wins, xis, u)
-    assert [(len(args[1]), args[2].shape) for args in scans] == [(6, (6, 1, 2))]
-    assert [args[3].shape for args in blocks] == [(21, 2), (21, 2)]
+    assert [(len(args[1]), args[2].shape) for args in blocks] == \
+        [(6, (6, 1, 2)), (1, (1, 21, 2)), (1, (1, 21, 2))]
     # perturbed_flow_and_sensitivities_rows(sys, t_end, xi, u, ws, dws, grid)
     assert [len(args[4]) for args in refs] == [2]
     assert perturbed == []

@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from obsmhe import (CertificationInconclusive, ControlSystem, InputSignal,
-                    TimeGrid, Unbounded, Verdict, certify_weak_persistence,
+from obsmhe import (CertificationInconclusive, ControlSystem, GridMismatch,
+                    InputSignal, TimeGrid, Unbounded, Verdict, certify_weak_persistence,
                     certify_weak_regular_persistence,
                     check_regular_boundedness, jacobi_eigh,
                     observability_grammian, bearing, flow, gauss_newton_term)
@@ -127,15 +127,19 @@ def test_boundedness_raises_for_the_first_window_over_the_guard(spi, x0):
 
 @pytest.mark.parametrize("system", ["circ", "nonlinear"])
 def test_window_grammians_equal_one_gauss_newton_term_per_window(system, request, x0):
-    # Windows of two lengths, interleaved: one STM block per length, and
-    # the Grammians come back in window order.
+    # Windows of one length at unordered, overlapping offsets: one STM
+    # block, and the Grammians come back in window order. Windows of two
+    # lengths are not one block.
     sys_, u = request.getfixturevalue(system)
     grid = TimeGrid.with_step(0.0, 3.0, 0.01)
-    spans = [(0.5, 1.5), (1.0, 2.5), (2.0, 3.0), (0.0, 1.5)]
+    spans = [(1.5, 2.5), (0.5, 1.5), (2.0, 3.0), (0.2, 1.2)]
     centers = x0 + 0.1 * np.random.default_rng(5).standard_normal((len(spans), 2))
     got = window_grammians(sys_, [grid.subgrid(a, b) for a, b in spans], centers, u)
     for (a, b), center, c in zip(spans, centers, got):
         assert_bits_equal(c, gauss_newton_term(sys_, a, b, center, u, grid))
+    with pytest.raises(GridMismatch):
+        window_grammians(sys_, [grid.subgrid(0.5, 1.5), grid.subgrid(1.0, 2.5)],
+                         centers[:2], u)
 
 
 def test_ball_samples_stay_in_ball_and_cover_axes():

@@ -13,7 +13,7 @@ from golden.regenerate import nonlinear_scenario
 from obsmhe import (ControlSystem, DimensionMismatch, DomainViolation, GridMismatch,
                     InputSignal, NoiseSignals, SampledSignal, TimeGrid, ZERO_NOISE,
                     check_jacobians, cum_output_error, flow, flow_and_stm,
-                    flow_and_stm_rows, flow_rows, gauss_newton_term,
+                    flow_and_stm_windows, flow_windows, gauss_newton_term,
                     bearing, cost, noise_sensitivity, ode_core, perturbed_flow,
                     perturbed_flow_and_sensitivities,
                     perturbed_flow_and_sensitivities_rows, stm)
@@ -546,13 +546,16 @@ def test_domain_guard_raises(cst, x0):
 
 # -- batched flows ------------------------------------------------------------
 
+# A block of rows on one span is a one-window block: [win] and starts
+# (1, B, n_x).
+
 @pytest.mark.parametrize("system", ["circ", "nonlinear"])
 @pytest.mark.parametrize("n_rows", [1, 5])
 def test_flow_rows_equals_stacked_flows(system, n_rows, request, grid2, x0):
     # circ has f_rows; nonlinear goes through the per-row fallback.
     sys_, u = request.getfixturevalue(system)
     xis = x0 + 0.1 * np.random.default_rng(n_rows).standard_normal((n_rows, 2))
-    xs = flow_rows(sys_, 0.5, 1.5, xis, u, grid2)
+    xs = flow_windows(sys_, [grid2.subgrid(0.5, 1.5)], xis[None], u)
     assert_bits_equal(xs, np.stack([flow(sys_, 0.5, 1.5, xi, u, grid2) for xi in xis],
                                    axis=1))
 
@@ -564,7 +567,7 @@ def test_flow_and_stm_rows_equals_stacked_calls(system, n_rows, request, grid2, 
     # fallbacks.
     sys_, u = request.getfixturevalue(system)
     xis = x0 + 0.1 * np.random.default_rng(n_rows).standard_normal((n_rows, 2))
-    xs, phis = flow_and_stm_rows(sys_, 0.5, 1.5, xis, u, grid2)
+    xs, phis = flow_and_stm_windows(sys_, [grid2.subgrid(0.5, 1.5)], xis[None], u)
     singles = [flow_and_stm(sys_, 0.5, 1.5, xi, u, grid2) for xi in xis]
     assert_bits_equal(xs, np.stack([x for x, _ in singles], axis=1))
     assert_bits_equal(phis, np.stack([p for _, p in singles], axis=1))
@@ -611,10 +614,27 @@ def test_rk4_flow_per_row_noise_equals_per_row_flows(circ, grid2, x0):
 
 def test_flow_rows_rejects_misshaped_starts(circ, grid2, x0):
     sys_, u = circ
-    for rows in (flow_rows, flow_and_stm_rows):
-        for xis in (x0, np.zeros((0, 2)), np.zeros((3, 3))):
+    win = [grid2.subgrid(0.0, 1.0)]
+    for rows in (flow_windows, flow_and_stm_windows):
+        for xis in (x0[None], np.zeros((1, 0, 2)), np.zeros((1, 3, 3))):
             with pytest.raises(DimensionMismatch):
-                rows(sys_, 0.0, 1.0, xis, u, grid2)
+                rows(sys_, win, xis, u)
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_one_window_inputs_are_views_of_the_staging(circ, grid2, m):
+    # A one-window block reads the very slices of the run grid's staging
+    # that `flow` and `at_nodes` read, one input row per step shared by
+    # every row: nothing is gathered or built per step.
+    _, u = circ
+    win = grid2.subgrid(0.5, 1.5)
+    got = ode_core._window_inputs(u, [win], m, 1) + ode_core._window_inputs(u, [win], m, 0)
+    want = list(u.stage_values(win.t_start, win.h, win.n_steps, win)) + [u.at_nodes(win)]
+    for g, w in zip(got, want):
+        assert not isinstance(g, ode_core._StepRows)
+        assert g.shape == w.shape == (len(w), u.at(0.0).shape[0])
+        assert np.shares_memory(g, w)
+        assert_bits_equal(g, w)
 
 
 def _first_violation(call):
@@ -632,7 +652,7 @@ def test_flow_rows_guard_failure_matches_flow(cst, x0, row_callbacks):
     xis = np.array([[0.0, 2.0], x0, [3.0, -1.0]])
     message = _first_violation(lambda: flow(sys_, 0.0, 1.2, x0, u, g))
     assert message == "domain guard failed during flow"
-    assert _first_violation(lambda: flow_rows(sys_, 0.0, 1.2, xis, u, g)) == message
+    assert _first_violation(lambda: flow_windows(sys_, [g], xis[None], u)) == message
 
 
 @pytest.mark.parametrize("system", ["circ", "nonlinear"])
@@ -643,7 +663,8 @@ def test_flow_rows_non_finite_row_matches_flow(system, request, grid2, x0):
     with np.errstate(invalid="ignore", over="ignore"):
         message = _first_violation(lambda: flow(sys_, 0.0, 1.0, bad, u, grid2))
         assert message == "non-finite state during flow"
-        assert _first_violation(lambda: flow_rows(sys_, 0.0, 1.0, xis, u, grid2)) == message
+        block = lambda: flow_windows(sys_, [grid2.subgrid(0.0, 1.0)], xis[None], u)
+        assert _first_violation(block) == message
 
 
 # -- window blocks ------------------------------------------------------------

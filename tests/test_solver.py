@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from obsmhe import (
-    BoundaryStuck, ConditionsFailed, GridMismatch, NoiseSignals,
+    BoundaryStuck, ConditionsFailed, GridMismatch, NoiseSignals, cost,
     SampledSignal, SolverOptions, TimeGrid, ZERO_NOISE, bearing, flow,
     audit_nonuniform_stability, audit_uniform_stability, mhe_solver,
     multistart_uniqueness, ode_core, rolling_estimate, solve_fie, solve_mhe,
@@ -122,17 +122,18 @@ def test_rolling_estimate_records_failures(circ, x0, grid6):
 def test_solve_computes_each_gradient_once(circ, x0, grid6, monkeypatch):
     # One gradient per iterate; the final gradient norm reuses the last.
     sys_, u = circ
-    calls = count_calls(monkeypatch, mhe_solver.grad_perturbed_cost_from_reference)
-    blocks = count_calls(monkeypatch, ode_core.flow_and_stm_rows)
+    calls = count_calls(monkeypatch, cost.grad_perturbed_cost_from_reference)
+    blocks = count_calls(monkeypatch, ode_core.flow_and_stm_windows)
     x_ref = _truth(sys_, x0, u, 1.0)
     v = SampledSignal.constant([1e-3, -2e-3], 1.0, 2.0, grid6.h)
     sol = solve_pmhe(sys_, x0, u, 2.0, 1.0, NoiseSignals(v=v),
                      OPTS.replace(ball_center=x_ref + [0.03, -0.02]), grid6)
     assert sol.iterations >= 2
     assert len(calls) == 1 + sol.iterations
-    # plus one block of the 2 n_x difference points of the Hessian behind
-    # hess_min_eig
-    assert [args[3].shape for args in blocks] == [(2 * sys_.n_x, sys_.n_x)]
+    # plus one one-window block of the 2 n_x difference points of the
+    # Hessian behind hess_min_eig: flow_and_stm_windows(sys, wins, xis, u)
+    assert [([(w.t_start, w.t_end) for w in args[1]], args[2].shape) for args in blocks] \
+        == [([(1.0, 2.0)], (1, 2 * sys_.n_x, sys_.n_x))]
 
 
 def test_hess_fd_equals_per_point_gradients(nonlinear, x0, grid6):
@@ -144,7 +145,7 @@ def test_hess_fd_equals_per_point_gradients(nonlinear, x0, grid6):
     eta = NoiseSignals(v=SampledSignal(0.0, grid6.h, 1e-3 * rng.standard_normal(
         (grid6.n_steps + 1, 2))))
     _, ref_out = perturbed_reference(sys_, t, T, x0, u, eta, grid6)
-    problem = mhe_solver._WindowProblem(sys_, u, grid6.subgrid(t - T, t), ref_out)
+    problem = cost.WindowProblem(sys_, u, grid6.subgrid(t - T, t), ref_out)
     xi = x0 + [0.02, -0.01]
     h = fd_gradient(problem.grad, xi)
     assert_bits_equal(problem.hess_fd(xi), 0.5 * (h + h.T))
@@ -364,11 +365,11 @@ def test_uniform_audit_equals_per_point_reference(nonlinear, x0):
     a1 = a2 = g3 = 0.0
     for e in etas:
         ref_out, dys = _reference_and_directions(sys_, t, T, x0, u, e, full)
-        problem = mhe_solver._WindowProblem(sys_, u, win, ref_out)
+        problem = cost.WindowProblem(sys_, u, win, ref_out)
         for xi in xi_pts:
             pairs = [(_per_point_hess(problem, xi + s), _per_point_hess(problem, xi - s))
                      for s in delta * np.eye(2)]
-            pairs += [tuple(_per_point_hess(mhe_solver._WindowProblem(
+            pairs += [tuple(_per_point_hess(cost.WindowProblem(
                 sys_, u, win, ref_out + sign * dv), xi) for sign in (1.0, -1.0))
                       for dv in delta * np.eye(2)]
             for hp, hm in pairs:
