@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from obsmhe import (CertificationInconclusive, ControlSystem, GridMismatch,
-                    InputSignal, TimeGrid, Unbounded, Verdict, certify_weak_persistence,
-                    certify_weak_regular_persistence,
+                    InputSignal, TimeGrid, Unbounded, Verdict,
+                    certify_weak_persistence, certify_weak_regular_persistence,
                     check_regular_boundedness, jacobi_eigh,
                     observability_grammian, bearing, flow, gauss_newton_term)
 from obsmhe.grammian import ball_samples, reference_scan, window_grammians
