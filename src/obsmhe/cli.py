@@ -169,6 +169,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
     cfg = normalize_config(raw)
     if seed_override is not None:
+        _require_number(seed_override, "--seed", "whole")
         cfg["noise"]["seed"] = seed_override
         cfg["audit"]["seed"] = seed_override
     return cfg

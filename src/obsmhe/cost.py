@@ -222,6 +222,54 @@ def _window_grid(t: float, T: float, grid: TimeGrid) -> TimeGrid:
     return grid.subgrid(t - T, t)
 
 
+class _RunReference:
+    """The reference of one run from (0, x0) on the run grid, served to the
+    windows [t-T, t] of the run with their ends t in ascending order.
+
+    `measured(t)` gives the states x~(s, w) of the w-perturbed flow and the
+    measured outputs h(x~) + v at the window nodes; `window(t)` adds the
+    state x(t-T) of the unperturbed flow. Each call extends the perturbed
+    flow to t and the unperturbed flow to t-T from where the previous
+    window left them, and keeps the perturbed states from the window's
+    start on. A flow split at a node equals the whole flow bit for bit, so
+    every window gets the results of its own flows from (0, x0), and a
+    window whose flow raises leaves that flow where it was.
+    """
+
+    def __init__(self, sys: ControlSystem, x0: Array, u: InputSignal, T: float,
+                 eta: NoiseSignals, grid: TimeGrid):
+        require_width(eta.v, sys.n_y, "measurement noise v")
+        self.sys, self.u, self.T, self.eta, self.grid = sys, u, T, eta, grid
+        x0 = np.asarray(x0, dtype=float)
+        self._noisy = (0.0, x0[None])  # last time, perturbed states up to it
+        self._plain = (0.0, x0)  # last time, unperturbed state there
+
+    def measured(self, t: float) -> tuple[TimeGrid, Array, Array]:
+        """(win, x~ on win, h(x~) + v on win) of the window [t-T, t]."""
+        sys, u, grid = self.sys, self.u, self.grid
+        win = _window_grid(t, self.T, grid)
+        s, xs = self._noisy
+        k, k_last = grid.index_of(t), grid.index_of(s)
+        if k < k_last:
+            raise ValueError("window ends must be taken in ascending order")
+        if k > k_last:
+            seg = perturbed_flow(sys, s, t, xs[-1], u, self.eta.w, grid)
+            xs = np.concatenate([xs[:-1], seg])
+        xs = xs[len(xs) - 1 - win.n_steps:]
+        self._noisy = (t, xs)
+        ys = _outputs(sys, xs, u.at_nodes(win))
+        return win, xs, ys if self.eta.v is None else ys + self.eta.v.at_nodes(win)
+
+    def window(self, t: float) -> tuple[TimeGrid, Array, Array]:
+        """(win, x(t-T), h(x~) + v on win) of the window [t-T, t]."""
+        win, _, ref_out = self.measured(t)
+        s, x = self._plain
+        if self.grid.index_of(t - self.T) > self.grid.index_of(s):
+            x = flow(self.sys, s, t - self.T, x, self.u, self.grid)[-1]
+            self._plain = (t - self.T, x)
+        return win, x, ref_out
+
+
 def perturbed_reference(sys: ControlSystem, t: float, T: float, x0: Array,
                         u: InputSignal, eta: NoiseSignals,
                         grid: TimeGrid) -> tuple[Array, Array]:
@@ -230,14 +278,10 @@ def perturbed_reference(sys: ControlSystem, t: float, T: float, x0: Array,
 
     The reference is integrated from (0, x0) on the [0, t] span of the
     run grid, so process noise accumulated before the window is
-    accounted for.
+    accounted for. This is the one-window form of the reference a run's
+    windows share (`_RunReference.measured`).
     """
-    require_width(eta.v, sys.n_y, "measurement noise v")
-    win = _window_grid(t, T, grid)
-    full = grid.subgrid(0.0, t)
-    xs = perturbed_flow(sys, 0.0, t, x0, u, eta.w, full)[full.index_of(t - T):]
-    ys = _outputs(sys, xs, u.at_nodes(win))
-    return xs, ys if eta.v is None else ys + eta.v.at_nodes(win)
+    return _RunReference(sys, x0, u, T, eta, grid).measured(t)[1:]
 
 
 def candidate_terms(sys: ControlSystem, win: TimeGrid, xi: Array,
@@ -293,8 +337,7 @@ def _perturbed_problem(sys: ControlSystem, t: float, T: float, x0: Array,
                        u: InputSignal, eta: NoiseSignals,
                        grid: TimeGrid) -> WindowProblem:
     """The window [t-T, t] against the noisy reference record."""
-    win = _window_grid(t, T, grid)
-    _, ref_out = perturbed_reference(sys, t, T, x0, u, eta, grid)
+    win, _, ref_out = _RunReference(sys, x0, u, T, eta, grid).measured(t)
     return WindowProblem(sys, u, win, ref_out)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -175,18 +175,13 @@ def grammian_report(t: float, T: float, center: Array, c: Array) -> GrammianRepo
                           matrix=c, eigenvalues=eigvals, eigenvectors=eigvecs)
 
 
-def _window_ends(T: float, t_grid) -> list[float]:
-    """The window ends sorted; ValueError unless nonempty and all >= T."""
+def reference_flow(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
+                   t_grid, grid_step: float) -> tuple[list[float], TimeGrid, Array]:
+    """Sorted window ends, the [0, max t] grid and the reference states on
+    it; ValueError unless the ends are nonempty and all >= T."""
     t_list = sorted(float(t) for t in t_grid)
     if not t_list or t_list[0] < T:
         raise ValueError("t_grid must be nonempty with every t >= T")
-    return t_list
-
-
-def reference_flow(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
-                   t_grid, grid_step: float) -> tuple[list[float], TimeGrid, Array]:
-    """Sorted window ends, the [0, max t] grid and the reference states on it."""
-    t_list = _window_ends(T, t_grid)
     full = TimeGrid.with_step(0.0, t_list[-1], grid_step)
     return t_list, full, flow(sys, 0.0, full.t_end, x0, u, full)
 
@@ -288,7 +283,7 @@ def certify_weak_regular_persistence(sys: ControlSystem, x0: Array, u: InputSign
     otherwise the verdict falls back to the weak-persistence scan result.
     The scan's reference flow also centres the ball samples.
     """
-    _require_ball_samples(n_ball_samples)
+    _require_ball(boundedness_radius, n_ball_samples)
     full, xs, reports = reference_scan(sys, x0, u, T, t_grid, grid_step)
     weak = _weak_certificate(sys, u, full, reports, singular_tol, witness_step)
     if weak.verdict is Verdict.NOT_WEAKLY_PERSISTENT:
@@ -296,9 +291,8 @@ def certify_weak_regular_persistence(sys: ControlSystem, x0: Array, u: InputSign
     if weak.mu_hat < mu_threshold:
         return weak
     try:
-        check_regular_boundedness(sys, x0, u, T, boundedness_radius, t_grid,
-                                  n_ball_samples, seed, grid_step,
-                                  reference=(full, xs))
+        _ball_boundedness(sys, u, T, boundedness_radius, weak.t_grid, full, xs,
+                          n_ball_samples, seed, _OVERFLOW_GUARD)
     except (Unbounded, DomainViolation):
         return weak
     return PersistenceCertificate(
@@ -330,7 +324,9 @@ def ball_samples(rng: np.random.Generator, center: Array, radius: float,
     return np.stack(pts)
 
 
-def _require_ball_samples(n_ball_samples: int) -> None:
+def _require_ball(R: float, n_ball_samples: int) -> None:
+    if R <= 0:
+        raise ValueError("R must be positive")
     if n_ball_samples < 1:
         raise ValueError(f"n_ball_samples must be at least 1, got {n_ball_samples}")
 
@@ -345,9 +341,7 @@ def _sup_norm(trajs: Array) -> float:
 def check_regular_boundedness(sys: ControlSystem, x0: Array, u: InputSignal,
                               T: float, R: float, t_grid, n_ball_samples: int,
                               seed: int, grid_step: float,
-                              overflow_guard: float = _OVERFLOW_GUARD, *,
-                              reference: Optional[tuple[TimeGrid, Array]] = None
-                              ) -> BoundednessReport:
+                              overflow_guard: float = _OVERFLOW_GUARD) -> BoundednessReport:
     """Sampled check of the uniform trajectory bound over ball-perturbed starts.
 
     Draws the seeded points in the ball around x(t-T) for every sampled
@@ -356,23 +350,19 @@ def check_regular_boundedness(sys: ControlSystem, x0: Array, u: InputSignal,
     trajectory norm from its own rows. Raises DomainViolation when a flow
     leaves the system domain, and otherwise Unbounded for the first
     window, in window order, whose norm exceeds `overflow_guard`.
-    `reference=(grid, states)` supplies the reference flow from (0, x0)
-    on the [0, max t] grid at `grid_step`, as `reference_scan` returns it,
-    instead of integrating it again; ValueError if it starts elsewhere or
-    uses another step.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    _require_ball_samples(n_ball_samples)
-    if reference is None:
-        t_list, full, xs = reference_flow(sys, x0, u, T, t_grid, grid_step)
-    else:
-        t_list, (full, xs) = _window_ends(T, t_grid), reference
-        if not np.array_equal(xs[0], np.asarray(x0, dtype=float)):
-            raise ValueError("reference states do not start at x0")
-        if not np.isclose(full.h, grid_step, rtol=1e-9, atol=0.0):
-            raise ValueError(f"reference grid step {full.h} differs from "
-                             f"grid_step {grid_step}")
+    _require_ball(R, n_ball_samples)
+    t_list, full, xs = reference_flow(sys, x0, u, T, t_grid, grid_step)
+    return _ball_boundedness(sys, u, T, R, t_list, full, xs, n_ball_samples, seed,
+                             overflow_guard)
+
+
+def _ball_boundedness(sys: ControlSystem, u: InputSignal, T: float, R: float,
+                      t_list: Sequence[float], full: TimeGrid, xs: Array,
+                      n_ball_samples: int, seed: int,
+                      overflow_guard: float) -> BoundednessReport:
+    """`check_regular_boundedness` of the windows ending at t_list,
+    ascending, around the reference states xs on the [0, max t] grid full."""
     rng = np.random.default_rng(seed)
     points = np.stack([ball_samples(rng, xs[full.index_of(t - T)], R, n_ball_samples)
                        for t in t_list])

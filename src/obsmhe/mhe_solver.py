@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import (WindowProblem, candidate_terms_rows, fd_hessian, fd_points,
-                   grads_from_terms, output_jacobians, perturbed_reference,
+from .cost import (WindowProblem, _RunReference, candidate_terms_rows,
+                   fd_hessian, fd_points, grads_from_terms, output_jacobians,
                    reference_and_noise_directions_rows,
                    sensitivities_from_terms, window_grammian)
 from .errors import (BoundaryStuck, ConditionsFailed, MaxItersExceeded,
@@ -193,14 +193,6 @@ def _minimize(problem: WindowProblem, x_init: Array, opts: SolverOptions):
     return xi, f, grad_norm, iterations, converged, projected_last, tuple(trace)
 
 
-def _reference_state(sys: ControlSystem, x0: Array, u: InputSignal, t: float,
-                     T: float, grid: TimeGrid) -> Array:
-    """The reference state x(t-T), integrated on the run grid from 0."""
-    if t <= T:
-        return np.asarray(x0, dtype=float)
-    return flow(sys, 0.0, t - T, x0, u, grid)[-1]
-
-
 def _window_mu(report: GrammianReport, note: str = "") -> float:
     """2 * min_eig of a window Grammian; SingularWindow if numerically singular."""
     if report.min_eig <= 1e-8 * max(report.max_eig, 1e-300):
@@ -234,11 +226,8 @@ def solve_pmhe(sys: ControlSystem, x0: Array, u: InputSignal, t: float,
     state x(t-T), which is the quantity the stability bounds control.
     With zero noise this reduces exactly to the noise-free estimator.
     """
-    win = grid.subgrid(t - T, t)
-    _, ref_out = perturbed_reference(sys, t, T, x0, u, eta, grid)
-    x_ref = _reference_state(sys, x0, u, t, T, grid)
-    problem = WindowProblem(sys, u, win, ref_out)
-    return _solve_window(problem, x_ref, opts, x_init)
+    win, x_ref, ref_out = _RunReference(sys, x0, u, T, eta, grid).window(t)
+    return _solve_window(WindowProblem(sys, u, win, ref_out), x_ref, opts, x_init)
 
 
 def solve_mhe(sys: ControlSystem, x0: Array, u: InputSignal, t: float,
@@ -262,21 +251,26 @@ def rolling_estimate(sys: ControlSystem, x0: Array, u: InputSignal,
 
     The first window is centered at the true x(t-T); later windows are
     centered at the previous solution propagated forward by the noise-free
-    flow. Per-window solver failures are recorded, not raised, and the
-    warm start keeps propagating from the last success.
+    flow. The windows slice one run reference: the perturbed flow from
+    (0, x0) and the unperturbed one are each integrated once, up to the
+    last window. Per-window failures, of the reference, the warm start or
+    the solver, are recorded, not raised, and the warm start keeps
+    propagating from the last success.
     """
     t_list = sorted(float(t) for t in t_grid)
+    reference = _RunReference(sys, x0, u, T, eta, grid)
     results: list[WindowResult] = []
     prev_t: Optional[float] = None
     prev_xi: Optional[Array] = None
     for t in t_list:
-        if prev_xi is None:
-            warm = _reference_state(sys, x0, u, t, T, grid)
-        else:
-            warm = flow(sys, prev_t - T, t - T, prev_xi, u, grid)[-1]
         try:
-            sol = solve_pmhe(sys, x0, u, t, T, eta,
-                             opts.replace(ball_center=warm), grid)
+            win, x_ref, ref_out = reference.window(t)
+            if prev_xi is None:
+                warm = x_ref
+            else:
+                warm = flow(sys, prev_t - T, t - T, prev_xi, u, grid)[-1]
+            sol = _solve_window(WindowProblem(sys, u, win, ref_out), x_ref,
+                                opts.replace(ball_center=warm), None)
         except ObsMheError as exc:
             results.append(WindowResult(t=t, solution=None,
                                         failure=f"{type(exc).__name__}: {exc}"))
@@ -494,11 +488,12 @@ def multistart_uniqueness(sys: ControlSystem, x0: Array, u: InputSignal,
 
     The cluster radius converts the gradient tolerance into a position
     tolerance through the smallest observed Hessian curvature (capped at
-    R/10 so a flat valley cannot trivially pass).
+    R/10 so a flat valley cannot trivially pass). All starts share one
+    reference of the window.
     """
     _require_samples(n_starts=n_starts)
-    grid.subgrid(t - T, t)  # GridMismatch up front for a window off the grid
-    center = _reference_state(sys, x0, u, t, T, grid)
+    win, center, ref_out = _RunReference(sys, x0, u, T, ZERO_NOISE, grid).window(t)
+    problem = WindowProblem(sys, u, win, ref_out)
     rng = np.random.default_rng(seed)
     starts = [center]
     if n_starts > 1:
@@ -509,7 +504,7 @@ def multistart_uniqueness(sys: ControlSystem, x0: Array, u: InputSignal,
     fails: list[str] = []
     for s in starts:
         try:
-            sols.append(solve_mhe(sys, x0, u, t, T, opts, grid, x_init=s))
+            sols.append(_solve_window(problem, center, opts, s))
         except ObsMheError as exc:
             fails.append(f"{type(exc).__name__}: {exc}")
     if not sols:

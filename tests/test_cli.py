@@ -92,6 +92,23 @@ def test_mhe_run_exit_1_when_windows_fail(tmp_path):
         assert "tol=" in row["status"]
 
 
+def test_mhe_run_records_windows_past_the_landmark(tmp_path):
+    # cst runs into its landmark at t = 1: the windows that end there or
+    # later fail on their reference, the earlier ones solve, and both
+    # artifacts are written.
+    code, out = run(tmp_path, "mhe-run",
+                    {"system": "cst-default", "T": 0.5,
+                     "t_grid": {"start": 0.5, "stop": 1.5, "count": 5}})
+    assert code == 1
+    with open(out / "windows.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["t"] for row in rows] == ["0.5", "0.75", "1.0", "1.25", "1.5"]
+    assert [row["status"] for row in rows] == ["ok"] * 2 + [
+        "DomainViolation: domain guard failed during perturbed_flow"] * 3
+    rep = json.loads((out / "mhe_report.json").read_text())
+    assert (rep["n_windows"], rep["n_failed"]) == (5, 3)
+
+
 def test_stability_audit_passes_on_circle(tmp_path):
     code, out = run(tmp_path, "stability-audit",
                     {"system": "circ-default",
@@ -166,6 +183,19 @@ def test_seed_override_changes_noise(tmp_path):
     base = (out0 / "windows.csv").read_bytes()
     assert base == (out0b / "windows.csv").read_bytes()
     assert base != (out9 / "windows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_negative_seed_override_exit_2(tmp_path, capsys, seed):
+    # The override meets the config's rule for seeds; before, -1 reached
+    # the noise generator and exited 1 as an internal error.
+    code, out = run(tmp_path, "grammian-scan",
+                    {"system": "circ-default",
+                     "t_grid": {"start": 1.0, "stop": 1.0, "count": 1}},
+                    extra=["--seed", seed])
+    assert code == 2
+    assert "(field: --seed)" in capsys.readouterr().err
+    assert not any(out.glob("*"))
 
 
 def test_normalize_config_is_idempotent():

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from obsmhe import (DimensionMismatch, GridMismatch, NoiseSignals,
-                    SampledSignal, TimeGrid, ZERO_NOISE, flow, noise_sensitivity,
-                    perturbed_flow)
+                    SampledSignal, TimeGrid, ZERO_NOISE, cost, flow,
+                    noise_sensitivity, perturbed_flow)
 from obsmhe.cost import (cum_output_error, fd_gradient, fd_hessian, fd_step,
                          gauss_newton_term,
                          grad_cum_error, grad_perturbed_cost,
@@ -120,6 +121,65 @@ def test_perturbed_reference_adds_v_exactly(circ, grid6, x0):
     _, noisy = perturbed_reference(sys_, t, T, x0, u, NoiseSignals(v=v), grid6)
     np.testing.assert_allclose(
         noisy - clean, np.tile([0.1, -0.2], (win.n_steps + 1, 1)), atol=0)
+
+
+def _own_flows(sys_, x0, u, t, T, eta, grid):
+    """A window's reference from its own flows from (0, x0): the states of
+    the perturbed [0, t] flow on the window and their outputs plus v, and
+    the last state of the plain [0, t - T] flow (x0 when t = T)."""
+    win = grid.subgrid(t - T, t)
+    xs = perturbed_flow(sys_, 0.0, t, x0, u, eta.w, grid)[grid.index_of(t - T):]
+    ys = np.stack([sys_.h(x, v) for x, v in zip(xs, u.at_nodes(win))])
+    if eta.v is not None:
+        ys = ys + eta.v.at_nodes(win)
+    x_ref = np.asarray(x0, dtype=float) if grid.index_of(t - T) == 0 else \
+        flow(sys_, 0.0, t - T, x0, u, grid)[-1]
+    return win, xs, ys, x_ref
+
+
+@st.composite
+def horizon_and_ends(draw, n=240):
+    """A horizon of k_T steps and up to 5 ascending window ends, in steps,
+    each at least k_T; ends may repeat."""
+    k_T = draw(st.integers(1, n))
+    return k_T, sorted(draw(st.lists(st.integers(k_T, n), min_size=1, max_size=5)))
+
+
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+@pytest.mark.parametrize("noisy", [False, True])
+@settings(max_examples=25, deadline=None)
+@given(case=horizon_and_ends())
+@example(case=(60, [60, 60, 150, 240]))
+def test_run_reference_equals_each_windows_own_flows(circ, nonlinear, x0, system,
+                                                     noisy, case):
+    # The windows of one run slice one perturbed and one plain reference,
+    # each extended from where the previous window left it; every window
+    # gets what its own flows from (0, x0) give, bit for bit, also at
+    # t = T, at repeated ends and on `nonlinear` (Phi != I).
+    sys_, u = circ if system == "circ" else nonlinear
+    grid = TimeGrid.with_step(0.0, 2.4, 0.01)
+    eta = ZERO_NOISE
+    if noisy:
+        rng = np.random.default_rng(23)
+        eta = NoiseSignals(*(SampledSignal(0.0, grid.h, 1e-2 * rng.standard_normal(
+            (grid.n_steps + 1, dim))) for dim in (sys_.n_y, sys_.n_x)))
+    k_T, ends = case
+    nodes = grid.nodes.tolist()
+    T = nodes[k_T]
+    run = cost._RunReference(sys_, x0, u, T, eta, grid)
+    for k in ends:
+        t = nodes[k]
+        win, x_ref, ref_out = run.window(t)
+        want_win, want_xs, want_out, want_ref = _own_flows(sys_, x0, u, t, T, eta, grid)
+        assert win == want_win
+        assert_bits_equal(x_ref, want_ref)
+        assert_bits_equal(ref_out, want_out)
+        xs, out = perturbed_reference(sys_, t, T, x0, u, eta, grid)
+        assert_bits_equal(xs, want_xs)
+        assert_bits_equal(out, want_out)
+    if ends[-1] > k_T:
+        with pytest.raises(ValueError, match="ascending"):
+            run.window(nodes[ends[-1] - 1])
 
 
 def test_grad_perturbed_matches_fd_under_noise(circ, grid6, x0):

@@ -10,7 +10,7 @@ from obsmhe import (CertificationInconclusive, ControlSystem, GridMismatch,
                     certify_weak_persistence, certify_weak_regular_persistence,
                     check_regular_boundedness, jacobi_eigh,
                     observability_grammian, bearing, flow, gauss_newton_term)
-from obsmhe.grammian import ball_samples, reference_scan, window_grammians
+from obsmhe.grammian import ball_samples, window_grammians
 from conftest import assert_bits_equal
 
 
@@ -176,20 +176,6 @@ def test_boundedness_batch_equals_per_row_flows(system, n, request, x0):
     want = _per_row_boundedness(sys_, x0, u, *args)
     assert_bits_equal(rep.per_window_sup, want)
     assert_bits_equal(rep.L_hat, max(want))
-
-
-def test_boundedness_reuses_a_given_reference(circ, x0):
-    sys_, u = circ
-    args = (1.0, 0.1, [1.0, 2.0], 4, 3, 0.005)
-    full, xs, _ = reference_scan(sys_, x0, u, 1.0, [1.0, 2.0], 0.005)
-    given = check_regular_boundedness(sys_, x0, u, *args, reference=(full, xs))
-    assert given == check_regular_boundedness(sys_, x0, u, *args)
-    with pytest.raises(ValueError, match="x0"):
-        check_regular_boundedness(sys_, x0 + 1e-12, u, *args, reference=(full, xs))
-    coarse = TimeGrid.with_step(0.0, 2.0, 0.01)
-    with pytest.raises(ValueError, match="grid step"):
-        check_regular_boundedness(sys_, x0, u, *args,
-                                  reference=(coarse, flow(sys_, 0.0, 2.0, x0, u, coarse)))
 
 
 @pytest.mark.parametrize("n", [0, -5])

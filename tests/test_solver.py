@@ -6,6 +6,7 @@ magnitudes, and audit constants can all be checked against oracles.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -119,6 +120,95 @@ def test_rolling_estimate_records_failures(circ, x0, grid6):
     assert all(r.failure.startswith("MaxItersExceeded") for r in results)
 
 
+def test_rolling_estimate_records_failed_references(circ, cst, x0, grid6):
+    # A window whose reference cannot be formed is a failed window, not
+    # the end of the run: off the grid (t = 2.0001), or past the landmark
+    # that cst runs into at t = 1. The windows after it still solve from
+    # the last success, or fail on their own.
+    sys_, u = circ
+    results = rolling_estimate(sys_, x0, u, [1.0, 2.0001, 3.0], 1.0,
+                               ZERO_NOISE, OPTS, grid6)
+    assert [r.failure is None for r in results] == [True, False, True]
+    assert results[1].failure.startswith("GridMismatch: time 1.0001")
+    assert results[2].solution.error_to_reference < 1e-8
+    sys_, u = cst
+    ts = [0.5, 0.75, 1.0, 1.25, 1.5]
+    results = rolling_estimate(sys_, x0, u, ts, 0.5, ZERO_NOISE, OPTS,
+                               TimeGrid.with_step(0.0, 1.5, 0.0025))
+    assert [r.t for r in results] == ts
+    assert [r.solution.converged for r in results[:2]] == [True, True]
+    assert [r.failure for r in results[2:]] == \
+        ["DomainViolation: domain guard failed during perturbed_flow"] * 3
+
+
+def _spans(monkeypatch, module, name, caller):
+    """The (s1, s2) spans of the calls to module.name(sys, s1, s2, ...)
+    that functions named caller make through that module."""
+    spans = []
+    original = getattr(module, name)
+
+    def counted(sys_, s1, s2, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == caller:
+            spans.append((s1, s2))
+        return original(sys_, s1, s2, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return spans
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_rolling_estimate_integrates_one_run_reference(circ, x0, grid6,
+                                                       monkeypatch, noisy):
+    # Each window extends the perturbed reference to t and the plain one
+    # to t - T from where the previous window left them: spans that total
+    # N(t_max) + N(t_max - T) steps, not one [0, t] and one [0, t - T]
+    # flow per window.
+    sys_, u = circ
+    perturbed = _spans(monkeypatch, cost, "perturbed_flow", "measured")
+    plain = _spans(monkeypatch, cost, "flow", "window")
+    eta = ZERO_NOISE
+    if noisy:
+        rng = np.random.default_rng(8)
+        eta = NoiseSignals(*(SampledSignal(0.0, grid6.h, 1e-4 * rng.standard_normal(
+            (grid6.n_steps + 1, 2))) for _ in range(2)))
+    results = rolling_estimate(sys_, x0, u, [4.0, 1.0, 2.5, 2.0], 1.0, eta,
+                               OPTS, grid6)
+    assert all(r.failure is None for r in results)
+    assert perturbed == [(0.0, 1.0), (1.0, 2.0), (2.0, 2.5), (2.5, 4.0)]
+    assert plain == [(0.0, 1.0), (1.0, 1.5), (1.5, 3.0)]
+    steps = sum(grid6.index_of(b) - grid6.index_of(a) for a, b in perturbed + plain)
+    assert steps == grid6.index_of(4.0) + grid6.index_of(3.0)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_solve_pmhe_flows_one_perturbed_and_one_plain_reference(
+        circ, x0, grid6, monkeypatch, noisy):
+    # One perturbed [0, t] flow and one plain [0, t - T] flow, also when
+    # the process noise is None: x(t - T) is never taken from the
+    # perturbed states.
+    sys_, u = circ
+    perturbed = count_calls(monkeypatch, ode_core.perturbed_flow)
+    plain = count_calls(monkeypatch, ode_core.flow)
+    v = SampledSignal.constant([1e-3, -2e-3], 2.0, 3.0, grid6.h)
+    w = SampledSignal.constant([1e-4, 1e-4], 0.0, 3.0, grid6.h) if noisy else None
+    solve_pmhe(sys_, x0, u, 3.0, 1.0, NoiseSignals(v=v, w=w), OPTS, grid6)
+    assert [c[1:3] for c in perturbed] == [(0.0, 3.0)]
+    assert [c[1:3] for c in plain if c[1] == 0.0] == [(0.0, 2.0)]
+
+
+def test_multistart_integrates_its_references_once(circ, x0, grid6, monkeypatch):
+    # The starts share one window reference: one perturbed [0, t] flow and
+    # one plain [0, t - T] flow for all of them.
+    sys_, u = circ
+    perturbed = count_calls(monkeypatch, ode_core.perturbed_flow)
+    plain = count_calls(monkeypatch, ode_core.flow)
+    rep = multistart_uniqueness(sys_, x0, u, 3.0, 1.0, R=0.02, n_starts=4,
+                                seed=3, opts=OPTS, grid=grid6)
+    assert len(rep.solutions) == 4
+    assert [c[1:3] for c in perturbed] == [(0.0, 3.0)]
+    assert [c[1:3] for c in plain if c[1] == 0.0] == [(0.0, 2.0)]
+
+
 def test_solve_computes_each_gradient_once(circ, x0, grid6, monkeypatch):
     # One gradient per iterate; the final gradient norm reuses the last.
     sys_, u = circ
@@ -202,11 +292,11 @@ def test_nonuniform_audit_integrates_each_noise_draw_once(spi, x0, monkeypatch):
 
 
 def _nonuniform_reference(sys_, x0, u, t, T, nu, grid, seed, n_noise_samples):
-    """audit_nonuniform_stability from `_reference_state` and one flow and
-    one per-row output Jacobian per node for each noise draw."""
+    """audit_nonuniform_stability from a [0, t - T] reference flow and one
+    flow and one per-row output Jacobian per node for each noise draw."""
     win = grid.subgrid(t - T, t)
     full = grid.subgrid(0.0, t)
-    center = mhe_solver._reference_state(sys_, x0, u, t, T, grid)
+    center = x0 if t == T else flow(sys_, 0.0, t - T, x0, u, grid)[-1]
     xs, ps = ode_core.flow_and_stm(sys_, t - T, t, center, u, win)
     us = u.at_nodes(win)
     hs = output_jacobians(sys_, xs, us)
@@ -238,9 +328,9 @@ def test_nonuniform_audit_equals_per_draw_reference(system, request, x0, t, T, h
     grid = TimeGrid.with_step(0.0, 6.0, h)
     got = audit_nonuniform_stability(sys_, x0, u, t, T, 1e-3, grid, seed=9)
     want = _nonuniform_reference(sys_, x0, u, t, T, 1e-3, grid, 9, 3)
-    # `_reference_state` flows on the [0, t - T] span of the run grid,
-    # which has the [0, t] span's step and nodes: the centers agree bit
-    # for bit on every window.
+    # The reference flows on the [0, t - T] span of the run grid, which
+    # has the [0, t] span's step and nodes: the centers agree bit for bit
+    # on every window.
     assert got == want
 
 
