@@ -46,6 +46,10 @@ MHE_VARIANTS = {
                                       "apply_to": "both"}},
     "full_fd": {"solver": {"hessian_mode": "full_fd"}},
 }
+# An mhe-run whose last three windows end at or past cst's landmark: their
+# rows record the failed reference, and the run still writes both artifacts.
+PAST_LANDMARK = {**PRESET_CONFIGS["cst-default"],
+                 "t_grid": {"start": 0.5, "stop": 1.5, "count": 5}}
 
 # Library cases: one window of the [0, 6] run grid at a coarse step. At
 # t = 3.3, T = 1 a [0, t - T] grid cut with its own step (t - T) / n would
@@ -155,6 +159,7 @@ def _cli_cases() -> dict:
         for variant, extra in MHE_VARIANTS.items():
             cases[f"cli/mhe-run/{preset}/{variant}"] = _cli_case("mhe-run",
                                                                  {**base, **extra})
+    cases["cli/mhe-run/cst-default/past-landmark"] = _cli_case("mhe-run", PAST_LANDMARK)
     return cases
 
 
