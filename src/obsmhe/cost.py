@@ -10,7 +10,8 @@ is the outputs of the flow from the first (`cum_output_error`,
 the noisy record (`perturbed_cost`, `grad_perturbed_cost`), and so is
 the window solvers'. Quadrature is composite Simpson on the RK4 grid, so
 the window grid must have an even number of steps. All functions are
-pure; trajectories are integrated per call.
+pure; trajectories are integrated per call, except that the windows of
+one estimator run share its reference flows (`_RunReference`).
 
 A finite-difference Hessian needs the gradients at its 2 n_x difference
 points. `fd_hessian` asks for them all at once, so the window costs
