@@ -19,12 +19,14 @@ Only a sample of the rows of `trajectory.csv` enters "numbers" (every
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import platform
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -120,13 +122,38 @@ def _cell(text: str):
 
 # -- CLI cases -----------------------------------------------------------------
 
-def _cli_case(command: str, config: dict):
+# `nonlinear` as a registered CLI system, started at (1, 0). It has no row
+# callbacks, so its CLI runs take the per-row fallbacks.
+NONLINEAR_CONFIG = {"system": {"name": "nonlinear"}}
+
+
+def _nonlinear_factory(system: dict):
+    sys_, u = nonlinear_scenario()
+    return sys_, np.array([1.0, 0.0]), u
+
+
+@contextlib.contextmanager
+def _registered(systems: dict):
+    """`cli.register_system` for each of systems, undone on exit."""
+    from obsmhe import cli
+
+    saved = dict(cli.SYSTEM_FACTORIES)
+    for name, factory in systems.items():
+        cli.register_system(name, factory)
+    try:
+        yield
+    finally:
+        cli.SYSTEM_FACTORIES.clear()
+        cli.SYSTEM_FACTORIES.update(saved)
+
+
+def _cli_case(command: str, config: dict, systems: Optional[dict] = None):
     def run() -> dict:
         from obsmhe import cli
 
         rec = _record()
         rec["sha256"] = {}
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, _registered(systems or {}):
             cfg_path = Path(tmp) / "config.json"
             cfg_path.write_text(json.dumps(config), encoding="utf-8")
             out = Path(tmp) / "out"
@@ -160,6 +187,13 @@ def _cli_cases() -> dict:
             cases[f"cli/mhe-run/{preset}/{variant}"] = _cli_case("mhe-run",
                                                                  {**base, **extra})
     cases["cli/mhe-run/cst-default/past-landmark"] = _cli_case("mhe-run", PAST_LANDMARK)
+    nonlinear = {"nonlinear": _nonlinear_factory}
+    for command in ("simulate", "grammian-scan", "stability-audit"):
+        cases[f"cli/{command}/nonlinear"] = _cli_case(command, NONLINEAR_CONFIG,
+                                                      nonlinear)
+    for variant in ("default", "seeded-uniform-both"):
+        cases[f"cli/mhe-run/nonlinear/{variant}"] = _cli_case(
+            "mhe-run", {**NONLINEAR_CONFIG, **MHE_VARIANTS[variant]}, nonlinear)
     return cases
 
 
