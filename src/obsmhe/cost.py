@@ -14,11 +14,11 @@ pure; trajectories are integrated per call, except that the windows of
 one estimator run share its reference flows (`_RunReference`).
 
 A finite-difference Hessian needs the gradients at its 2 n_x difference
-points. `fd_hessian` asks for them all at once, so the window costs
-flow the points as one block of rows, a one-window block of
+points. `fd_hessian` takes them all at once, so the window costs flow
+the points as one block of rows, a one-window block of
 `ode_core.flow_and_stm_windows` (`candidate_terms_rows`). Several
-noise draws of one reference flow as one block as well
-(`reference_and_noise_directions_rows`). The outputs and output
+noise draws of one reference flow as one block as well, with their
+noise sensitivities (`_noise_reference_block`). The outputs and output
 Jacobians of a block are taken with one row-callback call per node
 (`ode_core.outputs_rows`, `ode_core.output_jacobians_rows`); those of a
 single trajectory, one per-row call per node.
@@ -45,7 +45,6 @@ from .ode_core import (
     output_jacobians_rows,
     outputs_rows,
     perturbed_flow,
-    perturbed_flow_and_sensitivities,
     perturbed_flow_and_sensitivities_rows,
     require_width,
     stack_rows,
@@ -107,16 +106,14 @@ def fd_points(x: Array) -> Array:
     return pts
 
 
-def fd_hessian(grads_at: Callable[[Array], Array], x: Array) -> Array:
+def fd_hessian(grads: Array, x: Array) -> Array:
     """Symmetrized central finite differences of an analytic gradient.
 
-    `grads_at` maps the stacked `fd_points(x)` to their gradients,
-    (2 n_x, n_x). The result equals 0.5 (H + H^T), H = `fd_gradient` of
-    the gradient at x, bit for bit.
+    `grads` holds the gradients at the stacked `fd_points(x)`, (2 n_x,
+    n_x). The result equals 0.5 (H + H^T), H = `fd_gradient` of the
+    gradient at x, bit for bit.
     """
-    x = np.asarray(x, dtype=float)
-    g = grads_at(fd_points(x))
-    h = ((g[0::2] - g[1::2]) / (2.0 * fd_step(x))).T
+    h = ((grads[0::2] - grads[1::2]) / (2.0 * fd_step(x))).T
     return 0.5 * (h + h.T)
 
 
@@ -155,9 +152,8 @@ class WindowProblem:
     def hess_fd(self, xi: Array) -> Array:
         """fd_hessian of the cost at xi; its difference points flow as one
         block of rows."""
-        return fd_hessian(lambda pts: grads_from_terms(
-            self.win, candidate_terms_rows(self.sys, self.win, pts, self.u),
-            self.ref_out), xi)
+        terms = candidate_terms_rows(self.sys, self.win, fd_points(xi), self.u)
+        return fd_hessian(grads_from_terms(self.win, terms, self.ref_out), xi)
 
 
 def _flow_problem(sys: ControlSystem, t1: float, t2: float, xi1: Array,
@@ -376,6 +372,25 @@ def sensitivities_from_terms(win: TimeGrid, terms: tuple[Array, Array, Array],
                      for dy in dys], axis=-1)
 
 
+def _noise_reference_block(sys: ControlSystem, t: float, T: float, x0: Array,
+                           u: InputSignal, ws: Sequence[Optional[SampledSignal]],
+                           grid: TimeGrid, dws: Optional[Sequence[SampledSignal]] = None
+                           ) -> tuple[TimeGrid, Array, Array]:
+    """(win, states (n+1, B, n_x), sensitivities (n+1, B, n_x, k)) on the
+    window [t-T, t] of the w-perturbed references of the draws ws (None
+    meaning zero noise), flowed from (0, x0) on the [0, t] span of the run
+    grid as one block, with their sensitivities along dws (default: the
+    n_x constant unit directions). [:, b] equals the window slice of
+    `perturbed_flow_and_sensitivities` under ws[b] bit for bit."""
+    win = _window_grid(t, T, grid)
+    full = grid.subgrid(0.0, t)
+    if dws is None:
+        dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(sys.n_x)]
+    xs, zs = perturbed_flow_and_sensitivities_rows(sys, t, x0, u, ws, dws, full)
+    i0 = full.index_of(t - T)
+    return win, xs[i0:], zs[i0:]
+
+
 def reference_and_noise_directions_rows(sys: ControlSystem, t: float, T: float,
                                         x0: Array, u: InputSignal,
                                         etas: Sequence[NoiseSignals],
@@ -385,18 +400,13 @@ def reference_and_noise_directions_rows(sys: ControlSystem, t: float, T: float,
     `perturbed_reference` and the `noise_output_directions` at its w.
 
     The w-perturbed references and their noise sensitivities flow as one
-    augmented block of rows, and their outputs and output Jacobians are
+    `_noise_reference_block`, and their outputs and output Jacobians are
     taken per node across the draws. Item b equals the single-draw
     results at etas[b] bit for bit."""
     for eta in etas:
         require_width(eta.v, sys.n_y, "measurement noise v")
-    win = _window_grid(t, T, grid)
-    full = grid.subgrid(0.0, t)
-    dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(sys.n_x)]
-    xs, zs = perturbed_flow_and_sensitivities_rows(
-        sys, t, x0, u, [eta.w for eta in etas], dws, full)
-    i0 = full.index_of(t - T)
-    xs, zs = xs[i0:], zs[i0:]
+    win, xs, zs = _noise_reference_block(sys, t, T, x0, u,
+                                         [eta.w for eta in etas], grid)
     us = u.at_nodes(win)
     ys, h_ref = outputs_rows(sys, xs, us), output_jacobians_rows(sys, xs, us)
     n_nodes = win.n_steps + 1
@@ -447,11 +457,7 @@ def grad_sensitivity_w(sys: ControlSystem, t: float, T: float, x0: Array,
     Uses the noise sensitivity z(s) = d_w x~(s, w) . dw of the perturbed
     reference: -2 * integral of (H(x^) Phi)^T H(x~) z(s).
     """
-    win = _window_grid(t, T, grid)
-    full = grid.subgrid(0.0, t)
-    xs_ref, zs_full = perturbed_flow_and_sensitivities(sys, t, x0, u, eta.w,
-                                                       [dw], full)
-    i0 = full.index_of(t - T)
-    h_ref = output_jacobians(sys, xs_ref[i0:], u.at_nodes(win))
-    dy = np.einsum("nij,nj->ni", h_ref, zs_full[i0:, :, 0])
+    win, xs, zs = _noise_reference_block(sys, t, T, x0, u, [eta.w], grid, [dw])
+    h_ref = output_jacobians_rows(sys, xs, u.at_nodes(win))[0]
+    dy = np.einsum("nij,nj->ni", h_ref, zs[:, 0, :, 0])
     return grad_sensitivities(sys, win, xi, u, [dy])[:, 0]

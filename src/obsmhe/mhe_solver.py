@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import (WindowProblem, _RunReference, candidate_terms_rows,
-                   fd_hessian, fd_points, grads_from_terms, output_jacobians,
-                   reference_and_noise_directions_rows,
+from .cost import (WindowProblem, _RunReference, _noise_reference_block,
+                   candidate_terms_rows, fd_hessian, fd_points, grads_from_terms,
+                   output_jacobians, reference_and_noise_directions_rows,
                    sensitivities_from_terms, window_grammian)
 from .errors import (BoundaryStuck, ConditionsFailed, MaxItersExceeded,
                      ObsMheError, SingularWindow)
@@ -27,8 +27,7 @@ from .grammian import (GrammianReport, ball_samples, grammian_report,
                        jacobi_eigh, reference_scan)
 from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals,
                        SampledSignal, TimeGrid, ZERO_NOISE, flow,
-                       flow_and_stm, output_jacobians_rows,
-                       perturbed_flow_and_sensitivities_rows)
+                       flow_and_stm, output_jacobians_rows)
 
 HESSIAN_MODES = ("gauss_newton", "full_fd")
 # Levenberg damping of the Newton step: its start, its growth after a
@@ -251,9 +250,9 @@ def rolling_estimate(sys: ControlSystem, x0: Array, u: InputSignal,
 
     The first window is centered at the true x(t-T); later windows are
     centered at the previous solution propagated forward by the noise-free
-    flow. The windows slice one run reference: the perturbed flow from
-    (0, x0) and the unperturbed one are each integrated once, up to the
-    last window. Per-window failures, of the reference, the warm start or
+    flow, or at the solution itself when its window end repeats. The
+    windows slice one run reference: the perturbed flow from (0, x0) and
+    the unperturbed one are each integrated once, up to the last window. Per-window failures, of the reference, the warm start or
     the solver, are recorded, not raised, and the warm start keeps
     propagating from the last success.
     """
@@ -267,6 +266,8 @@ def rolling_estimate(sys: ControlSystem, x0: Array, u: InputSignal,
             win, x_ref, ref_out = reference.window(t)
             if prev_xi is None:
                 warm = x_ref
+            elif grid.index_of(t) == grid.index_of(prev_t):
+                warm = prev_xi  # the last solved window again
             else:
                 warm = flow(sys, prev_t - T, t - T, prev_xi, u, grid)[-1]
             sol = _solve_window(WindowProblem(sys, u, win, ref_out), x_ref,
@@ -312,22 +313,16 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     their noise sensitivities. Raises SingularWindow when the window
     Grammian is numerically singular (K_t would be meaningless).
 
-    The noise draws and a zero-noise row 0 flow from (0, x0) as one block
-    on the [0, t] span of the run grid; row 0's state at t - T is the
-    window center.
+    The noise draws and a zero-noise row 0 flow from (0, x0) as one
+    `_noise_reference_block`; row 0's state at t - T is the window center.
     """
     _require_samples(n_noise_samples=n_noise_samples)
-    win = grid.subgrid(t - T, t)
-    full = grid.subgrid(0.0, t)
     rng = np.random.default_rng(seed)
-    n_x = sys.n_x
-    dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(n_x)]
-    ws = [_uniform_noise(rng, 0.0, full.h, full.n_steps, n_x, nu)
+    n = grid.index_of(t) - grid.index_of(0.0)  # the steps of [0, t]
+    ws = [_uniform_noise(rng, 0.0, grid.h, n, sys.n_x, nu)
           for _ in range(n_noise_samples)]
-    xt, zs = perturbed_flow_and_sensitivities_rows(sys, t, x0, u, [None] + ws,
-                                                   dws, full)
-    i0 = full.index_of(t - T)
-    center = xt[i0, 0]
+    win, xt, zs = _noise_reference_block(sys, t, T, x0, u, [None] + ws, grid)
+    center = xt[0, 0]
     # One window STM serves the Grammian and the output-noise channel.
     xs, ps = flow_and_stm(sys, t - T, t, center, u, win)
     us = u.at_nodes(win)
@@ -336,11 +331,11 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     hphi = float(np.max(_spectral_norms(hs @ ps)))
     c1 = 2.0 * T * hphi
 
-    noise_hs = output_jacobians_rows(sys, xt[i0:, 1:], us)
+    noise_hs = output_jacobians_rows(sys, xt[:, 1:], us)
     c2 = 0.0
     for b in range(n_noise_samples):
         sup = float(np.max(_spectral_norms(noise_hs[b])
-                           * _spectral_norms(zs[i0:, b + 1])))
+                           * _spectral_norms(zs[:, b + 1])))
         c2 = max(c2, 2.0 * T * hphi * sup)
     return NonuniformStabilityAudit(t=t, T=T, nu=nu, mu_t=mu_t, C1_t=c1, C2_t=c2)
 
@@ -374,12 +369,6 @@ def _candidate_block(sys: ControlSystem, u: InputSignal, win: TimeGrid,
     return [(c, terms[k * m:(k + 1) * m]) for k, c in enumerate(centers)], terms[-1]
 
 
-def _hess_from_terms(win: TimeGrid, center: Array, terms, ref_out: Array) -> Array:
-    """fd_hessian at center of the window cost against ref_out, from the
-    candidate terms already flowed at fd_points(center)."""
-    return fd_hessian(lambda _: grads_from_terms(win, terms, ref_out), center)
-
-
 def _xi_constants(sys: ControlSystem, u: InputSignal, win: TimeGrid, xi: Array,
                   delta: float, refs) -> tuple[float, list[float]]:
     """The a1 estimate at xi and the noise-gradient gain at xi against each
@@ -393,9 +382,11 @@ def _xi_constants(sys: ControlSystem, u: InputSignal, win: TimeGrid, xi: Array,
         # the output-noise channel. (A constant v shift only translates the
         # reference outputs, so the perturbed references can be formed by
         # shifting ref_out directly.)
-        hs = [_hess_from_terms(win, p, p_terms, ref_out) for p, p_terms in shifted]
+        hs = [fd_hessian(grads_from_terms(win, p_terms, ref_out), p)
+              for p, p_terms in shifted]
         pairs = list(zip(hs[::2], hs[1::2]))
-        pairs += [tuple(_hess_from_terms(win, xi, xi_fd_terms, ref_out + sign * dv)
+        pairs += [tuple(fd_hessian(grads_from_terms(win, xi_fd_terms,
+                                                    ref_out + sign * dv), xi)
                         for sign in (1.0, -1.0))
                   for dv in delta * np.eye(n_y)]
         for hp, hm in pairs:

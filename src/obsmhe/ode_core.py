@@ -461,7 +461,11 @@ class SampledSignal:
         return self.values[self.sample_index(s)]
 
     def at_nodes(self, grid: TimeGrid) -> Array:
-        return np.stack([self.at(s) for s in grid.nodes])
+        """`step_values` on the steps of grid, which raises unless they are
+        aligned with the samples and covered by them, then the value at its
+        last node: the last sample's at the final time t0 + n*h."""
+        steps = self.step_values(grid.t_start, grid.h, grid.n_steps)
+        return np.concatenate([steps, self.at(grid.t_end)[None]])
 
     def step_values(self, t0: float, h: float, n: int) -> Array:
         """One held value per integration step (grids must be aligned)."""

@@ -109,6 +109,16 @@ def test_mhe_run_records_windows_past_the_landmark(tmp_path):
     assert (rep["n_windows"], rep["n_failed"]) == (5, 3)
 
 
+def test_mhe_run_repeated_window_end_exit_0(tmp_path):
+    code, out = run(tmp_path, "mhe-run",
+                    {"system": "circ-default",
+                     "t_grid": {"start": 2.0, "stop": 2.0, "count": 2}})
+    assert code == 0
+    with open(out / "windows.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["t"], row["status"]) for row in rows] == [("2.0", "ok")] * 2
+
+
 def test_stability_audit_passes_on_circle(tmp_path):
     code, out = run(tmp_path, "stability-audit",
                     {"system": "circ-default",

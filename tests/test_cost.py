@@ -6,9 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from obsmhe import (DimensionMismatch, GridMismatch, NoiseSignals,
                     SampledSignal, TimeGrid, ZERO_NOISE, cost, flow,
-                    noise_sensitivity, perturbed_flow)
-from obsmhe.cost import (cum_output_error, fd_gradient, fd_hessian, fd_step,
-                         gauss_newton_term,
+                    noise_sensitivity, perturbed_flow,
+                    perturbed_flow_and_sensitivities)
+from obsmhe.cost import (cum_output_error, fd_gradient, fd_hessian, fd_points,
+                         fd_step, gauss_newton_term,
                          grad_cum_error, grad_perturbed_cost,
                          grad_sensitivities, grad_sensitivity_v,
                          grad_sensitivity_w, hess_cum_error,
@@ -77,27 +78,22 @@ def test_hessian_gauss_newton_equals_full_at_reference(circ, grid2, x0):
 
 @pytest.mark.parametrize("system", ["circ", "nonlinear"])
 def test_fd_hessian_equals_symmetrized_fd_gradient(system, request, grid2, x0):
-    # fd_hessian takes every difference point at once and keeps the
-    # step and the arithmetic of fd_gradient; hess_cum_error flows the
-    # points as one block and the reference from xi1 once.
+    # fd_hessian takes the gradients at every difference point at once
+    # and keeps the step and the arithmetic of fd_gradient; hess_cum_error
+    # flows the points as one block and the reference from xi1 once.
     sys_, u = request.getfixturevalue(system)
     xi2 = x0 + [0.03, -0.02]
 
     def grad(z):
         return grad_cum_error(sys_, 0.0, 2.0, x0, z, u, grid2)
 
-    points = []
-
-    def grads_at(pts):
-        points.append(pts)
-        return np.stack([grad(p) for p in pts])
-
+    points = fd_points(xi2)
+    step = fd_step(xi2)
+    assert_bits_equal(points, [xi2 + step * e * sign for e in np.eye(2)
+                               for sign in (1.0, -1.0)])
     h = fd_gradient(grad, xi2)
     sym = 0.5 * (h + h.T)
-    assert_bits_equal(fd_hessian(grads_at, xi2), sym)
-    step = fd_step(xi2)
-    assert_bits_equal(points[0], [xi2 + step * e * sign for e in np.eye(2)
-                                  for sign in (1.0, -1.0)])
+    assert_bits_equal(fd_hessian(np.stack([grad(p) for p in points]), xi2), sym)
     assert_bits_equal(hess_cum_error(sys_, 0.0, 2.0, x0, xi2, u, grid2, mode="full_fd"),
                       sym)
 
@@ -301,6 +297,58 @@ def test_reference_rows_equal_per_draw_references(system, request, grid6, x0):
         assert len(dys) == len(want)
         for got, w in zip(dys, want):
             assert_bits_equal(got, w)
+
+
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+@pytest.mark.parametrize("t, T", [(2.5, 1.0), (1.0, 1.0)])
+def test_noise_reference_block_rows_equal_single_draw_flows(system, request, grid6,
+                                                            x0, t, T):
+    # Row b of the block is draw b's own perturbed flow and sensitivities
+    # from (0, x0) on [0, t], sliced to the window, bit for bit: along the
+    # constant unit directions by default, or along the given ones.
+    sys_, u = request.getfixturevalue(system)
+    full = grid6.subgrid(0.0, t)
+    i0 = full.index_of(t - T)
+    n = full.n_steps + 1
+    rng = np.random.default_rng(41)
+    ws = [None] + [SampledSignal(0.0, grid6.h, 1e-2 * rng.standard_normal((n, 2)))
+                   for _ in range(2)]
+    units = [SampledSignal.constant(e, 0.0, t, grid6.h) for e in np.eye(2)]
+    given = [SampledSignal(0.0, grid6.h, rng.standard_normal((n, 2)))]
+    for dws, want_dws in ((None, units), (given, given)):
+        win, xs, zs = cost._noise_reference_block(sys_, t, T, x0, u, ws, grid6, dws)
+        assert win == grid6.subgrid(t - T, t)
+        for b, w in enumerate(ws):
+            xb, zb = perturbed_flow_and_sensitivities(sys_, t, x0, u, w, want_dws, full)
+            assert_bits_equal(xs[:, b], xb[i0:])
+            assert_bits_equal(zs[:, b], zb[i0:])
+
+
+def _grad_sensitivity_w_per_draw(sys_, t, T, x0, xi, u, eta, grid, dw):
+    """grad_sensitivity_w from its own [0, t] subgrid, one single-draw
+    flow and per-row output Jacobians on the window."""
+    win = grid.subgrid(t - T, t)
+    full = grid.subgrid(0.0, t)
+    xs, zs = perturbed_flow_and_sensitivities(sys_, t, x0, u, eta.w, [dw], full)
+    i0 = full.index_of(t - T)
+    hs = output_jacobians(sys_, xs[i0:], u.at_nodes(win))
+    dy = np.einsum("nij,nj->ni", hs, zs[i0:, :, 0])
+    return grad_sensitivities(sys_, win, xi, u, [dy])[:, 0]
+
+
+@pytest.mark.parametrize("system", ["circ", "nonlinear"])
+def test_sensitivity_w_equals_per_draw_formula(system, request, grid6, x0):
+    sys_, u = request.getfixturevalue(system)
+    t, T = 2.5, 1.0
+    rng = np.random.default_rng(43)
+    n = grid6.n_steps + 1
+    dw = SampledSignal(0.0, grid6.h, rng.standard_normal((n, 2)))
+    xi = np.array([0.55, 0.83])
+    for eta in (ZERO_NOISE, NoiseSignals(w=SampledSignal(
+            0.0, grid6.h, 1e-2 * rng.standard_normal((n, 2))))):
+        assert_bits_equal(
+            grad_sensitivity_w(sys_, t, T, x0, xi, u, eta, grid6, dw),
+            _grad_sensitivity_w_per_draw(sys_, t, T, x0, xi, u, eta, grid6, dw))
 
 
 @pytest.mark.parametrize("channel", ["v", "dv", "w", "dw"])

@@ -340,6 +340,27 @@ def test_sampled_signal_basics():
         s.step_values(0.1, 0.5, 2)  # misaligned start
 
 
+def test_sampled_signal_at_nodes_needs_aligned_covered_nodes():
+    # v sampled on [0, 1): each node reads its own sample and the final
+    # time 1.0 the last one; a grid off the samples, or past them, raises
+    # as step_values does instead of holding the last sample.
+    g = TimeGrid.with_step(0.0, 4.0, 0.01)
+    values = np.arange(200.0).reshape(-1, 2)
+    v = SampledSignal(0.0, g.h, values)
+    sub = g.subgrid(0.5, 1.0)
+    assert_bits_equal(v.at_nodes(sub), np.stack([v.at(s) for s in sub.nodes]))
+    assert_bits_equal(v.at_nodes(sub), np.concatenate([values[50:], values[-1:]]))
+    with pytest.raises(GridMismatch, match="not aligned"):
+        v.at_nodes(TimeGrid.with_step(0.005, 0.505, 0.01))
+    with pytest.raises(GridMismatch, match="step differs"):
+        v.at_nodes(TimeGrid.with_step(0.0, 1.0, 0.02))
+    for t0, t1 in ((2.0, 3.0), (0.5, 1.01)):
+        with pytest.raises(GridMismatch, match="does not cover"):
+            v.at_nodes(g.subgrid(t0, t1))
+    with pytest.raises(GridMismatch, match="does not cover"):
+        SampledSignal(0.5, g.h, values).at_nodes(g.subgrid(0.0, 1.0))
+
+
 def test_noise_signals_norm_is_max_of_channels():
     v = SampledSignal.constant(np.array([3.0, 4.0]), 0.0, 1.0, 0.5)
     eta = NoiseSignals(v=v)

@@ -17,7 +17,7 @@ from obsmhe import (
     audit_nonuniform_stability, audit_uniform_stability, mhe_solver,
     multistart_uniqueness, ode_core, rolling_estimate, solve_fie, solve_mhe,
     solve_pmhe)
-from obsmhe.cost import (fd_gradient, fd_hessian, grad_sensitivities,
+from obsmhe.cost import (fd_gradient, fd_hessian, fd_points, grad_sensitivities,
                          output_jacobians, perturbed_reference)
 from obsmhe.grammian import ball_samples
 from conftest import assert_bits_equal, count_calls
@@ -139,6 +139,30 @@ def test_rolling_estimate_records_failed_references(circ, cst, x0, grid6):
     assert [r.solution.converged for r in results[:2]] == [True, True]
     assert [r.failure for r in results[2:]] == \
         ["DomainViolation: domain guard failed during perturbed_flow"] * 3
+
+
+def test_rolling_estimate_repeats_a_window_end(circ, x0, grid6):
+    # A repeated end is the last solved window again: its warm start is
+    # that solution, not a flow over the empty span [t - T, t - T].
+    sys_, u = circ
+    results = rolling_estimate(sys_, x0, u, [2.0, 2.0, 3.0], 1.0, ZERO_NOISE,
+                               OPTS, grid6)
+    assert [r.failure for r in results] == [None] * 3
+    a, b = (r.solution for r in results[:2])
+    for field in dataclasses.fields(a):
+        assert_bits_equal(getattr(a, field.name), getattr(b, field.name))
+    assert results[2].solution.error_to_reference < 1e-8
+
+
+def test_solve_pmhe_rejects_noise_that_misses_the_window(circ, x0, grid6):
+    # Noise sampled on [0, 1) does not cover the window [2, 3]: v and w
+    # each raise, neither is held at its last sample.
+    sys_, u = circ
+    noise = SampledSignal(0.0, 0.01, np.full((100, 2), 1e-3))
+    grid = TimeGrid.with_step(0.0, 3.0, 0.01)
+    for eta in (NoiseSignals(v=noise), NoiseSignals(w=noise)):
+        with pytest.raises(GridMismatch, match="does not cover"):
+            solve_pmhe(sys_, x0, u, 3.0, 1.0, eta, OPTS, grid)
 
 
 def _spans(monkeypatch, module, name, caller):
@@ -291,6 +315,19 @@ def test_nonuniform_audit_integrates_each_noise_draw_once(spi, x0, monkeypatch):
     assert [args[7].shape for args in sens] == [(grid.n_steps, 4, sys_.n_x)]
 
 
+def test_noise_sensitivity_users_flow_one_reference_block(spi, x0, monkeypatch):
+    # The non-uniform audit and the process-noise gradient sensitivity each
+    # take their references and sensitivities from one augmented block.
+    sys_, u = spi
+    blocks = count_calls(monkeypatch, ode_core.perturbed_flow_and_sensitivities_rows)
+    grid = TimeGrid.with_step(0.0, 3.0, 0.01)
+    audit_nonuniform_stability(sys_, x0, u, 3.0, 2.0, 1e-3, grid, n_noise_samples=3)
+    assert len(blocks) == 1
+    dw = SampledSignal.constant([1.0, 0.0], 0.0, 3.0, grid.h)
+    cost.grad_sensitivity_w(sys_, 3.0, 2.0, x0, x0, u, ZERO_NOISE, grid, dw)
+    assert len(blocks) == 2
+
+
 def _nonuniform_reference(sys_, x0, u, t, T, nu, grid, seed, n_noise_samples):
     """audit_nonuniform_stability from a [0, t - T] reference flow and one
     flow and one per-row output Jacobian per node for each noise draw."""
@@ -415,7 +452,7 @@ def test_uniform_audit_margins_hold_on_circle(circ, x0):
 
 def _per_point_hess(problem, x):
     """fd_hessian of a window cost from one gradient flow per point."""
-    return fd_hessian(lambda pts: np.stack([problem.grad(p) for p in pts]), x)
+    return fd_hessian(np.stack([problem.grad(p) for p in fd_points(x)]), x)
 
 
 def _reference_and_directions(sys_, t, T, x0, u, eta, full):
