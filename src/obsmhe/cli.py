@@ -195,13 +195,13 @@ def _unit(dim: int, direction) -> Array:
     return d / np.linalg.norm(d)
 
 
-def build_noise(cfg: dict, sys: ControlSystem, t_max: float, T: float,
-                h: float) -> NoiseSignals:
+def build_noise(cfg: dict, sys: ControlSystem, t_max: float, h: float) -> NoiseSignals:
     """Sample-and-hold noise signals per the config's noise section.
 
     v covers [0, t_max] (any window slice reads the right samples), w
     covers [0, t_max]. Per-sample norms never exceed the amplitude, so
-    the config amplitude is exactly the sup-norm bound.
+    the config amplitude is exactly the sup-norm bound. Seeded noise
+    draws v, then w, from one generator.
     """
     nz = cfg["noise"]
     fam = nz["family"]
@@ -212,17 +212,15 @@ def build_noise(cfg: dict, sys: ControlSystem, t_max: float, T: float,
     nodes = np.arange(n + 1) * h
 
     def make(dim: int) -> SampledSignal:
+        if fam == "seeded-uniform":
+            return SampledSignal.seeded_uniform(rng, 0.0, h, n, dim, amp)
         if fam == "constant":
             vals = np.tile(amp * _unit(dim, nz.get("direction")), (n + 1, 1))
-        elif fam == "sinusoid":
+        else:  # sinusoid
             freq = float(nz.get("frequency", 1.0))
             phase = float(nz.get("phase", 0.0))
             osc = np.sin(2.0 * math.pi * freq * nodes + phase)
             vals = amp * osc[:, None] * _unit(dim, nz.get("direction"))[None, :]
-        else:  # seeded-uniform
-            d = rng.standard_normal((n + 1, dim))
-            d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
-            vals = amp * rng.uniform(size=(n + 1, 1)) * d
         return SampledSignal(0.0, h, vals)
 
     rng = np.random.default_rng(int(nz["seed"]))
@@ -345,7 +343,7 @@ def cmd_mhe_run(cfg: dict, out: Path) -> int:
     ts = t_grid_values(cfg)
     _require(ts[0] >= T, "t_grid.start", "every window end must satisfy t >= T")
     grid = TimeGrid.with_step(0.0, ts[-1], cfg["grid_step"])
-    eta = build_noise(cfg, sys_, ts[-1], T, grid.h)
+    eta = build_noise(cfg, sys_, ts[-1], grid.h)
     sv = cfg["solver"]
     opts = SolverOptions(ball_radius=float(sv["ball_radius"]),
                          max_iters=int(sv["max_iters"]),

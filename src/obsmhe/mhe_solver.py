@@ -281,15 +281,6 @@ def rolling_estimate(sys: ControlSystem, x0: Array, u: InputSignal,
     return results
 
 
-def _uniform_noise(rng: np.random.Generator, t0: float, h: float, n: int,
-                   dim: int, amplitude: float) -> SampledSignal:
-    """Seeded sample-and-hold noise with per-sample norm at most `amplitude`."""
-    d = rng.standard_normal((n + 1, dim))
-    nrm = np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
-    mag = amplitude * rng.uniform(size=(n + 1, 1))
-    return SampledSignal(t0, h, (mag / nrm) * d)
-
-
 def _require_samples(**counts: int) -> None:
     """ValueError unless every named sample count is at least 1."""
     for name, n in counts.items():
@@ -318,8 +309,7 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     """
     _require_samples(n_noise_samples=n_noise_samples)
     rng = np.random.default_rng(seed)
-    n = grid.index_of(t) - grid.index_of(0.0)  # the steps of [0, t]
-    ws = [_uniform_noise(rng, 0.0, grid.h, n, sys.n_x, nu)
+    ws = [SampledSignal.seeded_uniform(rng, 0.0, grid.h, round(t / grid.h), sys.n_x, nu)
           for _ in range(n_noise_samples)]
     win, xt, zs = _noise_reference_block(sys, t, T, x0, u, [None] + ws, grid)
     center = xt[0, 0]
@@ -437,12 +427,12 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
         t = t_list[i]
         win = full.subgrid(t - T, t)
         center = xs[full.index_of(t - T)]
-        n_steps_full = full.index_of(t)
         etas = [ZERO_NOISE]
         for _ in range(n_eta_samples - 1):
             etas.append(NoiseSignals(
-                v=_uniform_noise(rng, t - T, win.h, win.n_steps, n_y, nu),
-                w=_uniform_noise(rng, 0.0, full.h, n_steps_full, n_x, nu)))
+                v=SampledSignal.seeded_uniform(rng, t - T, win.h, win.n_steps, n_y, nu),
+                w=SampledSignal.seeded_uniform(rng, 0.0, full.h, full.index_of(t),
+                                               n_x, nu)))
         xi_pts = [center] + list(
             ball_samples(rng, center, R, n_xi_samples - 1)[:n_xi_samples - 1])
         # The measured references and the output shifts along the unit v

@@ -443,6 +443,16 @@ class SampledSignal:
         n = round((t1 - t0) / h)
         return cls(t0, h, np.zeros((n, dim)))
 
+    @classmethod
+    def seeded_uniform(cls, rng: np.random.Generator, t0: float, h: float, n: int,
+                       dim: int, amplitude: float) -> "SampledSignal":
+        """n + 1 samples from t0 of norm at most amplitude: directions from
+        rng.standard_normal((n+1, dim)), then magnitudes from rng.uniform."""
+        d = rng.standard_normal((n + 1, dim))
+        nrm = np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
+        mag = amplitude * rng.uniform(size=(n + 1, 1))
+        return cls(t0, h, (mag / nrm) * d)
+
     @property
     def t_end(self) -> float:
         return self.t0 + self.h * self.values.shape[0]

@@ -20,7 +20,6 @@ from obsmhe import (
     rolling_estimate, solve_mhe, solve_pmhe,
     certify_weak_persistence)
 from obsmhe.grammian import Verdict
-from obsmhe.mhe_solver import _uniform_noise
 from obsmhe.cost import (WindowProblem, fd_gradient, gauss_newton_term,
                          perturbed_reference)
 
@@ -220,7 +219,7 @@ def test_acceptance_7_perturbed_mhe_stability(circ, x0, grid6):
             errs = []
             for seed in range(5):
                 rng = np.random.default_rng(seed)
-                v = _uniform_noise(rng, 0.0, H, grid6.n_steps, 1, nu)
+                v = SampledSignal.seeded_uniform(rng, 0.0, H, grid6.n_steps, 1, nu)
                 v = SampledSignal(v.t0, v.h, np.repeat(v.values, 2, axis=-1))
                 for t in t_list:
                     sol = solve_pmhe(sys_, x0, u, t, T, NoiseSignals(v=v),

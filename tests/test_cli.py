@@ -182,6 +182,22 @@ def test_reruns_and_threads_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_seeded_uniform_noise_draws_v_then_w():
+    # One generator seeded from the config draws v, then w: each the
+    # standard_normal directions, then the uniform magnitudes.
+    cfg = cli.normalize_config({"system": "circ-default", "noise": {
+        "family": "seeded-uniform", "amplitude": 1e-3, "seed": 5, "apply_to": "both"}})
+    sys_, _, _ = cli.build_scenario(cfg)
+    eta = cli.build_noise(cfg, sys_, 2.0, 0.01)
+    ref = np.random.default_rng(5)
+    for signal in (eta.v, eta.w):
+        d = ref.standard_normal((201, 2))
+        mag = 1e-3 * ref.uniform(size=(201, 1))
+        want = (mag / np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)) * d
+        assert (signal.t0, signal.h) == (0.0, 0.01)
+        assert signal.values.tobytes() == want.tobytes()
+
+
 def test_seed_override_changes_noise(tmp_path):
     cfg = {"system": "circ-default",
            "t_grid": {"start": 1.0, "stop": 1.0, "count": 1},

@@ -361,6 +361,30 @@ def test_sampled_signal_at_nodes_needs_aligned_covered_nodes():
         SampledSignal(0.5, g.h, values).at_nodes(g.subgrid(0.0, 1.0))
 
 
+def _seeded_uniform_values(rng, n, dim, amplitude):
+    """The seeded-uniform samples: standard_normal((n+1, dim)) directions,
+    then uniform((n+1, 1)) magnitudes, drawn from rng in that order."""
+    d = rng.standard_normal((n + 1, dim))
+    mag = amplitude * rng.uniform(size=(n + 1, 1))
+    return (mag / np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)) * d
+
+
+def test_seeded_uniform_noise_is_bounded_seeded_and_drawn_in_order():
+    n, amp = 400, 1e-3
+    a = SampledSignal.seeded_uniform(np.random.default_rng(7), 0.5, 0.01, n, 3, amp)
+    assert (a.t0, a.h, a.values.shape) == (0.5, 0.01, (n + 1, 3))
+    assert np.all(np.linalg.norm(a.values, axis=1) <= amp)
+    assert a.sup_norm > 0.9 * amp
+    b = SampledSignal.seeded_uniform(np.random.default_rng(7), 0.5, 0.01, n, 3, amp)
+    assert_bits_equal(a.values, b.values)
+    # Two signals from one generator take its stream in turn, as the CLI's
+    # v, then w, do.
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    for dim in (2, 3):
+        got = SampledSignal.seeded_uniform(rng, 0.0, 0.01, n, dim, amp)
+        assert_bits_equal(got.values, _seeded_uniform_values(ref, n, dim, amp))
+
+
 def test_noise_signals_norm_is_max_of_channels():
     v = SampledSignal.constant(np.array([3.0, 4.0]), 0.0, 1.0, 0.5)
     eta = NoiseSignals(v=v)

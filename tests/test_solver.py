@@ -345,7 +345,7 @@ def _nonuniform_reference(sys_, x0, u, t, T, nu, grid, seed, n_noise_samples):
     dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(2)]
     c2 = 0.0
     for _ in range(n_noise_samples):
-        w = mhe_solver._uniform_noise(rng, 0.0, full.h, full.n_steps, 2, nu)
+        w = SampledSignal.seeded_uniform(rng, 0.0, full.h, full.n_steps, 2, nu)
         xt, zs = ode_core.perturbed_flow_and_sensitivities(sys_, t, x0, u, w, dws, full)
         i0 = full.index_of(t - T)
         sup = float(np.max(norms(output_jacobians(sys_, xt[i0:], us)) * norms(zs[i0:])))
@@ -485,8 +485,8 @@ def test_uniform_audit_equals_per_point_reference(nonlinear, x0):
     center = flow(sys_, 0.0, t, x0, u, full)[full.index_of(t - T)]
     rng = np.random.default_rng(3)
     etas = [ZERO_NOISE] + [NoiseSignals(
-        v=mhe_solver._uniform_noise(rng, t - T, win.h, win.n_steps, 2, nu),
-        w=mhe_solver._uniform_noise(rng, 0.0, full.h, full.n_steps, 2, nu))
+        v=SampledSignal.seeded_uniform(rng, t - T, win.h, win.n_steps, 2, nu),
+        w=SampledSignal.seeded_uniform(rng, 0.0, full.h, full.n_steps, 2, nu))
         for _ in range(2)]
     xi_pts = [center, ball_samples(rng, center, R, 1)[0]]
     a1 = a2 = g3 = 0.0
