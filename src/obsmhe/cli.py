@@ -200,8 +200,7 @@ def build_noise(cfg: dict, sys: ControlSystem, t_max: float, h: float) -> NoiseS
 
     v covers [0, t_max] (any window slice reads the right samples), w
     covers [0, t_max]. Per-sample norms never exceed the amplitude, so
-    the config amplitude is exactly the sup-norm bound. Seeded noise
-    draws v, then w, from one generator.
+    the config amplitude is exactly the sup-norm bound.
     """
     nz = cfg["noise"]
     fam = nz["family"]

@@ -409,7 +409,8 @@ def reference_and_noise_directions_rows(sys: ControlSystem, t: float, T: float,
                                          [eta.w for eta in etas], grid)
     us = u.at_nodes(win)
     ys, h_ref = outputs_rows(sys, xs, us), output_jacobians_rows(sys, xs, us)
-    v_dirs = [np.tile(e, (win.n_steps + 1, 1)) for e in np.eye(sys.n_y)]
+    n_nodes = win.n_steps + 1
+    v_dirs = [np.tile(e, (n_nodes, 1)) for e in np.eye(sys.n_y)]
     out = []
     for b, eta in enumerate(etas):
         dys = v_dirs + [np.einsum("nij,nj->ni", h_ref[b], zs[:, b, :, j])

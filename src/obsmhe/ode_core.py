@@ -471,9 +471,9 @@ class SampledSignal:
         return self.values[self.sample_index(s)]
 
     def at_nodes(self, grid: TimeGrid) -> Array:
-        """`step_values` on the steps of grid, which raises unless they are
-        aligned with the samples and covered by them, then the value at its
-        last node: the last sample's at the final time t0 + n*h."""
+        """`step_values` on the steps of grid (aligned with the samples and
+        covered by them, or GridMismatch), then the value at its last node,
+        which at the final time t0 + n*h is the last sample's."""
         steps = self.step_values(grid.t_start, grid.h, grid.n_steps)
         return np.concatenate([steps, self.at(grid.t_end)[None]])
 

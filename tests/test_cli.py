@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from obsmhe import ConfigError, ControlSystem, InputSignal, cli, cost, ode_core
+from obsmhe import (ConfigError, ControlSystem, InputSignal, SampledSignal, cli,
+                    cost, ode_core)
 from conftest import count_calls
 
 
@@ -183,19 +184,16 @@ def test_reruns_and_threads_are_byte_identical(tmp_path):
 
 
 def test_seeded_uniform_noise_draws_v_then_w():
-    # One generator seeded from the config draws v, then w: each the
-    # standard_normal directions, then the uniform magnitudes.
+    # One generator seeded from the config draws v, then w, on [0, t_max].
     cfg = cli.normalize_config({"system": "circ-default", "noise": {
         "family": "seeded-uniform", "amplitude": 1e-3, "seed": 5, "apply_to": "both"}})
     sys_, _, _ = cli.build_scenario(cfg)
     eta = cli.build_noise(cfg, sys_, 2.0, 0.01)
     ref = np.random.default_rng(5)
     for signal in (eta.v, eta.w):
-        d = ref.standard_normal((201, 2))
-        mag = 1e-3 * ref.uniform(size=(201, 1))
-        want = (mag / np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)) * d
-        assert (signal.t0, signal.h) == (0.0, 0.01)
-        assert signal.values.tobytes() == want.tobytes()
+        want = SampledSignal.seeded_uniform(ref, 0.0, 0.01, 200, 2, 1e-3)
+        assert (signal.t0, signal.h) == (want.t0, want.h)
+        assert signal.values.tobytes() == want.values.tobytes()
 
 
 def test_seed_override_changes_noise(tmp_path):
