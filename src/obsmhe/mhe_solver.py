@@ -252,9 +252,10 @@ def rolling_estimate(sys: ControlSystem, x0: Array, u: InputSignal,
     centered at the previous solution propagated forward by the noise-free
     flow, or at the solution itself when its window end repeats. The
     windows slice one run reference: the perturbed flow from (0, x0) and
-    the unperturbed one are each integrated once, up to the last window. Per-window failures, of the reference, the warm start or
-    the solver, are recorded, not raised, and the warm start keeps
-    propagating from the last success.
+    the unperturbed one are each integrated once, up to the last window.
+    Per-window failures, of the reference, the warm start or the solver,
+    are recorded, not raised, and the warm start keeps propagating from
+    the last success.
     """
     t_list = sorted(float(t) for t in t_grid)
     reference = _RunReference(sys, x0, u, T, eta, grid)
