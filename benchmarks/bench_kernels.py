@@ -17,16 +17,17 @@ steps per second, counting one step of a B-row block as B steps.
 Then times the outputs h and output Jacobians dh_dx of a (401, 21) block
 of states, 401 nodes by the 21 rows of one uniform-audit ball point,
 through `ode_core.outputs_rows` and `ode_core.output_jacobians_rows`:
-once with the system's `h_rows` and `dh_dx_rows` (one call per node) and
-once with the per-row fallback (one `h` or `dh_dx` call per node and
-row). Reports thousands of rows per second.
+once with the system's `h_rows` and `dh_dx_rows` (one call on the whole
+block) and once with the per-row fallback (one `h` or `dh_dx` call per
+node and row). Reports thousands of rows per second.
 
 Then times input staging for the circle and spiral inputs on the run
 grid [0, 6] at h = 0.0025: one staging of the run grid, from which every
-span is sliced (2N + 1 evaluations), against staging each span on its
-own with three evaluations per step, for the reference span [0, 6] and
-the windows [t - 1, t], t = 1 .. 6. Reports the input evaluations and the
-milliseconds of each.
+span is sliced (2N + 1 sampled times, one evaluator call per sample
+set), against staging each span on its own with three one-time
+evaluator calls per step, for the reference span [0, 6] and the windows
+[t - 1, t], t = 1 .. 6. Reports the sampled times and the milliseconds
+of each.
 
 Then times the two window blocks of a Grammian scan for the circle and
 spiral inputs on the run grid [0, 6] at h = 0.0025, windows [t - 1, t],
@@ -133,10 +134,12 @@ def main():
 
 
 def _stage_per_step(fn, t0, h, n):
-    """A span staged on its own: start, midpoint and end of every step."""
+    """A span staged on its own: start, midpoint and end of every step,
+    one time per evaluator call."""
     for i in range(n):
         a = t0 + i * h
-        fn(a), fn(a + 0.5 * h), fn(a + h)
+        for s in (a, a + 0.5 * h, a + h):
+            fn(np.array([[s]]))
 
 
 def bench_staging(repeats):
@@ -144,14 +147,14 @@ def bench_staging(repeats):
     grid = ode_core.TimeGrid.with_step(0.0, 6.0, 0.0025)
     spans = [grid] + [grid.subgrid(t - 1.0, t) for t in range(1, 7)]
     print(f"\ninput staging on [0, 6], h = {grid.h}, best of {repeats} runs\n")
-    print(f"{'input':<8}{'staging':<22}{'evals':>8}{'ms':>10}")
+    print(f"{'input':<8}{'staging':<22}{'times':>8}{'ms':>10}")
     for name, u in (("circ", u_circ(landmark, x0, 1.0)),
                     ("spi", u_spi(landmark, x0, 1.0, 0.3))):
-        calls = []
+        times = []
         fn = u.pieces[0][1]
 
         def counted(s):
-            calls.append(s)
+            times.extend(s.ravel().tolist())
             return fn(s)
 
         def run_grid():
@@ -165,11 +168,11 @@ def bench_staging(repeats):
 
         for label, job in (("run grid, sliced", run_grid),
                            ("per span (3 a step)", per_window)):
-            calls.clear()
+            times.clear()
             job()
-            evals = len(calls)
+            sampled = len(times)
             ms = bench(job, repeats) * 1e3
-            print(f"{name:<8}{label:<22}{evals:>8}{ms:>10.2f}")
+            print(f"{name:<8}{label:<22}{sampled:>8}{ms:>10.2f}")
 
 
 def bench_windows(repeats):

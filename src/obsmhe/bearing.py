@@ -131,9 +131,9 @@ def u_circ(landmark, x0, omega: float) -> InputSignal:
     r0, psi0 = sc.r0, sc.psi0
     w = float(omega)
 
-    def fn(s: float) -> Array:
+    def fn(s: Array) -> Array:
         a = w * s + psi0
-        return w * r0 * np.array([-np.sin(a), np.cos(a)])
+        return w * r0 * np.hstack([-np.sin(a), np.cos(a)])
 
     return InputSignal.from_callable(fn, bound=abs(w) * r0)
 
@@ -150,11 +150,11 @@ def u_spi(landmark, x0, omega: float, alpha: float) -> InputSignal:
     r0, psi0 = sc.r0, sc.psi0
     w, a = float(omega), float(alpha)
 
-    def fn(s: float) -> Array:
+    def fn(s: Array) -> Array:
         ang = w * s + psi0
         sin, cos = np.sin(ang), np.cos(ang)
-        return w * r0 * np.exp(a * s) * np.array([-sin + (a / w) * cos,
-                                                  cos + (a / w) * sin])
+        return w * r0 * np.exp(a * s) * np.hstack([-sin + (a / w) * cos,
+                                                   cos + (a / w) * sin])
 
     return InputSignal.from_callable(fn)
 

@@ -78,6 +78,8 @@ _NUMERIC_FIELDS = {
               "n_ball_samples": "count", "n_xi_samples": "count",
               "n_eta_samples": "count", "t_subsample": "count"},
 }
+# The parameters each preset input law reads; cst defaults sigma to 1.
+_LAW_PARAMS = {"circ": ("omega",), "cst": ("sigma",), "spi": ("omega", "alpha")}
 _RULES = {
     "number": ("a number", lambda v: True),
     "positive": ("a positive number", lambda v: v > 0),
@@ -105,6 +107,22 @@ def _require_number(value, field: str, rule: str) -> None:
              f"{field.rpartition('.')[2]} must be {desc}")
 
 
+def _check_preset_params(system: dict) -> None:
+    """ConfigError naming the field unless landmark and x0 are two numbers
+    each and the input law's parameters are numbers (spi divides by a
+    nonzero omega)."""
+    for key in ("landmark", "x0"):
+        v = system.get(key)
+        _require(isinstance(v, (list, tuple)) and len(v) == 2
+                 and all(_is_number(c) for c in v),
+                 f"system.{key}", f"{key} must be a list of two numbers")
+    law = {"sigma": 1.0, **system}
+    for key in _LAW_PARAMS[system["input"]]:
+        _require_number(law.get(key), f"system.{key}", "number")
+    if system["input"] == "spi":
+        _require(law["omega"] != 0, "system.omega", "omega must be nonzero for spi")
+
+
 def normalize_config(raw: dict) -> dict:
     """Expand presets and defaults into a fully explicit, validated config."""
     if not isinstance(raw, dict):
@@ -124,6 +142,7 @@ def normalize_config(raw: dict) -> dict:
         system = expanded
         _require(system.get("input") in bearing.INPUT_LAWS, "system.input",
                  f"unknown input kind {system.get('input')!r}")
+        _check_preset_params(system)
     elif system.get("name") not in SYSTEM_FACTORIES:
         raise ConfigError("system must name a preset or a registered factory",
                           field="system")

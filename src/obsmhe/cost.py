@@ -19,7 +19,7 @@ the points as one block of rows, a one-window block of
 `ode_core.flow_and_stm_windows` (`candidate_terms_rows`). Several
 noise draws of one reference flow as one block as well, with their
 noise sensitivities (`_noise_reference_block`). The outputs and output
-Jacobians of a block are taken with one row-callback call per node
+Jacobians of a block are taken with one row-callback call on all its rows
 (`ode_core.outputs_rows`, `ode_core.output_jacobians_rows`); those of a
 single trajectory, one per-row call per node.
 """
@@ -293,7 +293,7 @@ def candidate_terms(sys: ControlSystem, win: TimeGrid, xi: Array,
 def candidate_terms_rows(sys: ControlSystem, win: TimeGrid, xis: Array,
                          u: InputSignal) -> list[tuple[Array, Array, Array]]:
     """`candidate_terms` from each row of xis, (B, n_x), from one batched
-    flow and one output and one Jacobian call per node; item b equals
+    flow, one output call and one Jacobian call; item b equals
     `candidate_terms` from xis[b] bit for bit."""
     us = u.at_nodes(win)
     xs, phis = flow_and_stm_windows(sys, [win], np.asarray(xis)[None], u)
@@ -401,7 +401,7 @@ def reference_and_noise_directions_rows(sys: ControlSystem, t: float, T: float,
 
     The w-perturbed references and their noise sensitivities flow as one
     `_noise_reference_block`, and their outputs and output Jacobians are
-    taken per node across the draws. Item b equals the single-draw
+    taken in one call each across the draws. Item b equals the single-draw
     results at etas[b] bit for bit."""
     for eta in etas:
         require_width(eta.v, sys.n_y, "measurement noise v")

@@ -157,7 +157,7 @@ def window_grammians(sys: ControlSystem, wins: list[TimeGrid], centers: Array,
     """The Grammian of each window wins[w] of one run grid, all with one
     step count, along the trajectory from its start at centers[w],
     (W, n_x): the STMs of all windows flow as one block with per-row
-    inputs, their output Jacobians take one `dh_dx_rows` call per node, and
+    inputs, their output Jacobians take one `dh_dx_rows` call, and
     each window's Grammian is `cost.window_grammian` of its own row. Equal
     bit for bit to one `cost.gauss_newton_term` per window; GridMismatch
     for windows of different lengths."""

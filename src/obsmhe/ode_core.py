@@ -11,6 +11,9 @@ node and step midpoint, and its left limit at each breakpoint node. The
 stagings live in one bounded, thread-safe, process-wide memo of read-only
 arrays, and every span's stage inputs and node inputs are slices of its
 root's staging. Input evaluators must therefore be pure functions of s.
+An evaluator takes a column of m times, (m, 1), and returns the m input
+rows, (m, n_u): a staging calls each piece once per sample set (nodes,
+midpoints, breakpoint left limits) on the run of times it covers.
 
 Integration is fixed-step classical RK4 on a uniform grid, stepped by
 one loop, `rk4_flow`. The stage inputs of every step come from the
@@ -46,8 +49,8 @@ shared by all of them or one input row per state) and
 start on its own span bit for bit. The domain guard of every flow is
 checked on blocks of nodes through the row guard. `outputs_rows`,
 `output_jacobians_rows` and `output_jacobians_windows` take the outputs
-of such a block with one `h_rows` or `dh_dx_rows` call per node (or the
-per-row fallback from `h` and `dh_dx`).
+of such a block with one `h_rows` or `dh_dx_rows` call on all its rows
+at all its nodes (or the per-row fallback from `h` and `dh_dx`).
 """
 
 from __future__ import annotations
@@ -244,17 +247,24 @@ class InputSignal:
     start must be <= 0 so the signal is defined for every s >= 0. `bound`
     is an optional sup-norm bound checked on every evaluated sample.
 
+    An evaluator takes a float column of m times, (m, 1), and returns the
+    input at each of them as one row, (m, n_u); any other shape raises
+    DimensionMismatch naming the piece. A scalar-style evaluator, such as
+    `np.array([f(s), g(s)])`, returns (n_u, m, 1) and is rejected, so
+    times are never silently taken for input components.
+
     Evaluators must be pure functions of s. The signal is staged once per
     root time base (origin, h, N): the value at every node and at every
     step midpoint, and the left limit at each breakpoint node, held as
     read-only arrays in one bounded, thread-safe, process-wide memo keyed
-    on the signal and the root. `stage_values` and `at_nodes` serve every
-    span of that root as slices of its staging. A sample above the bound
-    raises DomainViolation for every span that uses it, on every call, and
-    for no other span.
+    on the signal and the root. A staging calls each piece once per
+    sample set, on the run of times the piece covers. `stage_values` and
+    `at_nodes` serve every span of that root as slices of its staging. A
+    sample above the bound raises DomainViolation for every span that uses
+    it, on every call, and for no other span.
     """
 
-    pieces: tuple[tuple[float, Callable[[float], Array]], ...]
+    pieces: tuple[tuple[float, Callable[[Array], Array]], ...]
     bound: Optional[float] = None
 
     def __post_init__(self):
@@ -269,13 +279,15 @@ class InputSignal:
             raise ValueError("first piece must start at or before time 0")
 
     @classmethod
-    def from_callable(cls, fn: Callable[[float], Array], bound: Optional[float] = None) -> "InputSignal":
+    def from_callable(cls, fn: Callable[[Array], Array],
+                      bound: Optional[float] = None) -> "InputSignal":
         return cls(pieces=((0.0, fn),), bound=bound)
 
     @classmethod
     def constant(cls, value) -> "InputSignal":
         v = np.array(value, dtype=float)
-        return cls(pieces=((0.0, lambda s: v),), bound=float(np.linalg.norm(v)))
+        return cls(pieces=((0.0, lambda s: np.broadcast_to(v, (len(s),) + v.shape)),),
+                   bound=float(np.linalg.norm(v)))
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -288,30 +300,52 @@ class InputSignal:
         idx = np.searchsorted(starts, np.asarray(times) + _NODE_TOL, side="right") - 1
         return np.maximum(idx, 0)
 
+    def _evaluate(self, p: int, times: Array, width: Optional[int]) -> Array:
+        """Piece p's evaluator on the column of times, as a float array of
+        one row per time, `width` columns when given; DimensionMismatch
+        otherwise."""
+        start, ev = self.pieces[p]
+        v = np.asarray(ev(times), dtype=float)
+        m = times.shape[0]
+        if v.ndim != 2 or v.shape[0] != m or (width is not None and v.shape[1] != width):
+            expected = f"({m}, {'n_u' if width is None else width})"
+            raise DimensionMismatch(f"input piece from s={start} returned shape "
+                                    f"{v.shape} for {m} times, expected {expected}")
+        return v
+
     def _exceeds(self, v: Array) -> bool:
         return self.bound is not None and np.linalg.norm(v) > self.bound + 1e-12
 
     def at(self, s: float) -> Array:
         """Right-continuous evaluation at time s."""
-        v = np.asarray(self.pieces[int(self._piece_index([s])[0])][1](s), dtype=float)
+        p = int(self._piece_index([s])[0])
+        v = self._evaluate(p, np.array([[s]], dtype=float), None)[0]
         if self._exceeds(v):
             raise DomainViolation(f"input sample at s={s} exceeds declared bound "
                                   f"{self.bound}")
         return v
 
-    def _samples(self, pieces: Array, times: Array) -> tuple[Array, Array]:
-        """The samples of the pieces at the times, stacked read-only, and
-        which of them exceed the bound as `at` decides it. Norms of all rows
-        at once are within 2 m eps (m entries a row) of the per-sample
-        norms, so only rows that close to the limit are checked one by one."""
-        out = stack_rows((self.pieces[p][1](s) for p, s in zip(pieces, times.tolist())),
-                         len(times))
+    def _samples(self, pieces: Array, times: Array,
+                 width: Optional[int] = None) -> tuple[Array, Array]:
+        """The samples of the pieces at the times, one evaluator call per
+        run of times on one piece, stacked read-only, and which of them
+        exceed the bound as `at` decides it. Norms of all rows at once are
+        within 2 m eps (m entries a row) of the per-sample norms, so only
+        rows that close to the limit are checked one by one."""
+        cuts = [0] + (np.flatnonzero(np.diff(pieces)) + 1).tolist() + [len(times)]
+        column = times.reshape(-1, 1)
+        out = None
+        for a, b in zip(cuts, cuts[1:]):
+            v = self._evaluate(int(pieces[a]), column[a:b], width)
+            if out is None:
+                width = v.shape[1]
+                out = np.empty((len(times), width))
+            out[a:b] = v
         out.flags.writeable = False
         over = np.zeros(len(times), dtype=bool)
         if self.bound is not None:
-            rows = out.reshape(len(times), -1)
-            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-            margin = 4.0 * rows.shape[1] * np.finfo(float).eps
+            norms = np.sqrt(np.einsum("ij,ij->i", out, out))
+            margin = 4.0 * out.shape[1] * np.finfo(float).eps
             for i in np.flatnonzero(~(norms <= (self.bound + 1e-12) * (1.0 - margin))):
                 over[i] = self._exceeds(out[i])
         return out, over
@@ -356,7 +390,8 @@ def _stage(u: InputSignal, origin: float, h: float, n: int) -> tuple:
     (nodes, mids, ends, over): the right-continuous value at each node k
     (origin + k*h) and at each step midpoint, and each step's end input
     u1, the next node's value or, at a breakpoint node, the left limit.
-    Read-only arrays from 2n + 1 evaluations plus one per breakpoint node.
+    Read-only arrays of 2n + 1 samples plus one per breakpoint node, from
+    one evaluator call per piece and sample set.
 
     Samples above the bound are recorded, not raised, so that exactly the
     spans that use one raise, every time they are served: `over` is None,
@@ -366,12 +401,13 @@ def _stage(u: InputSignal, origin: float, h: float, n: int) -> tuple:
     times = origin + h * np.arange(n + 1)
     mids = times[:-1] + 0.5 * h
     at_node, at_mid = u._piece_index(times), u._piece_index(mids)
-    (nodes, over_node), (mid_values, over_mid) = (u._samples(at_node, times),
-                                                  u._samples(at_mid, mids))
+    nodes, over_node = u._samples(at_node, times)
+    width = nodes.shape[1]
+    mid_values, over_mid = u._samples(at_mid, mids, width)
     ends, over_end = nodes[1:], over_node[1:]
     breaks = np.flatnonzero(at_node[1:] != at_mid)  # steps ending on a breakpoint
     if breaks.size:
-        lefts, over_left = u._samples(at_mid[breaks], times[breaks + 1])
+        lefts, over_left = u._samples(at_mid[breaks], times[breaks + 1], width)
         ends, over_end = np.array(ends), over_end.copy()
         ends[breaks], over_end[breaks] = lefts, over_left
         ends.flags.writeable = False
@@ -686,32 +722,42 @@ def _df_dx_rows(sys: ControlSystem) -> Callable[[Array, Array], Array]:
 def _at_nodes(fn: Callable[[Array, Array], Array], xs: Array, us: Array,
               shape: tuple[int, ...], name: str) -> Array:
     """fn(xs[i], us[i]) of a row callback at every node i of a row block
-    xs, (n, B, n_x), laid out (B, n) + shape so that each row's values are
-    contiguous; DimensionMismatch if a call does not return (B,) + shape."""
+    xs, (n, B, n_x), from one call on all n*B rows, laid out (B, n) + shape
+    so that each row's values are contiguous. us holds the node inputs,
+    (n, n_u), shared by the rows, or (n, G, n_u) for G equal groups of
+    rows, each group's input repeated for its rows; each row is passed
+    its own input row. DimensionMismatch if us is not of that form or the
+    call does not return (n*B,) + shape."""
     n, b = xs.shape[:2]
+    g = 1 if us.ndim == 2 else us.shape[1]
+    if us.ndim not in (2, 3) or us.shape[0] != n or b % g:
+        raise DimensionMismatch(
+            f"node inputs have shape {us.shape}, expected ({n}, n_u) or ({n}, G, n_u) "
+            f"with G dividing {b}")
+    rows = np.repeat(us.reshape(n, g, -1), b // g, axis=1).reshape(n * b, -1)
+    v = np.asarray(fn(xs.reshape(n * b, xs.shape[2]), rows))
+    if v.shape != (n * b,) + shape:
+        raise DimensionMismatch(
+            f"{name} returned shape {v.shape}, expected {(n * b,) + shape}")
     out = np.empty((b, n) + shape)
-    for i in range(n):
-        v = np.asarray(fn(xs[i], us[i]))
-        if v.shape != (b,) + shape:
-            raise DimensionMismatch(
-                f"{name} returned shape {v.shape}, expected {(b,) + shape}")
-        out[:, i] = v
+    out[:] = v.reshape((n, b) + shape).swapaxes(0, 1)
     return out
 
 
 def outputs_rows(sys: ControlSystem, xs: Array, us: Array) -> Array:
     """The outputs h of every row of a block xs, (n, B, n_x), at the node
     inputs us, (n, n_u), or one input row per state, (n, B, n_u): one
-    `h_rows` call (or its per-row fallback) per node. Returns (B, n, n_y);
-    [b] equals the per-row outputs of xs[:, b] bit for bit."""
+    `h_rows` call (or its per-row fallback) on all rows at all nodes.
+    Returns (B, n, n_y); [b] equals the per-row outputs of xs[:, b] bit
+    for bit."""
     return _at_nodes(sys.h_rows or _per_row(sys.h), xs, us, (sys.n_y,), "h_rows")
 
 
 def output_jacobians_rows(sys: ControlSystem, xs: Array, us: Array) -> Array:
     """The output Jacobians dh_dx of every row of a block xs, (n, B, n_x),
     at the node inputs us, as in `outputs_rows`: one `dh_dx_rows` call (or
-    its per-row fallback) per node. Returns (B, n, n_y, n_x); [b] equals
-    the per-row Jacobians bit for bit."""
+    its per-row fallback) on all rows at all nodes. Returns
+    (B, n, n_y, n_x); [b] equals the per-row Jacobians bit for bit."""
     return _at_nodes(sys.dh_dx_rows or _per_row(sys.dh_dx), xs, us,
                      (sys.n_y, sys.n_x), "dh_dx_rows")
 
@@ -859,8 +905,8 @@ def output_jacobians_windows(sys: ControlSystem, xs: Array, wins: Sequence[TimeG
                              u: InputSignal) -> Array:
     """`output_jacobians_rows` of a block xs of `flow_windows` or
     `flow_and_stm_windows` on wins, every row at its own window's node
-    inputs: one `dh_dx_rows` call per node. Returns (W*m, n+1, n_y, n_x)."""
-    (us,) = _window_inputs(u, wins, xs.shape[1] // len(wins), 0)
+    inputs: one `dh_dx_rows` call. Returns (W*m, n+1, n_y, n_x)."""
+    (us,) = _window_inputs(u, wins, 1, 0)  # one input row per window
     return output_jacobians_rows(sys, xs, us)
 
 

@@ -77,7 +77,7 @@ def nonlinear_scenario():
         df_dx=lambda x, u: np.array([[-3.0 * x[0] ** 2, 0.0], [1.0, -0.5]]),
         dh_dx=lambda x, u: np.array([[1.0, 0.2 * x[1]], [0.0, 1.0]]),
     )
-    u = InputSignal.from_callable(lambda s: np.array([np.sin(s), np.cos(2.0 * s)]))
+    u = InputSignal.from_callable(lambda s: np.hstack([np.sin(s), np.cos(2.0 * s)]))
     return sys_, u
 
 

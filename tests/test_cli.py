@@ -314,6 +314,33 @@ def test_invalid_audit_value_exit_2(tmp_path, capsys, command, field, value):
     assert not any(out.glob("*.json"))
 
 
+@pytest.mark.parametrize("preset, field, value", [
+    ("circ-default", "omega", "abc"),
+    ("circ-default", "omega", 1e400),
+    ("circ-default", "omega", None),
+    ("spi-default", "omega", 0),
+    ("spi-default", "alpha", True),
+    ("cst-default", "sigma", True),
+    ("circ-default", "x0", [1]),
+    ("circ-default", "x0", [1, None]),
+    ("circ-default", "x0", [1, math.inf]),
+    ("circ-default", "x0", 1.0),
+    ("circ-default", "landmark", [0, 0, 0]),
+    ("circ-default", "landmark", [0, "0"]),
+])
+def test_invalid_system_value_exit_2(tmp_path, capsys, preset, field, value):
+    # A preset's start, landmark and input-law parameters are config errors
+    # naming the field, not internal errors or runs on coerced values.
+    cfg = {"system": {"preset": preset, field: value}}
+    with pytest.raises(ConfigError) as info:
+        cli.normalize_config(cfg)
+    assert info.value.field == f"system.{field}"
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 2
+    assert f"(field: system.{field})" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_grammian_scan_integrates_the_reference_once(tmp_path, monkeypatch):
     # The scan and the boundedness check share one [0, 6] reference flow.
     calls = count_calls(monkeypatch, ode_core.flow)
@@ -387,7 +414,7 @@ def _oscillator(params):
         h=lambda x, u=None: x[:1],
         df_dx=lambda x, u=None: j,
         dh_dx=lambda x, u=None: np.array([[1.0, 0.0]]))
-    u = InputSignal.from_callable(lambda s: np.array([np.sin(2.0 * s)]), bound=1.0)
+    u = InputSignal.from_callable(lambda s: np.sin(2.0 * s), bound=1.0)
     return sys_, np.array([1.0, 0.0]), u
 
 
@@ -406,3 +433,19 @@ def test_registered_oscillator_scan_matches_closed_form(tmp_path, monkeypatch):
         assert max_eig == pytest.approx(hi, rel=1e-9)
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["verdict"] == "WeaklyRegularlyPersistentSampled"
+
+
+def test_registered_system_with_misshaped_input_is_a_named_error(tmp_path, monkeypatch,
+                                                                  capsys):
+    # An evaluator written for one time at a time returns (1, m, 1) for a
+    # column of m times: a DimensionMismatch, not an internal error.
+    def scalar_style(params):
+        sys_, x0, _ = _oscillator(params)
+        return sys_, x0, InputSignal.from_callable(lambda s: np.array([np.sin(2.0 * s)]))
+
+    monkeypatch.setattr(cli, "SYSTEM_FACTORIES", {})
+    cli.register_system("oscillator", scalar_style)
+    code, _ = run(tmp_path, "simulate", {"system": {"name": "oscillator"}})
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: DimensionMismatch" in err and "internal error" not in err

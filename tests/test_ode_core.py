@@ -14,7 +14,8 @@ from obsmhe import (ControlSystem, DimensionMismatch, DomainViolation, GridMisma
                     InputSignal, NoiseSignals, SampledSignal, TimeGrid, ZERO_NOISE,
                     check_jacobians, cum_output_error, flow, flow_and_stm,
                     flow_and_stm_windows, flow_windows, gauss_newton_term,
-                    bearing, cost, noise_sensitivity, ode_core, perturbed_flow,
+                    bearing, cost, grammian, noise_sensitivity, ode_core,
+                    perturbed_flow,
                     perturbed_flow_and_sensitivities,
                     perturbed_flow_and_sensitivities_rows, stm)
 from conftest import assert_bits_equal
@@ -97,7 +98,7 @@ def test_subgrids_are_index_ranges_of_their_root(case, data):
 def test_input_constant_and_bound():
     u = InputSignal.constant([1.0, 2.0])
     np.testing.assert_array_equal(u.at(0.3), [1.0, 2.0])
-    bounded = InputSignal.from_callable(lambda s: np.array([2.0 * s]), bound=1.0)
+    bounded = InputSignal.from_callable(lambda s: 2.0 * s, bound=1.0)
     with pytest.raises(DomainViolation):
         bounded.at(1.0)
     g = TimeGrid.with_step(0.0, 1.0, 0.25)
@@ -108,17 +109,18 @@ def test_input_constant_and_bound():
             bounded.at_nodes(g)
 
 
-def _counted(fn, calls):
+def _counted(fn, calls, piece):
+    """fn, recording each call as (piece, the times it was given)."""
     def counted(s):
-        calls.append(s)
+        calls.append((piece, s.ravel().tolist()))
         return fn(s)
     return counted
 
 
 def test_input_stage_values_respect_breakpoints():
     calls = []
-    pieces = ((0.0, _counted(lambda s: np.array([1.0]), calls)),
-              (0.5, _counted(lambda s: np.array([3.0]), calls)))
+    pieces = ((0.0, _counted(lambda s: np.full_like(s, 1.0), calls, 0)),
+              (0.5, _counted(lambda s: np.full_like(s, 3.0), calls, 1)))
     u = InputSignal(pieces=pieces)
     g = TimeGrid.with_step(0.0, 1.0, 0.25)
     u0, um, u1 = u.stage_values(g.t_start, g.h, g.n_steps)
@@ -126,8 +128,13 @@ def test_input_stage_values_respect_breakpoints():
     # second; u1 of the step ending at the breakpoint is the left limit
     np.testing.assert_array_equal(u0[:, 0], [1.0, 1.0, 3.0, 3.0])
     np.testing.assert_array_equal(u1[:, 0], [1.0, 1.0, 3.0, 3.0])
-    # One staging: 2N + 1 samples plus the left limit at the breakpoint.
-    assert len(calls) == 2 * g.n_steps + 1 + 1
+    # One staging: 2N + 1 samples plus the left limit at the breakpoint,
+    # from one evaluator call per piece for each sample set: the nodes,
+    # the midpoints and the left limit.
+    assert sum(len(times) for _, times in calls) == 2 * g.n_steps + 1 + 1
+    assert calls == [(0, [0.0, 0.25]), (1, [0.5, 0.75, 1.0]),
+                     (0, [0.125, 0.375]), (1, [0.625, 0.875]),
+                     (0, [0.5])]
     assert u.at(0.5)[0] == 3.0  # right-continuous
     # The second call is served by the memo: slices of the same read-only
     # staging, equal bit for bit to a fresh staging outside the memo.
@@ -154,7 +161,7 @@ def test_input_stage_values_respect_breakpoints():
 
 
 def test_input_memo_holds_at_most_its_capacity():
-    u = InputSignal.from_callable(lambda s: np.array([s]))
+    u = InputSignal.from_callable(lambda s: 1.0 * s)
     cap = ode_core._MEMO_ENTRIES
     for n in range(1, cap + 4):
         u.stage_values(0.0, 0.1, n)
@@ -169,7 +176,7 @@ def test_input_memo_is_consistent_under_threads():
     # More threads than cores and more roots than entries, so lookups,
     # insertions and evictions interleave; every span, root or slice of a
     # root, must still equal a fresh staging outside the memo.
-    u = InputSignal.from_callable(lambda s: np.array([np.sin(s), s]))
+    u = InputSignal.from_callable(lambda s: np.hstack([np.sin(s), s]))
     roots = [TimeGrid(0.1 * k, 0.1 * k + 0.01 * (20 + k), 20 + k) for k in range(12)]
     spans = roots + [g.subgrid(g.nodes[3], g.nodes[15]) for g in roots]
     expected = {}
@@ -205,8 +212,8 @@ def test_input_bound_violation_raises_only_on_spans_that_use_it():
     # or nodes use it raises, on every call; the others are served. With
     # a breakpoint at 0.5, a span ending there takes the left limit from
     # the first piece instead, so only its nodes use the sample.
-    spike = lambda s: np.array([5.0 if s == 0.5 else 0.0])
-    zero = lambda s: np.array([0.0])
+    spike = lambda s: np.where(s == 0.5, 5.0, 0.0)
+    zero = lambda s: np.zeros_like(s)
     g = TimeGrid.with_step(0.0, 1.0, 0.125)
     for u, ends_on_left_limit in ((InputSignal(((0.0, spike),), bound=1.0), False),
                                   (InputSignal(((0.0, zero), (0.5, spike)), bound=1.0),
@@ -265,15 +272,97 @@ def test_wrong_shaped_row_output_rejected_not_broadcast(callback):
         outputs(sys_, np.ones((3, 2, 1)), np.zeros((3, 1)))
 
 
+def _recording(sys_, calls):
+    """sys_ whose h_rows and dh_dx_rows record (name, states, inputs) of
+    every call."""
+    def recorded(name):
+        fn = getattr(sys_, name)
+
+        def call(xs, us):
+            calls.append((name, np.array(xs), np.array(us)))
+            return fn(xs, us)
+        return call
+
+    return dataclasses.replace(sys_, h_rows=recorded("h_rows"),
+                               dh_dx_rows=recorded("dh_dx_rows"))
+
+
+def test_block_outputs_take_one_row_callback_call(circ, grid2, x0):
+    # The outputs of a block come from one h_rows and one dh_dx_rows call
+    # on all its rows at all its nodes, each row with its own node input.
+    sys_, u = circ
+    calls = []
+    counted = _recording(sys_, calls)
+    win = grid2.subgrid(0.5, 1.5)
+    n, xis = win.n_steps + 1, x0 + 0.01 * np.arange(10.0).reshape(5, 2)
+    terms = cost.candidate_terms_rows(counted, win, xis, u)
+    assert [(name, xs.shape) for name, xs, _ in calls] == \
+        [("h_rows", (n * 5, 2)), ("dh_dx_rows", (n * 5, 2))]
+    for _, _, us in calls:
+        assert_bits_equal(us, np.repeat(u.at_nodes(win), 5, axis=0))
+    for b, xi in enumerate(xis):
+        for got, want in zip(terms[b], cost.candidate_terms(sys_, win, xi, u)):
+            assert_bits_equal(got, want)
+    # A scan's STM block: one dh_dx_rows call for all windows, every row
+    # at its own window's node inputs.
+    calls.clear()
+    ends = [0.5, 1.0, 1.5, 2.0]
+    _, _, reports = grammian.reference_scan(counted, x0, u, 0.5, ends, grid2.h)
+    _, _, plain = grammian.reference_scan(sys_, x0, u, 0.5, ends, grid2.h)
+    n = grid2.subgrid(0.0, 0.5).n_steps + 1
+    assert [(name, xs.shape) for name, xs, _ in calls] == \
+        [("dh_dx_rows", (n * len(ends), 2))]
+    wins = [grid2.subgrid(t - 0.5, t) for t in ends]
+    assert_bits_equal(calls[0][2], np.stack([u.at_nodes(w) for w in wins], axis=1)
+                      .reshape(-1, 2))
+    for got, want in zip(reports, plain):
+        assert_bits_equal(got.matrix, want.matrix)
+    # Node inputs that do not match the block's nodes or groups of rows.
+    xs = np.ones((n, 4, 2))
+    for us in (np.zeros((n + 1, 2)), np.zeros((n, 3, 2)), np.zeros((n, 2, 2, 2))):
+        with pytest.raises(DimensionMismatch, match="node inputs"):
+            ode_core.outputs_rows(sys_, xs, us)
+
+
+def _scalar_style(s):
+    """The evaluator form of a scalar law: (2, m, 1) for m times."""
+    return np.array([np.sin(s), np.cos(s)])
+
+
+def _transposed(s):
+    """(2, m) for m times, the transpose of the contract's (m, 2)."""
+    return np.vstack([np.sin(s).T, np.cos(s).T])
+
+
+@pytest.mark.parametrize("law", [_scalar_style, _transposed])
+@pytest.mark.parametrize("piece", [0, 1])
+def test_misshaped_evaluator_rejected(law, piece, circ, x0):
+    # An evaluator that does not return one row per time raises
+    # DimensionMismatch naming its piece, for staging and for `at`. On a
+    # 1-step grid the transposed (2, 2) node samples have the contract's
+    # shape; the midpoint sample, (2, 1), gives it away.
+    sys_, _ = circ
+    good = lambda s: np.hstack([np.cos(s), np.sin(s)])
+    start = (0.0, 0.5)[piece]
+    u = InputSignal(((0.0, law if piece == 0 else good),)
+                    + (((0.5, law),) if piece == 1 else ()))
+    g = TimeGrid(0.0, 1.0, piece + 1)
+    for call in (lambda: u.stage_values(g.t_start, g.h, g.n_steps),
+                 lambda: u.at_nodes(g), lambda: u.at(0.75),
+                 lambda: flow(sys_, 0.0, 1.0, x0, u, g)):
+        with pytest.raises(DimensionMismatch, match=f"piece from s={start} "):
+            call()
+
+
 def test_input_breakpoint_off_grid_rejected():
-    pieces = ((0.0, lambda s: np.array([1.0])), (0.33, lambda s: np.array([2.0])))
+    pieces = ((0.0, lambda s: np.full_like(s, 1.0)), (0.33, lambda s: np.full_like(s, 2.0)))
     u = InputSignal(pieces=pieces)
     with pytest.raises(GridMismatch):
         u.check_breakpoints_on(TimeGrid.with_step(0.0, 1.0, 0.25))
 
 
 def _stage_span_alone(u, sub):
-    """The stages of the span sub evaluated sample by sample at its own
+    """The stages of the span sub evaluated one time per call at its own
     nodes, with every stage of a step on the piece active on the open step."""
     nodes, h = sub.nodes.tolist(), sub.h
     u0, um, u1 = [], [], []
@@ -283,9 +372,9 @@ def _stage_span_alone(u, sub):
         for start, e in u.pieces:
             if start <= mid + 1e-9:
                 ev = e
-        u0.append(ev(a))
-        um.append(ev(mid))
-        u1.append(ev(b))
+        u0.append(ev(np.array([[a]]))[0])
+        um.append(ev(np.array([[mid]]))[0])
+        u1.append(ev(np.array([[b]]))[0])
     return np.array(u0), np.array(um), np.array(u1)
 
 
@@ -297,10 +386,10 @@ def test_slice_of_root_staging_equals_the_span_staged_alone(case, breaks):
     g, i0, i1 = case
     nodes = g.nodes.tolist()
     starts = sorted(nodes[k] for k in breaks if k < g.n_steps)
-    laws = [lambda s: np.array([np.sin(s), s * s]),
-            lambda s: np.array([np.cos(3.0 * s), -s]),
-            lambda s: np.array([s ** 3, 1.0]),
-            lambda s: np.array([np.exp(-s * s), 2.0 * s])]
+    laws = [lambda s: np.hstack([np.sin(s), s * s]),
+            lambda s: np.hstack([np.cos(3.0 * s), -s]),
+            lambda s: np.hstack([s ** 3, np.ones_like(s)]),
+            lambda s: np.hstack([np.exp(-s * s), 2.0 * s])]
     u = InputSignal(pieces=((min(0.0, nodes[0]), laws[0]),)
                     + tuple((b, laws[k + 1]) for k, b in enumerate(starts)))
     sub = g.subgrid(nodes[i0], nodes[i1])
@@ -718,8 +807,8 @@ def test_flow_rows_non_finite_row_matches_flow(system, request, grid2, x0):
 # the per-row fallbacks, has Phi != I and an input that enters f.
 _BLOCK_SYSTEMS = {"bearing": bearing.bearing_system([0.0, 0.0]),
                   "nonlinear": nonlinear_scenario()[0]}
-_LAWS = (lambda s: np.array([-np.sin(s), np.cos(s)]),
-         lambda s: np.array([0.5 * np.cos(3.0 * s), 0.3 - s]))
+_LAWS = (lambda s: np.hstack([-np.sin(s), np.cos(s)]),
+         lambda s: np.hstack([0.5 * np.cos(3.0 * s), 0.3 - s]))
 
 
 @st.composite
@@ -788,7 +877,7 @@ def test_window_block_raises_exactly_when_a_window_uses_a_bad_sample(case, spike
     sys_ = _BLOCK_SYSTEMS["bearing"]
     root = case[0]
     spike_t = float(root.nodes[min(spike, root.n_steps)])
-    law = lambda s: np.array([5.0 if s == spike_t else 0.5, 0.0])
+    law = lambda s: np.hstack([np.where(s == spike_t, 5.0, 0.5), np.zeros_like(s)])
     _, pieces, wins, xis = _block_case(case, law)
     if len(pieces) == 1:
         pieces = ((0.0, law),)

@@ -359,7 +359,7 @@ def _nonuniform_reference(sys_, x0, u, t, T, nu, grid, seed, n_noise_samples):
                                      (5.0, 1.5, 0.005), (3.3, 1.0, 0.01)])
 def test_nonuniform_audit_equals_per_draw_reference(system, request, x0, t, T, h):
     # The zero-noise row's state at t - T is the window center, and the
-    # noise rows' output Jacobians come per node across the rows (on
+    # noise rows' output Jacobians come from one call across the rows (on
     # `nonlinear`, Phi != I and the per-row fallbacks).
     sys_, u = request.getfixturevalue(system)
     grid = TimeGrid.with_step(0.0, 6.0, h)
