@@ -40,12 +40,14 @@ steps per second, counting one step of a B-row block as B steps.
 
 Last, times a single trajectory two ways each, on the circle input and
 the run grid [0, 6] at h = 0.0025: the [0, 6] flow as `ode_core.flow`
-(the per-row f) against the same flow as a one-row block
-(`ode_core.flow_windows`, the system's f_rows); and the outputs h and
-output Jacobians dh_dx of the 401 nodes of the window [1, 2], one
-per-row call per node (`cost._outputs`, `cost.output_jacobians`)
-against one `h_rows` or `dh_dx_rows` call with one input row per node.
-Reports the milliseconds of each.
+(the per-row f, the form of reference flows) against the same flow as a
+one-row block (`ode_core.flow_windows`, the system's f_rows, the form of
+Newton candidates); and the outputs h and output Jacobians dh_dx of the
+401 nodes of the window [1, 2], a per-node loop of per-row `h` or
+`dh_dx` calls written here against the one-row block form the library
+uses (`ode_core.outputs_rows`, `ode_core.output_jacobians_rows`: one
+`h_rows` or `dh_dx_rows` call with one input row per node). Reports the
+milliseconds of each.
 
     python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """
@@ -58,7 +60,6 @@ import numpy as np
 
 from obsmhe import InputSignal, ode_core
 from obsmhe.bearing import bearing_system, u_circ, u_spi
-from obsmhe import cost
 from obsmhe.cost import gauss_newton_term
 from obsmhe.grammian import ball_samples, window_grammians
 
@@ -218,20 +219,22 @@ def bench_single(repeats):
     xs = ode_core.flow(sys_, 1.0, 2.0, x0, u, grid)
     us = u.at_nodes(win)
     print(f"\none circle trajectory at h = {grid.h}, best of {repeats} runs\n")
-    print(f"{'work':<42}{'ms':>10}")
+    print(f"{'work':<50}{'ms':>10}")
     jobs = (
         ("[0, 6] flow, flow", lambda: ode_core.flow(sys_, 0.0, 6.0, x0, u, grid)),
         ("[0, 6] flow, one-row block",
          lambda: ode_core.flow_windows(sys_, [grid], x0[None, None], u)),
-        (f"h at {len(xs)} nodes, one call per node", lambda: cost._outputs(sys_, xs, us)),
-        (f"h at {len(xs)} nodes, one h_rows call", lambda: sys_.h_rows(xs, us)),
+        (f"h at {len(xs)} nodes, one call per node",
+         lambda: np.stack([sys_.h(x, v) for x, v in zip(xs, us)])),
+        (f"h at {len(xs)} nodes, one-row outputs_rows",
+         lambda: ode_core.outputs_rows(sys_, xs[:, None], us)),
         (f"dh_dx at {len(xs)} nodes, one call per node",
-         lambda: cost.output_jacobians(sys_, xs, us)),
-        (f"dh_dx at {len(xs)} nodes, one dh_dx_rows call",
-         lambda: sys_.dh_dx_rows(xs, us)),
+         lambda: np.stack([sys_.dh_dx(x, v) for x, v in zip(xs, us)])),
+        (f"dh_dx at {len(xs)} nodes, one-row output_jacobians_rows",
+         lambda: ode_core.output_jacobians_rows(sys_, xs[:, None], us)),
     )
     for label, job in jobs:
-        print(f"{label:<42}{bench(job, repeats) * 1e3:>10.2f}")
+        print(f"{label:<50}{bench(job, repeats) * 1e3:>10.2f}")
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from .grammian import certify_weak_regular_persistence
 from .mhe_solver import (HESSIAN_MODES, SolverOptions, audit_uniform_stability,
                          rolling_estimate)
 from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals,
-                       SampledSignal, TimeGrid, ZERO_NOISE, flow)
+                       SampledSignal, TimeGrid, ZERO_NOISE, flow, outputs_rows)
 
 # Registry for systems beyond the stock presets: factories return
 # (ControlSystem, x0, InputSignal).
@@ -303,7 +303,7 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     grid = TimeGrid.with_step(0.0, t_end, cfg["grid_step"])
     xs = flow(sys_, 0.0, t_end, x0, u, grid)
     us = u.at_nodes(grid)
-    ys = np.stack([sys_.h(x, uu) for x, uu in zip(xs, us)])
+    ys = outputs_rows(sys_, xs[:, None], us)[0]
     header = (["t"]
               + [f"x{i + 1}" for i in range(sys_.n_x)]
               + [f"u{i + 1}" for i in range(sys_.n_u)]

@@ -13,15 +13,18 @@ the window grid must have an even number of steps. All functions are
 pure; trajectories are integrated per call, except that the windows of
 one estimator run share its reference flows (`_RunReference`).
 
-A finite-difference Hessian needs the gradients at its 2 n_x difference
-points. `fd_hessian` takes them all at once, so the window costs flow
-the points as one block of rows, a one-window block of
-`ode_core.flow_and_stm_windows` (`candidate_terms_rows`). Several
-noise draws of one reference flow as one block as well, with their
-noise sensitivities (`_noise_reference_block`). The outputs and output
-Jacobians of a block are taken with one row-callback call on all its rows
-(`ode_core.outputs_rows`, `ode_core.output_jacobians_rows`); those of a
-single trajectory, one per-row call per node.
+A window candidate is a row block: a candidate's cost flows as a one-row
+`ode_core.flow_windows` block, and its outputs, output Jacobians and
+STMs (`candidate_terms`) are the one-row case of `candidate_terms_rows`,
+one `ode_core.flow_and_stm_windows` block. Every gradient, Gauss-Newton
+Hessian (`gauss_newton_term`, `window_grammian` of the terms) and
+finite-difference Hessian, whose 2 n_x difference points flow as one
+block, is taken from those terms. Several noise draws of one reference
+flow as one block with their noise sensitivities
+(`_noise_reference_block`). Only references flow as single
+trajectories. Every output and output Jacobian takes one row-callback
+call on all rows at all nodes (`ode_core.outputs_rows`,
+`ode_core.output_jacobians_rows`).
 """
 
 from __future__ import annotations
@@ -40,14 +43,14 @@ from .ode_core import (
     SampledSignal,
     TimeGrid,
     flow,
-    flow_and_stm,
     flow_and_stm_windows,
+    flow_windows,
     output_jacobians_rows,
     outputs_rows,
     perturbed_flow,
     perturbed_flow_and_sensitivities_rows,
+    require_state,
     require_width,
-    stack_rows,
 )
 
 
@@ -70,14 +73,6 @@ def simpson_weights(grid: TimeGrid) -> Array:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (grid.h / 3.0)
-
-
-def _outputs(sys: ControlSystem, xs: Array, us: Array) -> Array:
-    return stack_rows((sys.h(x, u) for x, u in zip(xs, us)), len(xs))
-
-
-def output_jacobians(sys: ControlSystem, xs: Array, us: Array) -> Array:
-    return stack_rows((sys.dh_dx(x, u) for x, u in zip(xs, us)), len(xs))
 
 
 def fd_step(point: Array, eps: float = 1e-5) -> float:
@@ -160,8 +155,8 @@ def _flow_problem(sys: ControlSystem, t1: float, t2: float, xi1: Array,
                   u: InputSignal, grid: TimeGrid) -> WindowProblem:
     """The window [t1, t2] against the outputs of the flow from (t1, xi1)."""
     win = grid.subgrid(t1, t2)
-    y1 = _outputs(sys, flow(sys, t1, t2, xi1, u, win), u.at_nodes(win))
-    return WindowProblem(sys, u, win, y1)
+    xs = flow(sys, t1, t2, require_state(sys, xi1, "xi1"), u, win)
+    return WindowProblem(sys, u, win, outputs_rows(sys, xs[:, None], u.at_nodes(win))[0])
 
 
 def cum_output_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
@@ -169,14 +164,14 @@ def cum_output_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
     """Integral over [t1, t2] of the squared output mismatch of the flows
     started at (t1, xi1) and (t1, xi2)."""
     problem = _flow_problem(sys, t1, t2, xi1, u, grid)
-    return WindowCost(t1, t2, problem.cost(xi2), problem.win)
+    return WindowCost(t1, t2, problem.cost(require_state(sys, xi2, "xi2")), problem.win)
 
 
 def grad_cum_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
                    xi2: Array, u: InputSignal, grid: TimeGrid) -> Array:
     """Analytic gradient of cum_output_error in xi2: 2 * integral of
     (y2 - y1)^T H(x2) Phi along the co-integrated xi2-trajectory."""
-    return _flow_problem(sys, t1, t2, xi1, u, grid).grad(xi2)
+    return _flow_problem(sys, t1, t2, xi1, u, grid).grad(require_state(sys, xi2, "xi2"))
 
 
 def gauss_newton_term(sys: ControlSystem, t1: float, t2: float, xi2: Array,
@@ -184,11 +179,12 @@ def gauss_newton_term(sys: ControlSystem, t1: float, t2: float, xi2: Array,
     """The windowed integral of Phi^T H^T H Phi along the xi2-trajectory.
 
     This is the Grammian-style curvature term C(t, T, xi2, u); the
-    Gauss-Newton Hessian of the window cost is 2*C.
+    Gauss-Newton Hessian of the window cost is 2*C. It is
+    `window_grammian` of the `candidate_terms` of xi2, a one-row block.
     """
     sub = grid.subgrid(t1, t2)
-    x2, phis = flow_and_stm(sys, t1, t2, xi2, u, sub)
-    return window_grammian(sub, output_jacobians(sys, x2, u.at_nodes(sub)), phis)
+    _, hs, phis = candidate_terms(sys, sub, xi2, u)
+    return window_grammian(sub, hs, phis)
 
 
 def window_grammian(win: TimeGrid, hs: Array, phis: Array) -> Array:
@@ -205,7 +201,8 @@ def hess_cum_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
                    mode: str = "gauss_newton") -> Array:
     """Hessian of cum_output_error in xi2, `WindowProblem.hess` against the
     flow from xi1 (which gauss_newton does not use)."""
-    return _flow_problem(sys, t1, t2, xi1, u, grid).hess(xi2, mode)
+    return _flow_problem(sys, t1, t2, xi1, u, grid).hess(require_state(sys, xi2, "xi2"),
+                                                          mode)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +234,7 @@ class _RunReference:
                  eta: NoiseSignals, grid: TimeGrid):
         require_width(eta.v, sys.n_y, "measurement noise v")
         self.sys, self.u, self.T, self.eta, self.grid = sys, u, T, eta, grid
-        x0 = np.asarray(x0, dtype=float)
+        x0 = require_state(sys, x0, "x0")
         self._noisy = (0.0, x0[None])  # last time, perturbed states up to it
         self._plain = (0.0, x0)  # last time, unperturbed state there
 
@@ -254,7 +251,7 @@ class _RunReference:
             xs = np.concatenate([xs[:-1], seg])
         xs = xs[len(xs) - 1 - win.n_steps:]
         self._noisy = (t, xs)
-        ys = _outputs(sys, xs, u.at_nodes(win))
+        ys = outputs_rows(sys, xs[:, None], u.at_nodes(win))[0]
         return win, xs, ys if self.eta.v is None else ys + self.eta.v.at_nodes(win)
 
     def window(self, t: float) -> tuple[TimeGrid, Array, Array]:
@@ -284,17 +281,16 @@ def perturbed_reference(sys: ControlSystem, t: float, T: float, x0: Array,
 def candidate_terms(sys: ControlSystem, win: TimeGrid, xi: Array,
                     u: InputSignal) -> tuple[Array, Array, Array]:
     """Outputs, output Jacobians and STMs at the window nodes of the
-    candidate flow from (win.t_start, xi): all a window gradient needs."""
-    us = u.at_nodes(win)
-    xs, phis = flow_and_stm(sys, win.t_start, win.t_end, xi, u, win)
-    return _outputs(sys, xs, us), output_jacobians(sys, xs, us), phis
+    candidate flow from (win.t_start, xi): all a window gradient needs.
+    The one-row case of `candidate_terms_rows`."""
+    return candidate_terms_rows(sys, win, require_state(sys, xi, "xi")[None], u)[0]
 
 
 def candidate_terms_rows(sys: ControlSystem, win: TimeGrid, xis: Array,
                          u: InputSignal) -> list[tuple[Array, Array, Array]]:
-    """`candidate_terms` from each row of xis, (B, n_x), from one batched
-    flow, one output call and one Jacobian call; item b equals
-    `candidate_terms` from xis[b] bit for bit."""
+    """The candidate terms from each row of xis, (B, n_x), from one
+    `flow_and_stm_windows` block, one output call and one Jacobian call;
+    item b equals the terms of row b flowed alone, bit for bit."""
     us = u.at_nodes(win)
     xs, phis = flow_and_stm_windows(sys, [win], np.asarray(xis)[None], u)
     ys, hs = outputs_rows(sys, xs, us), output_jacobians_rows(sys, xs, us)
@@ -318,9 +314,10 @@ def grad_from_terms(win: TimeGrid, terms: tuple[Array, Array, Array],
 
 def perturbed_cost_from_reference(sys: ControlSystem, win: TimeGrid, xi: Array,
                                   u: InputSignal, ref_out: Array) -> float:
-    """Window cost against a precomputed measured-output trajectory."""
-    xs = flow(sys, win.t_start, win.t_end, xi, u, win)
-    resid = _outputs(sys, xs, u.at_nodes(win)) - ref_out
+    """Window cost against a precomputed measured-output trajectory; the
+    candidate flows as a one-row `flow_windows` block."""
+    xs = flow_windows(sys, [win], require_state(sys, xi, "xi")[None, None], u)
+    resid = outputs_rows(sys, xs, u.at_nodes(win))[0] - ref_out
     return float(simpson_weights(win) @ np.sum(resid ** 2, axis=1))
 
 
@@ -382,6 +379,7 @@ def _noise_reference_block(sys: ControlSystem, t: float, T: float, x0: Array,
     grid as one block, with their sensitivities along dws (default: the
     n_x constant unit directions). [:, b] equals the window slice of
     `perturbed_flow_and_sensitivities` under ws[b] bit for bit."""
+    x0 = require_state(sys, x0, "x0")
     win = _window_grid(t, T, grid)
     full = grid.subgrid(0.0, t)
     if dws is None:

@@ -29,7 +29,8 @@ import numpy as np
 from .cost import cum_output_error, window_grammian
 from .errors import CertificationInconclusive, DomainViolation, EigFailure, Unbounded
 from .ode_core import (Array, ControlSystem, InputSignal, TimeGrid, flow,
-                       flow_and_stm_windows, flow_windows, output_jacobians_windows)
+                       flow_and_stm_windows, flow_windows, output_jacobians_windows,
+                       require, require_state)
 
 SAMPLED_DISCLAIMER = "sampled evidence, not a proof"
 
@@ -42,10 +43,14 @@ def jacobi_eigh(a: Array, max_sweeps: int = 100) -> tuple[Array, Array]:
 
     Returns (eigenvalues ascending, eigenvectors as columns). Intended for
     the small dense matrices this library produces (n <= 10 or so).
-    Raises EigFailure if the off-diagonal mass does not vanish within
+    Raises EigFailure for input that is not square, not finite or not
+    exactly symmetric, and if the off-diagonal mass does not vanish within
     `max_sweeps` sweeps.
     """
     a = np.array(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all() \
+            or not np.array_equal(a, a.T):
+        raise EigFailure(f"need a finite symmetric matrix, got {a!r}")
     n = a.shape[0]
     v = np.eye(n)
     scale = max(1.0, float(np.linalg.norm(a)))
@@ -147,7 +152,7 @@ def observability_grammian(sys: ControlSystem, t: float, T: float, center: Array
                            u: InputSignal, grid: TimeGrid) -> GrammianReport:
     """Grammian of the window [t-T, t] along the trajectory from (t-T,
     center): `window_grammians` of that one window."""
-    center = np.asarray(center, dtype=float)
+    center = require_state(sys, center, "center")
     win = grid.subgrid(t - T, t)
     return grammian_report(t, T, center, window_grammians(sys, [win], center[None], u)[0])
 
@@ -183,7 +188,7 @@ def reference_flow(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
     if not t_list or t_list[0] < T:
         raise ValueError("t_grid must be nonempty with every t >= T")
     full = TimeGrid.with_step(0.0, t_list[-1], grid_step)
-    return t_list, full, flow(sys, 0.0, full.t_end, x0, u, full)
+    return t_list, full, flow(sys, 0.0, full.t_end, require_state(sys, x0, "x0"), u, full)
 
 
 def reference_scan(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
@@ -283,7 +288,8 @@ def certify_weak_regular_persistence(sys: ControlSystem, x0: Array, u: InputSign
     otherwise the verdict falls back to the weak-persistence scan result.
     The scan's reference flow also centres the ball samples.
     """
-    _require_ball(boundedness_radius, n_ball_samples)
+    require("positive", R=boundedness_radius)
+    require("count", n_ball_samples=n_ball_samples)
     full, xs, reports = reference_scan(sys, x0, u, T, t_grid, grid_step)
     weak = _weak_certificate(sys, u, full, reports, singular_tol, witness_step)
     if weak.verdict is Verdict.NOT_WEAKLY_PERSISTENT:
@@ -324,13 +330,6 @@ def ball_samples(rng: np.random.Generator, center: Array, radius: float,
     return np.stack(pts)
 
 
-def _require_ball(R: float, n_ball_samples: int) -> None:
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if n_ball_samples < 1:
-        raise ValueError(f"n_ball_samples must be at least 1, got {n_ball_samples}")
-
-
 def _sup_norm(trajs: Array) -> float:
     """Largest state norm in (n+1, B, n_x) trajectories, taken one row at a
     time so no temporary is the size of the whole batch."""
@@ -351,7 +350,8 @@ def check_regular_boundedness(sys: ControlSystem, x0: Array, u: InputSignal,
     leaves the system domain, and otherwise Unbounded for the first
     window, in window order, whose norm exceeds `overflow_guard`.
     """
-    _require_ball(R, n_ball_samples)
+    require("positive", R=R)
+    require("count", n_ball_samples=n_ball_samples)
     t_list, full, xs = reference_flow(sys, x0, u, T, t_grid, grid_step)
     return _ball_boundedness(sys, u, T, R, t_list, full, xs, n_ball_samples, seed,
                              overflow_guard)

@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .cost import (WindowProblem, _RunReference, _noise_reference_block,
-                   candidate_terms_rows, fd_hessian, fd_points, grads_from_terms,
-                   output_jacobians, reference_and_noise_directions_rows,
+                   candidate_terms, candidate_terms_rows, fd_hessian, fd_points,
+                   grads_from_terms, reference_and_noise_directions_rows,
                    sensitivities_from_terms, window_grammian)
 from .errors import (BoundaryStuck, ConditionsFailed, MaxItersExceeded,
                      ObsMheError, SingularWindow)
@@ -27,7 +27,7 @@ from .grammian import (GrammianReport, ball_samples, grammian_report,
                        jacobi_eigh, reference_scan)
 from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals,
                        SampledSignal, TimeGrid, ZERO_NOISE, flow,
-                       flow_and_stm, output_jacobians_rows)
+                       output_jacobians_rows, require, require_state)
 
 HESSIAN_MODES = ("gauss_newton", "full_fd")
 # Levenberg damping of the Newton step: its start, its growth after a
@@ -51,6 +51,8 @@ class SolverOptions:
         if self.hessian_mode not in HESSIAN_MODES:
             raise ValueError(f"unknown hessian mode {self.hessian_mode!r}; "
                              f"choose from {HESSIAN_MODES}")
+        require("positive", ball_radius=self.ball_radius)
+        require("nonnegative", max_iters=self.max_iters, grad_tol=self.grad_tol)
 
     def replace(self, **kw) -> "SolverOptions":
         return dataclasses.replace(self, **kw)
@@ -205,7 +207,8 @@ def _solve_window(problem: WindowProblem, x_ref: Array, opts: SolverOptions,
                   x_init: Optional[Array]) -> MheSolution:
     if opts.ball_center is None:
         opts = opts.replace(ball_center=x_ref)
-    init = opts.ball_center if x_init is None else x_init
+    center = require_state(problem.sys, opts.ball_center, "ball_center")
+    init = center if x_init is None else require_state(problem.sys, x_init, "x_init")
     xi, f, grad_norm, iters, converged, projected, trace = _minimize(
         problem, init, opts)
     hess_min_eig = float(jacobi_eigh(problem.hess_fd(xi))[0][0])
@@ -282,13 +285,6 @@ def rolling_estimate(sys: ControlSystem, x0: Array, u: InputSignal,
     return results
 
 
-def _require_samples(**counts: int) -> None:
-    """ValueError unless every named sample count is at least 1."""
-    for name, n in counts.items():
-        if n < 1:
-            raise ValueError(f"{name} must be at least 1, got {n}")
-
-
 def _spectral_norms(ms: Array) -> Array:
     """The 2-norm of each matrix in a stack."""
     return np.linalg.norm(ms, 2, axis=(1, 2))
@@ -308,21 +304,21 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     The noise draws and a zero-noise row 0 flow from (0, x0) as one
     `_noise_reference_block`; row 0's state at t - T is the window center.
     """
-    _require_samples(n_noise_samples=n_noise_samples)
+    require("nonnegative", nu=nu)
+    require("count", n_noise_samples=n_noise_samples)
     rng = np.random.default_rng(seed)
     ws = [SampledSignal.seeded_uniform(rng, 0.0, grid.h, round(t / grid.h), sys.n_x, nu)
           for _ in range(n_noise_samples)]
     win, xt, zs = _noise_reference_block(sys, t, T, x0, u, [None] + ws, grid)
     center = xt[0, 0]
-    # One window STM serves the Grammian and the output-noise channel.
-    xs, ps = flow_and_stm(sys, t - T, t, center, u, win)
-    us = u.at_nodes(win)
-    hs = output_jacobians(sys, xs, us)
+    # The candidate terms of the center, a one-row block, serve the
+    # Grammian and the output-noise channel.
+    _, hs, ps = candidate_terms(sys, win, center, u)
     mu_t = _window_mu(grammian_report(t, T, center, window_grammian(win, hs, ps)))
     hphi = float(np.max(_spectral_norms(hs @ ps)))
     c1 = 2.0 * T * hphi
 
-    noise_hs = output_jacobians_rows(sys, xt[:, 1:], us)
+    noise_hs = output_jacobians_rows(sys, xt[:, 1:], u.at_nodes(win))
     c2 = 0.0
     for b in range(n_noise_samples):
         sup = float(np.max(_spectral_norms(noise_hs[b])
@@ -408,12 +404,10 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
-    _require_samples(n_xi_samples=n_xi_samples, n_eta_samples=n_eta_samples,
-                     t_subsample=t_subsample)
+    require("positive", R=R)
+    require("nonnegative", nu=nu)
+    require("count", n_xi_samples=n_xi_samples, n_eta_samples=n_eta_samples,
+            t_subsample=t_subsample)
     full, xs, scan = reference_scan(sys, x0, u, T, t_grid, grid_step)
     t_list = [r.t for r in scan]
     mu_hat = min(_window_mu(r, "; no uniform margin exists") for r in scan)
@@ -473,7 +467,8 @@ def multistart_uniqueness(sys: ControlSystem, x0: Array, u: InputSignal,
     R/10 so a flat valley cannot trivially pass). All starts share one
     reference of the window.
     """
-    _require_samples(n_starts=n_starts)
+    require("positive", R=R)
+    require("count", n_starts=n_starts)
     win, center, ref_out = _RunReference(sys, x0, u, T, ZERO_NOISE, grid).window(t)
     problem = WindowProblem(sys, u, win, ref_out)
     rng = np.random.default_rng(seed)

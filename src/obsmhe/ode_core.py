@@ -32,34 +32,31 @@ of noise directions come out of one integration on the same RK4 stages.
 The augmented state may be one row or a block of B rows, (B, n_x +
 n_x*k), with the noise forcing shared by the rows or given per row.
 
-The batched flows step a block of starts through one call of `rk4_flow`.
-`flow_windows` and `flow_and_stm_windows` step m starts on each of W
-windows of one run grid with one step count as one block: the scan's
-window STMs, its ball samples, and, as one window, the difference
-points of every finite-difference Hessian. One window's rows share its
-input rows, which are slices of the run grid's staging; the rows of
-several windows each get their own window's inputs, gathered from the
-staging and, for several rows a window, built one step at a time as the
-loop reads them. `perturbed_flow_and_sensitivities_rows` steps several
-process-noise draws from one start. They use the system's optional row
-callbacks `f_rows` and `df_dx_rows` (stacked rows, with one input row
-shared by all of them or one input row per state) and
-`domain_guard_rows`, or a per-row fallback built from `f`, `df_dx` and
-`domain_guard`. Row b of a block equals the single-row flow from its
-start on its own span bit for bit. The domain guard of every flow is
-checked on blocks of nodes through the row guard. `outputs_rows`,
-`output_jacobians_rows` and `output_jacobians_windows` take the outputs
-of such a block with one `h_rows` or `dh_dx_rows` call on all its rows
-at all its nodes (or the per-row fallback from `h` and `dh_dx`).
+A window candidate is a row block; only a reference is a single
+trajectory. `flow` and `perturbed_flow` step one state through the
+per-row f (reference flows, warm starts, simulations). `flow_windows`
+and `flow_and_stm_windows` step m starts on each of W windows of one run
+grid with one step count as one block (the scan's STMs and ball samples;
+as one window, every Newton candidate and the difference points of every
+finite-difference Hessian; `flow_and_stm` is the one-row case), and
+`perturbed_flow_and_sensitivities_rows` steps several process-noise
+draws from one start. Blocks use the optional row callbacks `f_rows`,
+`df_dx_rows` and `domain_guard_rows`, or per-row fallbacks, and row b
+equals the single-row flow from its start bit for bit. Every output and
+output Jacobian comes from `outputs_rows` or `output_jacobians_rows`: one
+`h_rows` or `dh_dx_rows` call (or per-row fallback) on all rows at all
+nodes.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Iterable, Optional, Sequence
+from numbers import Integral
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -77,31 +74,10 @@ _MEMO_ENTRIES = 2
 _GUARD_BLOCK = 256
 
 
-def _fill(out: Optional[Array], i: int, row, n: int) -> Array:
-    """Write `row` as row i of an (n, ...) float array allocated from the
-    first row's shape; returns the array.
-
-    As with np.stack, a row of another shape raises ValueError instead of
-    being broadcast into place.
-    """
-    row = np.asarray(row, dtype=float)
-    if out is None:
-        out = np.empty((n,) + row.shape)
-    elif row.shape != out.shape[1:]:
-        raise ValueError(f"row {i} has shape {row.shape}, "
-                         f"expected {out.shape[1:]}")
-    out[i] = row
-    return out
-
-
-def stack_rows(rows: Iterable, n: int) -> Array:
-    """np.stack of the n rows, filled into one preallocated float array."""
-    out = None
-    for i, row in enumerate(rows):
-        out = _fill(out, i, row, n)
-    if out is None:
-        raise ValueError("need at least one row to stack")
-    return out
+def _require_step(h: float) -> None:
+    """GridMismatch unless the step h is a finite positive number."""
+    if not 0.0 < h < math.inf:
+        raise GridMismatch(f"step must be finite and positive, got {h}")
 
 
 @dataclass(frozen=True)
@@ -112,20 +88,18 @@ class ControlSystem:
     optional `domain_guard` marks states where h is defined; trajectories
     leaving the guarded region raise DomainViolation.
 
-    Five optional row callbacks serve the batched flows (`flow_windows`,
-    `flow_and_stm_windows`, `perturbed_flow_and_sensitivities_rows`), the
-    guard checks and the outputs of row blocks (`outputs_rows`,
-    `output_jacobians_rows`, `output_jacobians_windows`). `f_rows(X, u)`
-    takes stacked states X of shape (B, n_x) and either one input row u,
-    (n_u,), shared by all of them, or one input row per state, (B, n_u),
-    and returns (B, n_x). `df_dx_rows`, `h_rows` and `dh_dx_rows` take the
-    same arguments and return (B, n_x, n_x), (B, n_y) and (B, n_y, n_x).
-    `domain_guard_rows(X)` returns a (B,) bool array. Each must equal its
-    per-row callback on every row, bit for bit (for the guard, the same
-    verdict), also when X is a strided view, since batched results are
-    promised equal to per-row ones. A system that leaves them None gets a
-    fallback that calls the per-row callback once per row, with the shared
-    input row or with that row's own.
+    Five optional row callbacks serve every row block: the batched flows,
+    the guard checks and all outputs and output Jacobians (`outputs_rows`,
+    `output_jacobians_rows`). `f_rows(X, u)` takes stacked states X of
+    shape (B, n_x) and either one input row u, (n_u,), shared by all of
+    them, or one input row per state, (B, n_u), and returns (B, n_x).
+    `df_dx_rows`, `h_rows` and `dh_dx_rows` take the same arguments and
+    return (B, n_x, n_x), (B, n_y) and (B, n_y, n_x). `domain_guard_rows(X)`
+    returns a (B,) bool array. Each must equal its per-row callback on
+    every row, bit for bit (for the guard, the same verdict), also when X
+    is a strided view. A system that leaves them None gets a fallback that
+    calls the per-row callback once per row. The per-row `f` itself steps
+    only the reference flows (`flow`, `perturbed_flow`).
     """
 
     n_x: int
@@ -192,10 +166,11 @@ class TimeGrid:
     offset: int = 0
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise GridMismatch("grid needs at least one step")
-        if not self.t_end > self.t_start:
-            raise GridMismatch("t_end must exceed t_start")
+        if not isinstance(self.n_steps, Integral) or self.n_steps < 1:
+            raise GridMismatch(f"grid needs a whole step count >= 1, got {self.n_steps!r}")
+        if not -math.inf < self.t_start < self.t_end < math.inf:
+            raise GridMismatch(f"grid [{self.t_start}, {self.t_end}] is not finite "
+                               "and nonempty")
 
     @property
     def base(self) -> "TimeGrid":
@@ -215,13 +190,16 @@ class TimeGrid:
 
     @classmethod
     def with_step(cls, t_start: float, t_end: float, h: float) -> "TimeGrid":
-        n = round((t_end - t_start) / h)
+        _require_step(h)
+        n = round((t_end - t_start) / h) if math.isfinite(t_end - t_start) else 0
         if n < 1 or abs(t_start + n * h - t_end) > _NODE_TOL * max(1.0, abs(t_end)):
             raise GridMismatch(
                 f"step {h} does not divide interval [{t_start}, {t_end}]")
         return cls(t_start, t_end, n)
 
     def index_of(self, t: float) -> int:
+        if not math.isfinite(t):
+            raise GridMismatch(f"time {t} is not a node of {self}")
         origin, h = self.base.t_start, self.h
         k = round((t - origin) / h)
         i = k - self.offset
@@ -464,6 +442,7 @@ class SampledSignal:
     values: Array  # (n_samples, dim)
 
     def __post_init__(self):
+        _require_step(self.h)
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("values must be a (n_samples, dim) array")
@@ -471,13 +450,13 @@ class SampledSignal:
 
     @classmethod
     def constant(cls, value, t0: float, t1: float, h: float) -> "SampledSignal":
+        _require_step(h)
         n = round((t1 - t0) / h)
         return cls(t0, h, np.tile(np.asarray(value, dtype=float), (n, 1)))
 
     @classmethod
     def zero(cls, dim: int, t0: float, t1: float, h: float) -> "SampledSignal":
-        n = round((t1 - t0) / h)
-        return cls(t0, h, np.zeros((n, dim)))
+        return cls.constant(np.zeros(dim), t0, t1, h)
 
     @classmethod
     def seeded_uniform(cls, rng: np.random.Generator, t0: float, h: float, n: int,
@@ -705,7 +684,7 @@ def _per_row(fn: Callable[[Array, Array], Array]) -> Callable[[Array, Array], Ar
     u, (B, n_u)."""
     def rows(xs: Array, u: Array) -> Array:
         us = u if np.ndim(u) == 2 else repeat(u)
-        return stack_rows((fn(x, ui) for x, ui in zip(xs, us)), xs.shape[0])
+        return np.stack([fn(x, ui) for x, ui in zip(xs, us)])
     return rows
 
 
@@ -795,10 +774,12 @@ def _span(grid: TimeGrid, s1: float, s2: float, u: InputSignal) -> TimeGrid:
 
 def flow(sys: ControlSystem, s1: float, s2: float, xi: Array, u: InputSignal,
          grid: TimeGrid) -> Array:
-    """States of x' = f(x, u) from (s1, xi) at every grid node in [s1, s2]."""
+    """States of x' = f(x, u) from (s1, xi) at every grid node in [s1, s2]:
+    a reference flow, one trajectory through the per-row f."""
+    xi = require_state(sys, xi, "xi")
     sub = _span(grid, s1, s2, u)
     u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
-    xs = rk4_flow(sys.f, np.asarray(xi, dtype=float), sub.h, u0, um, u1)
+    xs = rk4_flow(sys.f, xi, sub.h, u0, um, u1)
     _check_guard(sys, xs, "flow")
     return xs
 
@@ -806,19 +787,16 @@ def flow(sys: ControlSystem, s1: float, s2: float, xi: Array, u: InputSignal,
 def stm(sys: ControlSystem, s1: float, s2: float, xi: Array, u: InputSignal,
         grid: TimeGrid) -> Array:
     """State-transition matrices d_xi phi(s; s1, xi, u) at the grid nodes."""
-    _, phis = flow_and_stm(sys, s1, s2, xi, u, grid)
-    return phis
+    return flow_and_stm(sys, s1, s2, xi, u, grid)[1]
 
 
 def flow_and_stm(sys: ControlSystem, s1: float, s2: float, xi: Array,
                  u: InputSignal, grid: TimeGrid) -> tuple[Array, Array]:
-    """State and STM trajectories co-integrated on the same RK4 stages."""
-    sub = _span(grid, s1, s2, u)
-    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
-    xs, phis = rk4_flow_stm(sys.f, sys.df_dx, np.asarray(xi, dtype=float),
-                            sub.h, u0, um, u1)
-    _check_guard(sys, xs, "stm")
-    return xs, phis
+    """State and STM trajectories co-integrated on the same RK4 stages:
+    the one-row case of `flow_and_stm_windows` on the span [s1, s2]."""
+    xi = require_state(sys, xi, "xi")
+    xs, phis = flow_and_stm_windows(sys, [_span(grid, s1, s2, u)], xi[None, None], u)
+    return xs[:, 0], phis[:, 0]
 
 
 def _window_inputs(u: InputSignal, wins: Sequence[TimeGrid], m: int,
@@ -855,6 +833,28 @@ def _window_inputs(u: InputSignal, wins: Sequence[TimeGrid], m: int,
             for g in gathered]
 
 
+# What `require` checks: the rule's wording and its test.
+_RULES = {"positive": ("must be positive", lambda v: v > 0),
+          "nonnegative": ("must be nonnegative", lambda v: v >= 0),
+          "count": ("must be at least 1", lambda v: v >= 1)}
+
+
+def require(rule: str, **values: float) -> None:
+    """ValueError naming the first of the values that breaks the rule."""
+    text, ok = _RULES[rule]
+    for name, v in values.items():
+        if not ok(v):
+            raise ValueError(f"{name} {text}, got {v}")
+
+
+def require_state(sys: ControlSystem, x: Array, name: str) -> Array:
+    """x as one float state (n_x,); DimensionMismatch naming it otherwise."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (sys.n_x,):
+        raise DimensionMismatch(f"{name} has shape {x.shape}, expected ({sys.n_x},)")
+    return x
+
+
 def _window_starts(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Array) -> Array:
     """xis as a float block (W, m >= 1, n_x), W = len(wins) >= 1;
     DimensionMismatch otherwise."""
@@ -887,12 +887,10 @@ def flow_windows(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Array,
 
 def flow_and_stm_windows(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Array,
                          u: InputSignal) -> tuple[Array, Array]:
-    """`flow_and_stm` from m starts on each of W windows of one run grid
-    with one step count n, as one block, as in `flow_windows`.
-
-    Returns states (n+1, W*m, n_x) and STMs (n+1, W*m, n_x, n_x); row
-    w*m + j equals `flow_and_stm` from xis[w, j] on wins[w] bit for bit.
-    """
+    """`flow_windows` with the state-transition matrices co-integrated on
+    the same RK4 stages. Returns states (n+1, W*m, n_x) and STMs
+    (n+1, W*m, n_x, n_x); row w*m + j equals the tangent flow of xis[w, j]
+    alone on wins[w] bit for bit."""
     xis = _window_starts(sys, wins, xis)
     u0, um, u1 = _window_inputs(u, wins, xis.shape[1], 1)
     xs, phis = rk4_flow_stm(_f_rows(sys), _df_dx_rows(sys), xis.reshape(-1, sys.n_x),
@@ -914,11 +912,12 @@ def perturbed_flow(sys: ControlSystem, s1: float, s2: float, xi: Array,
                    u: InputSignal, w: Optional[SampledSignal],
                    grid: TimeGrid) -> Array:
     """States of x' = f(x, u) + w; with w = None this is exactly `flow`."""
+    xi = require_state(sys, xi, "xi")
     require_width(w, sys.n_x, "process noise w")
     sub = _span(grid, s1, s2, u)
     u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
     wv = None if w is None else w.step_values(sub.t_start, sub.h, sub.n_steps)
-    xs = rk4_flow(sys.f, np.asarray(xi, dtype=float), sub.h, u0, um, u1, wv)
+    xs = rk4_flow(sys.f, xi, sub.h, u0, um, u1, wv)
     _check_guard(sys, xs, "perturbed_flow")
     return xs
 
@@ -950,6 +949,7 @@ def perturbed_flow_and_sensitivities_rows(
     Returns states (n+1, B, n_x) and zs (n+1, B, n_x, k), B = len(ws) >= 1;
     [:, b] is the flow and sensitivities under ws[b] alone.
     """
+    xi = require_state(sys, xi, "xi")
     if not ws:
         raise ValueError("need at least one noise draw")
     for w in ws:
@@ -964,8 +964,8 @@ def perturbed_flow_and_sensitivities_rows(
             wv[:, b] = w.step_values(sub.t_start, sub.h, sub.n_steps)
     dwv = np.stack([dw.step_values(sub.t_start, sub.h, sub.n_steps) for dw in dws],
                    axis=-1)
-    xs, zs = rk4_flow_sens(_f_rows(sys), _df_dx_rows(sys), np.asarray(xi, dtype=float),
-                           sub.h, u0, um, u1, wv, dwv)
+    xs, zs = rk4_flow_sens(_f_rows(sys), _df_dx_rows(sys), xi, sub.h, u0, um, u1,
+                           wv, dwv)
     _check_guard(sys, xs, "noise_sensitivity")
     return xs, zs
 

@@ -81,6 +81,61 @@ def nonlinear_scenario():
     return sys_, u
 
 
+def unicycle_scenario():
+    """(system, input, x0) of a unicycle with a bearing sensor, whose
+    state-transition matrix is not the identity: x' = (v cos th,
+    v sin th, w), y = (l - p) / |l - p| the unit bearing from the position
+    p = (x1, x2) to the landmark l = (0, 0), input (v, w) = (1, 1). From
+    (1, 0, pi/2) it circles the landmark at radius 1.
+
+    Its row callbacks are elementwise in the rows, and each per-row
+    callback is its row form on one row, so the two agree bit for bit.
+    """
+    from obsmhe import ControlSystem, InputSignal
+
+    def f_rows(xs, u):  # u is one shared row (n_u,) or one row per state
+        out = np.empty(xs.shape)
+        out[:, 0] = u[..., 0] * np.cos(xs[:, 2])
+        out[:, 1] = u[..., 0] * np.sin(xs[:, 2])
+        out[:, 2] = u[..., 1]
+        return out
+
+    def df_dx_rows(xs, u):
+        out = np.zeros((xs.shape[0], 3, 3))
+        out[:, 0, 2] = -u[..., 0] * np.sin(xs[:, 2])
+        out[:, 1, 2] = u[..., 0] * np.cos(xs[:, 2])
+        return out
+
+    def squared_ranges(xs):
+        return xs[:, 0] * xs[:, 0] + xs[:, 1] * xs[:, 1]
+
+    def h_rows(xs, u):
+        return -xs[:, :2] / np.sqrt(squared_ranges(xs))[:, None]
+
+    def dh_dx_rows(xs, u):
+        r2 = squared_ranges(xs)
+        r3 = r2 * np.sqrt(r2)
+        out = np.zeros((xs.shape[0], 2, 3))
+        out[:, 0, 0] = -xs[:, 1] * xs[:, 1] / r3
+        out[:, 0, 1] = out[:, 1, 0] = xs[:, 0] * xs[:, 1] / r3
+        out[:, 1, 1] = -xs[:, 0] * xs[:, 0] / r3
+        return out
+
+    def guard_rows(xs):
+        return squared_ranges(xs) >= 1e-18
+
+    def one_row(rows):
+        return lambda x, u: rows(x[None], u)[0]
+
+    sys_ = ControlSystem(
+        n_x=3, n_u=2, n_y=2, f=one_row(f_rows), h=one_row(h_rows),
+        df_dx=one_row(df_dx_rows), dh_dx=one_row(dh_dx_rows),
+        domain_guard=lambda x: bool(guard_rows(x[None])[0]), f_rows=f_rows,
+        domain_guard_rows=guard_rows, df_dx_rows=df_dx_rows, h_rows=h_rows,
+        dh_dx_rows=dh_dx_rows)
+    return sys_, InputSignal.constant([1.0, 1.0]), np.array([1.0, 0.0, np.pi / 2])
+
+
 # -- flattening --------------------------------------------------------------
 
 def _record() -> dict:
@@ -130,6 +185,16 @@ NONLINEAR_CONFIG = {"system": {"name": "nonlinear"}}
 def _nonlinear_factory(system: dict):
     sys_, u = nonlinear_scenario()
     return sys_, np.array([1.0, 0.0]), u
+
+
+# The unicycle as a registered CLI system. It has every row callback, so
+# its runs take the row forms, tangents through df_dx_rows included.
+UNICYCLE_CONFIG = {"system": {"name": "unicycle"}}
+
+
+def _unicycle_factory(system: dict):
+    sys_, u, x0 = unicycle_scenario()
+    return sys_, x0, u
 
 
 @contextlib.contextmanager
@@ -194,6 +259,12 @@ def _cli_cases() -> dict:
     for variant in ("default", "seeded-uniform-both"):
         cases[f"cli/mhe-run/nonlinear/{variant}"] = _cli_case(
             "mhe-run", {**NONLINEAR_CONFIG, **MHE_VARIANTS[variant]}, nonlinear)
+    unicycle = {"unicycle": _unicycle_factory}
+    for command in ("simulate", "grammian-scan", "stability-audit"):
+        cases[f"cli/{command}/unicycle"] = _cli_case(command, UNICYCLE_CONFIG, unicycle)
+    for variant in ("default", "seeded-uniform-both"):
+        cases[f"cli/mhe-run/unicycle/{variant}"] = _cli_case(
+            "mhe-run", {**UNICYCLE_CONFIG, **MHE_VARIANTS[variant]}, unicycle)
     return cases
 
 

@@ -13,10 +13,9 @@ from obsmhe.cost import (cum_output_error, fd_gradient, fd_hessian, fd_points,
                          grad_cum_error, grad_perturbed_cost,
                          grad_sensitivities, grad_sensitivity_v,
                          grad_sensitivity_w, hess_cum_error,
-                         noise_output_directions, output_jacobians,
-                         perturbed_cost, perturbed_reference,
+                         noise_output_directions, perturbed_cost, perturbed_reference,
                          reference_and_noise_directions_rows, simpson_weights)
-from conftest import assert_bits_equal
+from conftest import assert_bits_equal, output_jacobians_per_node, outputs_per_node
 
 
 def test_simpson_weights_integrate_cubics_exactly():
@@ -125,7 +124,7 @@ def _own_flows(sys_, x0, u, t, T, eta, grid):
     the last state of the plain [0, t - T] flow (x0 when t = T)."""
     win = grid.subgrid(t - T, t)
     xs = perturbed_flow(sys_, 0.0, t, x0, u, eta.w, grid)[grid.index_of(t - T):]
-    ys = np.stack([sys_.h(x, v) for x, v in zip(xs, u.at_nodes(win))])
+    ys = outputs_per_node(sys_, xs, u.at_nodes(win))
     if eta.v is not None:
         ys = ys + eta.v.at_nodes(win)
     x_ref = np.asarray(x0, dtype=float) if grid.index_of(t - T) == 0 else \
@@ -288,7 +287,7 @@ def test_reference_rows_equal_per_draw_references(system, request, grid6, x0):
     for eta, (ref_out, dys) in zip(etas, rows):
         xs, want_out = perturbed_reference(sys_, t, T, x0, u, eta, grid6)
         assert_bits_equal(ref_out, want_out)
-        hs = output_jacobians(sys_, xs, u.at_nodes(win))
+        hs = output_jacobians_per_node(sys_, xs, u.at_nodes(win))
         want = [np.tile(e, (win.n_steps + 1, 1)) for e in np.eye(2)]
         for e in np.eye(2):
             z = noise_sensitivity(sys_, t, x0, u, eta.w,
@@ -331,7 +330,7 @@ def _grad_sensitivity_w_per_draw(sys_, t, T, x0, xi, u, eta, grid, dw):
     full = grid.subgrid(0.0, t)
     xs, zs = perturbed_flow_and_sensitivities(sys_, t, x0, u, eta.w, [dw], full)
     i0 = full.index_of(t - T)
-    hs = output_jacobians(sys_, xs[i0:], u.at_nodes(win))
+    hs = output_jacobians_per_node(sys_, xs[i0:], u.at_nodes(win))
     dy = np.einsum("nij,nj->ni", hs, zs[i0:, :, 0])
     return grad_sensitivities(sys_, win, xi, u, [dy])[:, 0]
 

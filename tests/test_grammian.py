@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from obsmhe import (CertificationInconclusive, ControlSystem, GridMismatch,
+from obsmhe import (CertificationInconclusive, ControlSystem, EigFailure, GridMismatch,
                     InputSignal, TimeGrid, Unbounded, Verdict,
                     certify_weak_persistence, certify_weak_regular_persistence,
                     check_regular_boundedness, jacobi_eigh,
@@ -30,6 +30,21 @@ def test_jacobi_diagonal_is_exact():
     vals, vecs = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
     np.testing.assert_array_equal(vals, [-1.0, 2.0, 3.0])
     np.testing.assert_allclose(np.abs(vecs), np.eye(3)[:, [1, 2, 0]], atol=0)
+
+
+@pytest.mark.parametrize("a", [
+    [[1.0, 2.0], [0.0, 1.0]],
+    [[1.0, 1e-17], [0.0, 1.0]],
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+    np.ones((2, 3)),
+    np.ones(3),
+])
+def test_jacobi_rejects_what_it_cannot_decompose(a):
+    # Not square, not finite or not exactly symmetric: an EigFailure, not
+    # the eigenvalues of some other matrix or a NaN eigenvalue.
+    with pytest.raises(EigFailure):
+        jacobi_eigh(a)
 
 
 def test_grammian_report_is_symmetric_psd(circ, grid2, x0):

@@ -18,7 +18,8 @@ from obsmhe import (ControlSystem, DimensionMismatch, DomainViolation, GridMisma
                     perturbed_flow,
                     perturbed_flow_and_sensitivities,
                     perturbed_flow_and_sensitivities_rows, stm)
-from conftest import assert_bits_equal
+from conftest import (assert_bits_equal, candidate_terms_per_node,
+                      output_jacobians_per_node, single_flow_and_stm)
 
 
 def linear_system(a):
@@ -56,6 +57,39 @@ def test_grid_subgrid_and_index_of():
         g.subgrid(0.5, 0.5)
     with pytest.raises(GridMismatch):
         g.index_of(0.123)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TimeGrid.with_step(0.0, 1.0, 0.0),
+    lambda: TimeGrid.with_step(0.0, 1.0, -0.25),
+    lambda: TimeGrid.with_step(0.0, 1.0, _INF),
+    lambda: TimeGrid.with_step(0.0, 1.0, _NAN),
+    lambda: TimeGrid.with_step(0.0, _INF, 0.25),
+    lambda: TimeGrid.with_step(_NAN, 1.0, 0.25),
+    lambda: TimeGrid(0.0, 1.0, 2.5),
+    lambda: TimeGrid(0.0, 1.0, 0),
+    lambda: TimeGrid(0.0, _INF, 4),
+    lambda: TimeGrid(_NAN, 1.0, 4),
+    lambda: TimeGrid.with_step(0.0, 1.0, 0.25).index_of(_NAN),
+    lambda: TimeGrid.with_step(0.0, 1.0, 0.25).index_of(_INF),
+    lambda: SampledSignal(0.0, 0.0, np.zeros((3, 2))),
+    lambda: SampledSignal(0.0, -0.1, np.zeros((3, 2))),
+    lambda: SampledSignal(0.0, _NAN, np.zeros((3, 2))),
+    lambda: SampledSignal.constant([1.0, 0.0], 0.0, 1.0, 0.0),
+    lambda: SampledSignal.zero(2, 0.0, 1.0, 0.0),
+])
+def test_bad_steps_and_grids_raise_grid_mismatch(make):
+    # Named errors, not ZeroDivisionError, OverflowError or a bare
+    # ValueError; a fractional step count is not rounded into a grid.
+    with pytest.raises(GridMismatch):
+        make()
+
+
+def test_grid_takes_numpy_integer_step_counts():
+    assert TimeGrid(0.0, 1.0, np.int64(4)).nodes[-1] == 1.0
 
 
 # A root grid [t0, t0 + length] of n steps and two node indices i0 < i1.
@@ -301,7 +335,7 @@ def test_block_outputs_take_one_row_callback_call(circ, grid2, x0):
     for _, _, us in calls:
         assert_bits_equal(us, np.repeat(u.at_nodes(win), 5, axis=0))
     for b, xi in enumerate(xis):
-        for got, want in zip(terms[b], cost.candidate_terms(sys_, win, xi, u)):
+        for got, want in zip(terms[b], candidate_terms_per_node(sys_, win, xi, u)):
             assert_bits_equal(got, want)
     # A scan's STM block: one dh_dx_rows call for all windows, every row
     # at its own window's node inputs.
@@ -678,6 +712,45 @@ def test_domain_guard_raises(cst, x0):
         flow(sys_, 0.0, 1.2, x0, u, g)
 
 
+@pytest.mark.parametrize("bad", [np.array([1.0]), np.zeros(3), np.zeros((1, 2))])
+def test_single_starts_of_another_shape_are_named(circ, grid2, bad):
+    # Never broadcast: a start that is not (n_x,) raises DimensionMismatch
+    # naming the start and its own shape.
+    sys_, u = circ
+    dw = SampledSignal.constant([1.0, 0.0], 0.0, 1.0, grid2.h)
+    calls = (lambda: flow(sys_, 0.0, 1.0, bad, u, grid2),
+             lambda: flow_and_stm(sys_, 0.0, 1.0, bad, u, grid2),
+             lambda: stm(sys_, 0.0, 1.0, bad, u, grid2),
+             lambda: perturbed_flow(sys_, 0.0, 1.0, bad, u, None, grid2),
+             lambda: noise_sensitivity(sys_, 1.0, bad, u, None, dw, grid2),
+             lambda: perturbed_flow_and_sensitivities_rows(sys_, 1.0, bad, u, [None],
+                                                           [dw], grid2))
+    for call in calls:
+        with pytest.raises(DimensionMismatch) as info:
+            call()
+        assert str(info.value) == f"xi has shape {bad.shape}, expected (2,)"
+
+
+def test_unicycle_row_blocks_equal_single_trajectories(unicycle, grid2):
+    # The one Phi != I system whose blocks step df_dx_rows: every row of a
+    # block, its STMs and its candidate terms equal the single-trajectory
+    # oracles bit for bit.
+    sys_, u, x0 = unicycle
+    rng = np.random.default_rng(47)
+    xis = x0 + 0.05 * rng.standard_normal((4, 3))
+    assert check_jacobians(sys_, [(xi, u.at(0.0)) for xi in xis]) < 1e-6
+    win = grid2.subgrid(0.5, 1.5)
+    xs, phis = flow_and_stm_windows(sys_, [win], xis[None], u)
+    terms = cost.candidate_terms_rows(sys_, win, xis, u)
+    for b, xi in enumerate(xis):
+        x1, p1 = single_flow_and_stm(sys_, win, xi, u)
+        assert_bits_equal(xs[:, b], x1)
+        assert_bits_equal(phis[:, b], p1)
+        for got, want in zip(terms[b], candidate_terms_per_node(sys_, win, xi, u)):
+            assert_bits_equal(got, want)
+    assert not np.allclose(phis[-1, 0], np.eye(3))
+
+
 # -- batched flows ------------------------------------------------------------
 
 # A block of rows on one span is a one-window block: [win] and starts
@@ -701,8 +774,9 @@ def test_flow_and_stm_rows_equals_stacked_calls(system, n_rows, request, grid2, 
     # fallbacks.
     sys_, u = request.getfixturevalue(system)
     xis = x0 + 0.1 * np.random.default_rng(n_rows).standard_normal((n_rows, 2))
-    xs, phis = flow_and_stm_windows(sys_, [grid2.subgrid(0.5, 1.5)], xis[None], u)
-    singles = [flow_and_stm(sys_, 0.5, 1.5, xi, u, grid2) for xi in xis]
+    win = grid2.subgrid(0.5, 1.5)
+    xs, phis = flow_and_stm_windows(sys_, [win], xis[None], u)
+    singles = [single_flow_and_stm(sys_, win, xi, u) for xi in xis]
     assert_bits_equal(xs, np.stack([x for x, _ in singles], axis=1))
     assert_bits_equal(phis, np.stack([p for _, p in singles], axis=1))
 
@@ -849,12 +923,12 @@ def test_window_block_rows_equal_each_window_alone(system, case):
     for w, win in enumerate(wins):
         for j in range(m):
             b = w * m + j
-            x1, p1 = flow_and_stm(sys_, win.t_start, win.t_end, xis[w, j], u, root)
+            x1, p1 = single_flow_and_stm(sys_, win, xis[w, j], u)
             assert_bits_equal(xs[:, b], flow(sys_, win.t_start, win.t_end, xis[w, j], u,
                                              root))
             assert_bits_equal(xs_stm[:, b], x1)
             assert_bits_equal(phis[:, b], p1)
-            assert_bits_equal(hs[b], cost.output_jacobians(sys_, x1, u.at_nodes(win)))
+            assert_bits_equal(hs[b], output_jacobians_per_node(sys_, x1, u.at_nodes(win)))
 
 
 def _violation(call):

@@ -12,15 +12,17 @@ import numpy as np
 import pytest
 
 from obsmhe import (
-    BoundaryStuck, ConditionsFailed, GridMismatch, NoiseSignals, cost,
+    BoundaryStuck, ConditionsFailed, DimensionMismatch, GridMismatch, NoiseSignals,
+    cost, grammian,
     SampledSignal, SolverOptions, TimeGrid, ZERO_NOISE, bearing, flow,
     audit_nonuniform_stability, audit_uniform_stability, mhe_solver,
     multistart_uniqueness, ode_core, rolling_estimate, solve_fie, solve_mhe,
     solve_pmhe)
 from obsmhe.cost import (fd_gradient, fd_hessian, fd_points, grad_sensitivities,
-                         output_jacobians, perturbed_reference)
+                         perturbed_reference)
 from obsmhe.grammian import ball_samples
-from conftest import assert_bits_equal, count_calls
+from conftest import (assert_bits_equal, count_calls, output_jacobians_per_node,
+                      single_flow_and_stm)
 
 OPTS = SolverOptions(ball_radius=0.1)
 
@@ -234,20 +236,104 @@ def test_multistart_integrates_its_references_once(circ, x0, grid6, monkeypatch)
 
 
 def test_solve_computes_each_gradient_once(circ, x0, grid6, monkeypatch):
-    # One gradient per iterate; the final gradient norm reuses the last.
+    # Every candidate flows as a one-row block of the window [1, 2]: one
+    # STM row for the first gradient, then per iterate one STM row for the
+    # Gauss-Newton Hessian and one for the gradient at the accepted point
+    # (the final gradient norm reuses the last), and one plain row per
+    # trial cost. Last comes one block of the 2 n_x difference points of
+    # the Hessian behind hess_min_eig.
     sys_, u = circ
     calls = count_calls(monkeypatch, cost.grad_perturbed_cost_from_reference)
-    blocks = count_calls(monkeypatch, ode_core.flow_and_stm_windows)
+    costs = count_calls(monkeypatch, cost.perturbed_cost_from_reference)
+    stm_blocks = count_calls(monkeypatch, ode_core.flow_and_stm_windows)
+    plain_blocks = count_calls(monkeypatch, ode_core.flow_windows)
     x_ref = _truth(sys_, x0, u, 1.0)
     v = SampledSignal.constant([1e-3, -2e-3], 1.0, 2.0, grid6.h)
     sol = solve_pmhe(sys_, x0, u, 2.0, 1.0, NoiseSignals(v=v),
                      OPTS.replace(ball_center=x_ref + [0.03, -0.02]), grid6)
     assert sol.iterations >= 2
     assert len(calls) == 1 + sol.iterations
-    # plus one one-window block of the 2 n_x difference points of the
-    # Hessian behind hess_min_eig: flow_and_stm_windows(sys, wins, xis, u)
-    assert [([(w.t_start, w.t_end) for w in args[1]], args[2].shape) for args in blocks] \
-        == [([(1.0, 2.0)], (1, 2 * sys_.n_x, sys_.n_x))]
+
+    def spans_and_shapes(blocks):  # flow_windows(sys, wins, xis, u) and the STM form
+        return [([(w.t_start, w.t_end) for w in args[1]], args[2].shape)
+                for args in blocks]
+
+    one_row = ([(1.0, 2.0)], (1, 1, sys_.n_x))
+    assert spans_and_shapes(stm_blocks) == [one_row] * (1 + 2 * sol.iterations) \
+        + [([(1.0, 2.0)], (1, 2 * sys_.n_x, sys_.n_x))]
+    assert len(costs) >= 1 + sol.iterations
+    assert spans_and_shapes(plain_blocks) == [one_row] * len(costs)
+
+
+@pytest.mark.parametrize("bad", [np.array([1.0]), np.zeros(3)])
+def test_starts_of_another_shape_are_named(circ, x0, grid6, bad):
+    # Every start an entry point takes is checked where it is given and
+    # named; before, some were broadcast (a 1-vector x0 audited (1, 1)).
+    sys_, u = circ
+    dw = SampledSignal.constant([1.0, 0.0], 0.0, 2.0, grid6.h)
+    calls = {
+        "x0": [
+            lambda: audit_nonuniform_stability(sys_, bad, u, 2.0, 1.0, 1e-3, grid6),
+            lambda: cost.grad_sensitivity_w(sys_, 2.0, 1.0, bad, x0, u, ZERO_NOISE,
+                                            grid6, dw),
+            lambda: solve_pmhe(sys_, bad, u, 2.0, 1.0, ZERO_NOISE, OPTS, grid6),
+            lambda: multistart_uniqueness(sys_, bad, u, 2.0, 1.0, R=0.02, n_starts=2,
+                                          seed=0, opts=OPTS, grid=grid6),
+            lambda: audit_uniform_stability(sys_, bad, u, 1.0, [2.0], R=0.02, nu=1e-4,
+                                            alpha=0.6, grid_step=0.01),
+            lambda: grammian.certify_weak_persistence(sys_, bad, u, 1.0, [2.0], 0.01),
+        ],
+        "xi": [lambda: cost.grad_sensitivity_w(sys_, 2.0, 1.0, x0, bad, u, ZERO_NOISE,
+                                               grid6, dw)],
+        "xi1": [lambda: cost.cum_output_error(sys_, 1.0, 2.0, bad, x0, u, grid6)],
+        "xi2": [lambda: cost.cum_output_error(sys_, 1.0, 2.0, x0, bad, u, grid6),
+                lambda: cost.grad_cum_error(sys_, 1.0, 2.0, x0, bad, u, grid6),
+                lambda: cost.hess_cum_error(sys_, 1.0, 2.0, x0, bad, u, grid6)],
+        "x_init": [lambda: solve_pmhe(sys_, x0, u, 2.0, 1.0, ZERO_NOISE, OPTS, grid6,
+                                      x_init=bad)],
+        "ball_center": [lambda: solve_pmhe(sys_, x0, u, 2.0, 1.0, ZERO_NOISE,
+                                           OPTS.replace(ball_center=bad), grid6)],
+        "center": [lambda: grammian.observability_grammian(sys_, 2.0, 1.0, bad, u,
+                                                           grid6)],
+    }
+    for name, entries in calls.items():
+        for call in entries:
+            with pytest.raises(DimensionMismatch) as info:
+                call()
+            assert str(info.value) == f"{name} has shape {bad.shape}, expected (2,)"
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("ball_radius", 0.0, "ball_radius must be positive"),
+    ("ball_radius", -1.0, "ball_radius must be positive"),
+    ("ball_radius", float("nan"), "ball_radius must be positive"),
+    ("max_iters", -1, "max_iters must be nonnegative"),
+    ("grad_tol", -1.0, "grad_tol must be nonnegative"),
+])
+def test_solver_options_reject_bad_values(field, value, match):
+    with pytest.raises(ValueError, match=match):
+        SolverOptions(**{field: value})
+    with pytest.raises(ValueError, match=match):
+        OPTS.replace(**{field: value})
+
+
+def test_solver_options_take_zero_iterations_and_tolerance():
+    opts = SolverOptions(max_iters=0, grad_tol=0.0)
+    assert (opts.max_iters, opts.grad_tol) == (0, 0.0)
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0])
+def test_multistart_rejects_nonpositive_radius(circ, x0, grid6, R):
+    sys_, u = circ
+    with pytest.raises(ValueError, match="R must be positive"):
+        multistart_uniqueness(sys_, x0, u, 2.0, 1.0, R=R, n_starts=2, seed=0,
+                              opts=OPTS, grid=grid6)
+
+
+def test_nonuniform_audit_rejects_negative_noise_bound(circ, x0, grid6):
+    sys_, u = circ
+    with pytest.raises(ValueError, match="nu must be nonnegative"):
+        audit_nonuniform_stability(sys_, x0, u, 2.0, 1.0, -1.0, grid6)
 
 
 def test_hess_fd_equals_per_point_gradients(nonlinear, x0, grid6):
@@ -301,16 +387,20 @@ def test_nonuniform_audit_integrates_each_noise_draw_once(spi, x0, monkeypatch):
     # The perturbed states and the n_x sensitivities of every draw come
     # from one augmented integration of a block with one row per draw,
     # plus a zero-noise row whose state at t - T is the window center; no
-    # separate perturbed flow and no reference flow. One window STM serves
-    # the Grammian and the output-noise channel.
+    # separate perturbed flow and no reference flow. One window STM, a
+    # one-row block from the center, serves the Grammian and the
+    # output-noise channel.
     sys_, u = spi
     flows = count_calls(monkeypatch, ode_core.perturbed_flow)
     plain = count_calls(monkeypatch, ode_core.flow)
     sens = count_calls(monkeypatch, ode_core.rk4_flow_sens)
-    stms = count_calls(monkeypatch, ode_core.flow_and_stm)
+    blocks = count_calls(monkeypatch, ode_core.flow_and_stm_windows)
     grid = TimeGrid.with_step(0.0, 3.0, 0.01)
     audit_nonuniform_stability(sys_, x0, u, 3.0, 2.0, 1e-3, grid, n_noise_samples=3)
-    assert (len(flows), len(plain), len(stms)) == (0, 0, 1)
+    assert (len(flows), len(plain)) == (0, 0)
+    # flow_and_stm_windows(sys, wins, xis, u)
+    assert [([(w.t_start, w.t_end) for w in args[1]], args[2].shape) for args in blocks] \
+        == [([(1.0, 3.0)], (1, 1, sys_.n_x))]
     # rk4_flow_sens(f, dfdx, x0, h, u0, um, u1, w, dw): w is (n, 1 + 3, n_x)
     assert [args[7].shape for args in sens] == [(grid.n_steps, 4, sys_.n_x)]
 
@@ -334,9 +424,9 @@ def _nonuniform_reference(sys_, x0, u, t, T, nu, grid, seed, n_noise_samples):
     win = grid.subgrid(t - T, t)
     full = grid.subgrid(0.0, t)
     center = x0 if t == T else flow(sys_, 0.0, t - T, x0, u, grid)[-1]
-    xs, ps = ode_core.flow_and_stm(sys_, t - T, t, center, u, win)
+    xs, ps = single_flow_and_stm(sys_, win, center, u)
     us = u.at_nodes(win)
-    hs = output_jacobians(sys_, xs, us)
+    hs = output_jacobians_per_node(sys_, xs, us)
     mu_t = 2.0 * mhe_solver.grammian_report(
         t, T, center, mhe_solver.window_grammian(win, hs, ps)).min_eig
     norms = mhe_solver._spectral_norms
@@ -348,7 +438,8 @@ def _nonuniform_reference(sys_, x0, u, t, T, nu, grid, seed, n_noise_samples):
         w = SampledSignal.seeded_uniform(rng, 0.0, full.h, full.n_steps, 2, nu)
         xt, zs = ode_core.perturbed_flow_and_sensitivities(sys_, t, x0, u, w, dws, full)
         i0 = full.index_of(t - T)
-        sup = float(np.max(norms(output_jacobians(sys_, xt[i0:], us)) * norms(zs[i0:])))
+        sup = float(np.max(norms(output_jacobians_per_node(sys_, xt[i0:], us))
+                           * norms(zs[i0:])))
         c2 = max(c2, 2.0 * T * hphi * sup)
     return mhe_solver.NonuniformStabilityAudit(t=t, T=T, nu=nu, mu_t=mu_t,
                                                C1_t=2.0 * T * hphi, C2_t=c2)
@@ -463,7 +554,7 @@ def _reference_and_directions(sys_, t, T, x0, u, eta, full):
     dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(2)]
     xs, zs = ode_core.perturbed_flow_and_sensitivities(sys_, t, x0, u, eta.w, dws, full)
     i0 = full.index_of(t - T)
-    hs = output_jacobians(sys_, xs[i0:], u.at_nodes(win))
+    hs = output_jacobians_per_node(sys_, xs[i0:], u.at_nodes(win))
     dys = ([np.tile(e, (win.n_steps + 1, 1)) for e in np.eye(2)]
            + [np.einsum("nij,nj->ni", hs, zs[i0:, :, j]) for j in range(2)])
     return ref_out, dys
