@@ -31,9 +31,10 @@ of each.
 
 Then times the two window blocks of a Grammian scan for the circle and
 spiral inputs on the run grid [0, 6] at h = 0.0025, windows [t - 1, t],
-t = 1 .. 6: the six window Grammians from one STM block with per-row
-inputs (`grammian.window_grammians`) against one `cost.gauss_newton_term`
-per window, and the ball samples of the boundedness check, 20 a window,
+t = 1 .. 6: the six window Grammians from one tangent block with
+per-row inputs (`cost.window_grammians`, one `cost.window_tangents`
+block) against one `cost.gauss_newton_term`, its one-window case, per
+window, and the ball samples of the boundedness check, 20 a window,
 as one 120-row `ode_core.flow_windows` block against six one-window
 blocks of 20 rows. Reports the milliseconds of each and thousands of
 steps per second, counting one step of a B-row block as B steps.
@@ -60,8 +61,8 @@ import numpy as np
 
 from obsmhe import InputSignal, ode_core
 from obsmhe.bearing import bearing_system, u_circ, u_spi
-from obsmhe.cost import gauss_newton_term
-from obsmhe.grammian import ball_samples, window_grammians
+from obsmhe.cost import gauss_newton_term, window_grammians
+from obsmhe.grammian import ball_samples
 
 
 def bench(fn, repeats):
@@ -194,7 +195,7 @@ def bench_windows(repeats):
         points = np.stack([ball_samples(rng, c, 0.02, 16) for c in centers])
         rows = points.shape[0] * points.shape[1]
         jobs = (
-            ("6 Grammians, one STM block", len(wins),
+            ("6 Grammians, one tangent block", len(wins),
              lambda: window_grammians(sys_, wins, centers, u)),
             ("6 Grammians, one per window", len(wins),
              lambda: [gauss_newton_term(sys_, w.t_start, w.t_end, c, u, grid)

@@ -167,6 +167,17 @@ def normalize_config(raw: dict) -> dict:
              f"noise family must be one of {NOISE_FAMILIES}")
     _require(nz.get("apply_to", "v") in ("v", "w", "both"), "noise.apply_to",
              "apply_to must be v, w, or both")
+    for key in ("frequency", "phase"):
+        if key in nz:
+            _require_number(nz[key], f"noise.{key}", "number")
+    d = nz.get("direction")
+    if d is not None:
+        _require(isinstance(d, list) and all(_is_number(c) for c in d),
+                 "noise.direction", "direction must be a list of numbers")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(np.array(d, dtype=float))
+        _require(0.0 < norm < math.inf, "noise.direction",
+                 "direction must have a nonzero finite norm")
     _require(cfg["solver"]["hessian_mode"] in HESSIAN_MODES, "solver.hessian_mode",
              f"hessian_mode must be one of {HESSIAN_MODES}")
     au = cfg["audit"]
@@ -206,14 +217,6 @@ def t_grid_values(cfg: dict) -> list[float]:
     return [float(t) for t in np.linspace(tg["start"], tg["stop"], int(tg["count"]))]
 
 
-def _unit(dim: int, direction) -> Array:
-    if direction is None:
-        d = np.ones(dim)
-    else:
-        d = np.asarray(direction, dtype=float)
-    return d / np.linalg.norm(d)
-
-
 def build_noise(cfg: dict, sys: ControlSystem, t_max: float, h: float) -> NoiseSignals:
     """Sample-and-hold noise signals per the config's noise section.
 
@@ -224,6 +227,12 @@ def build_noise(cfg: dict, sys: ControlSystem, t_max: float, h: float) -> NoiseS
     nz = cfg["noise"]
     fam = nz["family"]
     amp = float(nz["amplitude"])
+    apply_to = nz.get("apply_to", "v")
+    direction = nz.get("direction")
+    for channel, dim in (("v", sys.n_y), ("w", sys.n_x)):
+        _require(direction is None or apply_to not in (channel, "both")
+                 or len(direction) == dim, "noise.direction",
+                 f"direction must have {dim} entries, the width of {channel}")
     if fam == "zero" or amp == 0.0:
         return ZERO_NOISE
     n = int(round(t_max / h))
@@ -232,17 +241,18 @@ def build_noise(cfg: dict, sys: ControlSystem, t_max: float, h: float) -> NoiseS
     def make(dim: int) -> SampledSignal:
         if fam == "seeded-uniform":
             return SampledSignal.seeded_uniform(rng, 0.0, h, n, dim, amp)
+        d = np.ones(dim) if direction is None else np.asarray(direction, dtype=float)
+        unit = d / np.linalg.norm(d)
         if fam == "constant":
-            vals = np.tile(amp * _unit(dim, nz.get("direction")), (n + 1, 1))
+            vals = np.tile(amp * unit, (n + 1, 1))
         else:  # sinusoid
             freq = float(nz.get("frequency", 1.0))
             phase = float(nz.get("phase", 0.0))
             osc = np.sin(2.0 * math.pi * freq * nodes + phase)
-            vals = amp * osc[:, None] * _unit(dim, nz.get("direction"))[None, :]
+            vals = amp * osc[:, None] * unit[None, :]
         return SampledSignal(0.0, h, vals)
 
     rng = np.random.default_rng(int(nz["seed"]))
-    apply_to = nz.get("apply_to", "v")
     v = make(sys.n_y) if apply_to in ("v", "both") else None
     w = make(sys.n_x) if apply_to in ("w", "both") else None
     return NoiseSignals(v=v, w=w)

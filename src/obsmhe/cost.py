@@ -13,18 +13,19 @@ the window grid must have an even number of steps. All functions are
 pure; trajectories are integrated per call, except that the windows of
 one estimator run share its reference flows (`_RunReference`).
 
-A window candidate is a row block: a candidate's cost flows as a one-row
-`ode_core.flow_windows` block, and its outputs, output Jacobians and
-STMs (`candidate_terms`) are the one-row case of `candidate_terms_rows`,
-one `ode_core.flow_and_stm_windows` block. Every gradient, Gauss-Newton
-Hessian (`gauss_newton_term`, `window_grammian` of the terms) and
-finite-difference Hessian, whose 2 n_x difference points flow as one
-block, is taken from those terms. Several noise draws of one reference
-flow as one block with their noise sensitivities
-(`_noise_reference_block`). Only references flow as single
-trajectories. Every output and output Jacobian takes one row-callback
-call on all rows at all nodes (`ode_core.outputs_rows`,
-`ode_core.output_jacobians_rows`).
+One body serves everything along a window. A window [t-T, t] is
+`_window_grid`, GridMismatch naming t and T unless t >= T. The states,
+output Jacobians and STMs of starts on windows of one length are
+`window_tangents`: one `ode_core.flow_and_stm_windows` block and one
+`dh_dx_rows` call. A Grammian is `window_grammian` of one of its rows
+(`window_grammians`; `gauss_newton_term`, half the Gauss-Newton
+Hessian, is one window), and the candidate terms behind every gradient
+and finite-difference Hessian add one output call
+(`candidate_terms_rows`). A candidate's cost flows as a one-row
+`ode_core.flow_windows` block, several noise draws of one reference as
+one `_noise_reference_block`. Only references flow as single
+trajectories, and every output and output Jacobian takes one
+row-callback call (`ode_core.outputs_rows`, `output_jacobians_rows`).
 """
 
 from __future__ import annotations
@@ -35,23 +36,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import GridMismatch
-from .ode_core import (
-    Array,
-    ControlSystem,
-    InputSignal,
-    NoiseSignals,
-    SampledSignal,
-    TimeGrid,
-    flow,
-    flow_and_stm_windows,
-    flow_windows,
-    output_jacobians_rows,
-    outputs_rows,
-    perturbed_flow,
-    perturbed_flow_and_sensitivities_rows,
-    require_state,
-    require_width,
-)
+from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals, SampledSignal,
+                       TimeGrid, _window_inputs, flow, flow_and_stm_windows,
+                       flow_windows, output_jacobians_rows, outputs_rows, perturbed_flow,
+                       perturbed_flow_and_sensitivities_rows, require_state,
+                       require_width)
 
 
 @dataclass(frozen=True)
@@ -176,15 +165,11 @@ def grad_cum_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
 
 def gauss_newton_term(sys: ControlSystem, t1: float, t2: float, xi2: Array,
                       u: InputSignal, grid: TimeGrid) -> Array:
-    """The windowed integral of Phi^T H^T H Phi along the xi2-trajectory.
-
-    This is the Grammian-style curvature term C(t, T, xi2, u); the
-    Gauss-Newton Hessian of the window cost is 2*C. It is
-    `window_grammian` of the `candidate_terms` of xi2, a one-row block.
-    """
-    sub = grid.subgrid(t1, t2)
-    _, hs, phis = candidate_terms(sys, sub, xi2, u)
-    return window_grammian(sub, hs, phis)
+    """The windowed integral C(t, T, xi2, u) of Phi^T H^T H Phi along the
+    xi2-trajectory, half the Gauss-Newton Hessian of the window cost: the
+    one-window case of `window_grammians`."""
+    xi2 = require_state(sys, xi2, "xi2")
+    return window_grammians(sys, [grid.subgrid(t1, t2)], xi2[None], u)[0]
 
 
 def window_grammian(win: TimeGrid, hs: Array, phis: Array) -> Array:
@@ -194,6 +179,27 @@ def window_grammian(win: TimeGrid, hs: Array, phis: Array) -> Array:
     integrand = np.einsum("nij,nik->njk", hphi, hphi)
     c = np.einsum("n,njk->jk", simpson_weights(win), integrand)
     return 0.5 * (c + c.T)
+
+
+def window_grammians(sys: ControlSystem, wins: Sequence[TimeGrid], centers: Array,
+                     u: InputSignal) -> list[Array]:
+    """The Grammian of each window wins[w] along the trajectory from its
+    start at centers[w], (W, n_x): `window_grammian` of each row of one
+    `window_tangents` block."""
+    _, hs, phis = window_tangents(sys, wins, np.asarray(centers)[:, None], u)
+    return [window_grammian(win, hs[b], np.ascontiguousarray(phis[:, b]))
+            for b, win in enumerate(wins)]
+
+
+def window_tangents(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Array,
+                    u: InputSignal) -> tuple[Array, Array, Array]:
+    """States (n+1, W*m, n_x), output Jacobians (W*m, n+1, n_y, n_x) and
+    STMs (n+1, W*m, n_x, n_x) of the `flow_and_stm_windows` block of the
+    starts xis, (W, m, n_x), with one `dh_dx_rows` call, every row at its
+    own window's node inputs; row w*m + j equals xis[w, j] alone."""
+    xs, phis = flow_and_stm_windows(sys, wins, xis, u)
+    (us,) = _window_inputs(u, wins, 1, 0)  # one input row per window
+    return xs, output_jacobians_rows(sys, xs, us), phis
 
 
 def hess_cum_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
@@ -211,8 +217,9 @@ def hess_cum_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
 # ---------------------------------------------------------------------------
 
 def _window_grid(t: float, T: float, grid: TimeGrid) -> TimeGrid:
-    if t < T:
-        raise GridMismatch("window end t must be at least the horizon T")
+    """The window [t-T, t] of grid; GridMismatch unless t >= T."""
+    if not t >= T:
+        raise GridMismatch(f"window [t-T, t] needs t >= T, got t={t}, T={T}")
     return grid.subgrid(t - T, t)
 
 
@@ -267,33 +274,20 @@ class _RunReference:
 def perturbed_reference(sys: ControlSystem, t: float, T: float, x0: Array,
                         u: InputSignal, eta: NoiseSignals,
                         grid: TimeGrid) -> tuple[Array, Array]:
-    """Perturbed reference on the window: states x~(s, w) and measured
-    outputs h(x~) + v at the window nodes.
-
-    The reference is integrated from (0, x0) on the [0, t] span of the
-    run grid, so process noise accumulated before the window is
-    accounted for. This is the one-window form of the reference a run's
-    windows share (`_RunReference.measured`).
-    """
+    """States x~(s, w) and measured outputs h(x~) + v at the nodes of the
+    window [t-T, t], flowed from (0, x0) so that the process noise before
+    the window counts: `_RunReference.measured` of one window."""
     return _RunReference(sys, x0, u, T, eta, grid).measured(t)[1:]
-
-
-def candidate_terms(sys: ControlSystem, win: TimeGrid, xi: Array,
-                    u: InputSignal) -> tuple[Array, Array, Array]:
-    """Outputs, output Jacobians and STMs at the window nodes of the
-    candidate flow from (win.t_start, xi): all a window gradient needs.
-    The one-row case of `candidate_terms_rows`."""
-    return candidate_terms_rows(sys, win, require_state(sys, xi, "xi")[None], u)[0]
 
 
 def candidate_terms_rows(sys: ControlSystem, win: TimeGrid, xis: Array,
                          u: InputSignal) -> list[tuple[Array, Array, Array]]:
-    """The candidate terms from each row of xis, (B, n_x), from one
-    `flow_and_stm_windows` block, one output call and one Jacobian call;
-    item b equals the terms of row b flowed alone, bit for bit."""
-    us = u.at_nodes(win)
-    xs, phis = flow_and_stm_windows(sys, [win], np.asarray(xis)[None], u)
-    ys, hs = outputs_rows(sys, xs, us), output_jacobians_rows(sys, xs, us)
+    """The outputs, output Jacobians and STMs at the window nodes of the
+    flow from each row of xis, (B, n_x): all a window gradient needs, the
+    `window_tangents` of one window and one output call. Item b equals the
+    terms of row b flowed alone, bit for bit."""
+    xs, hs, phis = window_tangents(sys, [win], np.asarray(xis)[None], u)
+    ys = outputs_rows(sys, xs, u.at_nodes(win))
     return [(ys[b], hs[b], phis[:, b]) for b in range(xs.shape[1])]
 
 
@@ -305,8 +299,8 @@ def grads_from_terms(win: TimeGrid, terms: Sequence[tuple[Array, Array, Array]],
 
 def grad_from_terms(win: TimeGrid, terms: tuple[Array, Array, Array],
                     ref_out: Array) -> Array:
-    """Window gradient from `candidate_terms` against a measured-output
-    trajectory: 2 * integral of (y - ref_out)^T H Phi."""
+    """Window gradient from one item of `candidate_terms_rows` against a
+    measured-output trajectory: 2 * integral of (y - ref_out)^T H Phi."""
     ys, hs, phis = terms
     rows = np.einsum("ni,nij,njk->nk", ys - ref_out, hs, phis)
     return 2.0 * (simpson_weights(win) @ rows)
@@ -324,7 +318,8 @@ def perturbed_cost_from_reference(sys: ControlSystem, win: TimeGrid, xi: Array,
 def grad_perturbed_cost_from_reference(sys: ControlSystem, win: TimeGrid, xi: Array,
                                        u: InputSignal, ref_out: Array) -> Array:
     """Analytic gradient in xi against a precomputed measured-output trajectory."""
-    return grad_from_terms(win, candidate_terms(sys, win, xi, u), ref_out)
+    terms = candidate_terms_rows(sys, win, require_state(sys, xi, "xi")[None], u)[0]
+    return grad_from_terms(win, terms, ref_out)
 
 
 def _perturbed_problem(sys: ControlSystem, t: float, T: float, x0: Array,
@@ -355,15 +350,15 @@ def grad_sensitivities(sys: ControlSystem, win: TimeGrid, xi: Array,
     perturbations, one column each: -2 * integral of (H Phi)^T dy(s).
 
     Each dy holds the measured-output shift at the window nodes,
-    (n_nodes, n_y). All k columns share one window STM at xi.
+    (n_nodes, n_y). All k columns share the `window_tangents` at xi.
     """
-    return sensitivities_from_terms(win, candidate_terms(sys, win, xi, u), dys)
+    _, hs, phis = window_tangents(sys, [win], require_state(sys, xi, "xi")[None, None], u)
+    return sensitivities_from_tangents(win, hs[0], phis[:, 0], dys)
 
 
-def sensitivities_from_terms(win: TimeGrid, terms: tuple[Array, Array, Array],
-                             dys: Sequence[Array]) -> Array:
-    """`grad_sensitivities` from the `candidate_terms` at xi."""
-    _, hs, phis = terms
+def sensitivities_from_tangents(win: TimeGrid, hs: Array, phis: Array,
+                                dys: Sequence[Array]) -> Array:
+    """`grad_sensitivities` from the output Jacobians and STMs at xi."""
     w = simpson_weights(win)
     return np.stack([-2.0 * (w @ np.einsum("ni,nij,njk->nk", dy, hs, phis))
                      for dy in dys], axis=-1)
@@ -385,7 +380,7 @@ def _noise_reference_block(sys: ControlSystem, t: float, T: float, x0: Array,
     if dws is None:
         dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(sys.n_x)]
     xs, zs = perturbed_flow_and_sensitivities_rows(sys, t, x0, u, ws, dws, full)
-    i0 = full.index_of(t - T)
+    i0 = win.offset - full.offset
     return win, xs[i0:], zs[i0:]
 
 

@@ -6,16 +6,17 @@ the reference state. Certificates scan a finite set of window end times
 and are therefore *sampled evidence, not a proof*: the underlying
 conditions quantify over all t >= T.
 
-`reference_scan` is the one place where window Grammians along the
-reference are computed: one reference flow, then one STM block for all
-windows, from which each window's Grammian is taken (`window_grammians`;
-`observability_grammian` is its one-window case). The boundedness check
-flows the ball samples of all windows as one block too. Every window of
-a scan is [t-T, t] for one T, so a block's windows have one length. Both
-blocks give each row its own window's inputs, and each window's results
-equal those of the window flowed alone, bit for bit.
-Certificates (and CertificationInconclusive) carry the windows they
-scanned, and the uniform stability audit takes its mu_hat from the scan.
+A scan (`reference_scan`) builds its windows with `cost._window_grid`,
+so an end t < T raises GridMismatch before any flow, and then flows the
+reference once. Each window is centered at the reference state at its
+first node, and all windows' Grammians are one `cost.window_grammians`
+block, the body `cost.gauss_newton_term` shares. The boundedness check
+flows the ball samples of all windows as one block too; the flat-cost
+witness reads the scan's reference states. A block's windows have one
+length, each row gets its own window's inputs, and each window's results
+equal those of the window flowed alone, bit for bit. Certificates (and
+CertificationInconclusive) carry the windows they scanned, and the
+uniform stability audit takes its mu_hat and centers from the scan.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cost import cum_output_error, window_grammian
+from .cost import _window_grid, perturbed_cost_from_reference, window_grammians
 from .errors import CertificationInconclusive, DomainViolation, EigFailure, Unbounded
-from .ode_core import (Array, ControlSystem, InputSignal, TimeGrid, flow,
-                       flow_and_stm_windows, flow_windows, output_jacobians_windows,
-                       require, require_state)
+from .ode_core import (Array, ControlSystem, InputSignal, TimeGrid, flow, flow_windows,
+                       outputs_rows, require, require_state)
 
 SAMPLED_DISCLAIMER = "sampled evidence, not a proof"
 
@@ -153,23 +153,8 @@ def observability_grammian(sys: ControlSystem, t: float, T: float, center: Array
     """Grammian of the window [t-T, t] along the trajectory from (t-T,
     center): `window_grammians` of that one window."""
     center = require_state(sys, center, "center")
-    win = grid.subgrid(t - T, t)
-    return grammian_report(t, T, center, window_grammians(sys, [win], center[None], u)[0])
-
-
-def window_grammians(sys: ControlSystem, wins: list[TimeGrid], centers: Array,
-                     u: InputSignal) -> list[Array]:
-    """The Grammian of each window wins[w] of one run grid, all with one
-    step count, along the trajectory from its start at centers[w],
-    (W, n_x): the STMs of all windows flow as one block with per-row
-    inputs, their output Jacobians take one `dh_dx_rows` call, and
-    each window's Grammian is `cost.window_grammian` of its own row. Equal
-    bit for bit to one `cost.gauss_newton_term` per window; GridMismatch
-    for windows of different lengths."""
-    xs, phis = flow_and_stm_windows(sys, wins, centers[:, None], u)
-    hs = output_jacobians_windows(sys, xs, wins, u)
-    return [window_grammian(win, hs[b], np.ascontiguousarray(phis[:, b]))
-            for b, win in enumerate(wins)]
+    c = window_grammians(sys, [_window_grid(t, T, grid)], center[None], u)[0]
+    return grammian_report(t, T, center, c)
 
 
 def grammian_report(t: float, T: float, center: Array, c: Array) -> GrammianReport:
@@ -181,39 +166,44 @@ def grammian_report(t: float, T: float, center: Array, c: Array) -> GrammianRepo
 
 
 def reference_flow(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
-                   t_grid, grid_step: float) -> tuple[list[float], TimeGrid, Array]:
-    """Sorted window ends, the [0, max t] grid and the reference states on
-    it; ValueError unless the ends are nonempty and all >= T."""
+                   t_grid, grid_step: float
+                   ) -> tuple[list[float], list[TimeGrid], Array]:
+    """Sorted window ends, their windows [t-T, t] on the [0, max t] root
+    grid, built before the flow, and the reference states on that grid;
+    ValueError if there are no ends."""
     t_list = sorted(float(t) for t in t_grid)
-    if not t_list or t_list[0] < T:
-        raise ValueError("t_grid must be nonempty with every t >= T")
+    if not t_list:
+        raise ValueError("t_grid must be nonempty")
     full = TimeGrid.with_step(0.0, t_list[-1], grid_step)
-    return t_list, full, flow(sys, 0.0, full.t_end, require_state(sys, x0, "x0"), u, full)
+    wins = [_window_grid(t, T, full) for t in t_list]
+    return t_list, wins, flow(sys, 0.0, full.t_end, require_state(sys, x0, "x0"), u, full)
 
 
 def reference_scan(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
-                   t_grid, grid_step: float) -> tuple[TimeGrid, Array, list[GrammianReport]]:
-    """The reference flow's grid and states, and one Grammian per window
-    [t-T, t] along it, t ascending, from one STM block for all windows
-    (`window_grammians`)."""
-    t_list, full, xs = reference_flow(sys, x0, u, T, t_grid, grid_step)
-    centers = xs[[full.index_of(t - T) for t in t_list]]
-    wins = [full.subgrid(t - T, t) for t in t_list]
+                   t_grid, grid_step: float
+                   ) -> tuple[list[TimeGrid], Array, list[GrammianReport]]:
+    """The windows [t-T, t], t ascending, the reference states on their
+    root grid, and the Grammian of each window along the reference, from
+    one `window_grammians` block."""
+    t_list, wins, xs = reference_flow(sys, x0, u, T, t_grid, grid_step)
+    centers = xs[[win.offset for win in wins]]
     reports = [grammian_report(t, T, center, c) for t, center, c in
                zip(t_list, centers, window_grammians(sys, wins, centers, u))]
-    return full, xs, reports
+    return wins, xs, reports
 
 
-def _witness_cost(sys: ControlSystem, u: InputSignal, full: TimeGrid,
+def _witness_cost(sys: ControlSystem, u: InputSignal, win: TimeGrid, xs: Array,
                   report: GrammianReport, step: float) -> tuple[Array, float]:
-    """Cost along the near-null eigenvector; tries both displacement signs."""
+    """Cost along the near-null eigenvector against the outputs of the
+    reference states xs on win's root grid; tries both displacement signs."""
     d = report.eigenvectors[:, 0]
-    t0, t1 = report.t - report.T, report.t
+    ref = xs[win.offset:win.offset + win.n_steps + 1, None]
+    ref_out = outputs_rows(sys, ref, u.at_nodes(win))[0]
     best = None
     for sign in (1.0, -1.0):
         try:
-            c = cum_output_error(sys, t0, t1, report.center,
-                                 report.center + sign * step * d, u, full).value
+            c = perturbed_cost_from_reference(sys, win, report.center + sign * step * d,
+                                              u, ref_out)
         except DomainViolation:
             continue
         best = c if best is None else min(best, c)
@@ -235,12 +225,13 @@ def certify_weak_persistence(sys: ControlSystem, x0: Array, u: InputSignal,
     scan raises CertificationInconclusive, since a singular Grammian alone
     does not settle the question.
     """
-    full, _, reports = reference_scan(sys, x0, u, T, t_grid, grid_step)
-    return _weak_certificate(sys, u, full, reports, singular_tol, witness_step)
+    wins, xs, reports = reference_scan(sys, x0, u, T, t_grid, grid_step)
+    return _weak_certificate(sys, u, wins, xs, reports, singular_tol, witness_step)
 
 
-def _weak_certificate(sys: ControlSystem, u: InputSignal, full: TimeGrid,
-                      reports: list[GrammianReport], singular_tol: Optional[float],
+def _weak_certificate(sys: ControlSystem, u: InputSignal, wins: list[TimeGrid],
+                      xs: Array, reports: list[GrammianReport],
+                      singular_tol: Optional[float],
                       witness_step: float) -> PersistenceCertificate:
     """The weak-persistence verdict from the windows of a reference scan."""
     tols = [singular_tol if singular_tol is not None else 1e-8 * r.max_eig
@@ -259,7 +250,7 @@ def _weak_certificate(sys: ControlSystem, u: InputSignal, full: TimeGrid,
             threshold=tols[worst_i],
             evidence=WindowEvidence(worst.t, worst.min_eig, worst.max_eig))
 
-    direction, wcost = _witness_cost(sys, u, full, worst, witness_step)
+    direction, wcost = _witness_cost(sys, u, wins[worst_i], xs, worst, witness_step)
     if wcost >= _FLAT_COST_TOL:
         raise CertificationInconclusive(
             f"window t={worst.t} has a near-singular Grammian (min_eig="
@@ -290,15 +281,15 @@ def certify_weak_regular_persistence(sys: ControlSystem, x0: Array, u: InputSign
     """
     require("positive", R=boundedness_radius)
     require("count", n_ball_samples=n_ball_samples)
-    full, xs, reports = reference_scan(sys, x0, u, T, t_grid, grid_step)
-    weak = _weak_certificate(sys, u, full, reports, singular_tol, witness_step)
+    wins, xs, reports = reference_scan(sys, x0, u, T, t_grid, grid_step)
+    weak = _weak_certificate(sys, u, wins, xs, reports, singular_tol, witness_step)
     if weak.verdict is Verdict.NOT_WEAKLY_PERSISTENT:
         return weak
     if weak.mu_hat < mu_threshold:
         return weak
     try:
-        _ball_boundedness(sys, u, T, boundedness_radius, weak.t_grid, full, xs,
-                          n_ball_samples, seed, _OVERFLOW_GUARD)
+        _ball_boundedness(sys, u, T, boundedness_radius, wins, xs, n_ball_samples,
+                          seed, _OVERFLOW_GUARD)
     except (Unbounded, DomainViolation):
         return weak
     return PersistenceCertificate(
@@ -352,21 +343,19 @@ def check_regular_boundedness(sys: ControlSystem, x0: Array, u: InputSignal,
     """
     require("positive", R=R)
     require("count", n_ball_samples=n_ball_samples)
-    t_list, full, xs = reference_flow(sys, x0, u, T, t_grid, grid_step)
-    return _ball_boundedness(sys, u, T, R, t_list, full, xs, n_ball_samples, seed,
+    _, wins, xs = reference_flow(sys, x0, u, T, t_grid, grid_step)
+    return _ball_boundedness(sys, u, T, R, wins, xs, n_ball_samples, seed,
                              overflow_guard)
 
 
 def _ball_boundedness(sys: ControlSystem, u: InputSignal, T: float, R: float,
-                      t_list: Sequence[float], full: TimeGrid, xs: Array,
-                      n_ball_samples: int, seed: int,
-                      overflow_guard: float) -> BoundednessReport:
-    """`check_regular_boundedness` of the windows ending at t_list,
-    ascending, around the reference states xs on the [0, max t] grid full."""
+                      wins: Sequence[TimeGrid], xs: Array, n_ball_samples: int,
+                      seed: int, overflow_guard: float) -> BoundednessReport:
+    """`check_regular_boundedness` of the windows wins, ascending, around
+    the reference states xs on their root grid."""
     rng = np.random.default_rng(seed)
-    points = np.stack([ball_samples(rng, xs[full.index_of(t - T)], R, n_ball_samples)
-                       for t in t_list])
-    wins = [full.subgrid(t - T, t) for t in t_list]
+    points = np.stack([ball_samples(rng, xs[win.offset], R, n_ball_samples)
+                       for win in wins])
     m = points.shape[1]
     trajs = flow_windows(sys, wins, points, u)
     per_window = [_sup_norm(trajs[:, b * m:(b + 1) * m]) for b in range(len(wins))]

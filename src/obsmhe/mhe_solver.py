@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .cost import (WindowProblem, _RunReference, _noise_reference_block,
-                   candidate_terms, candidate_terms_rows, fd_hessian, fd_points,
-                   grads_from_terms, reference_and_noise_directions_rows,
-                   sensitivities_from_terms, window_grammian)
+                   candidate_terms_rows, fd_hessian, fd_points, grads_from_terms,
+                   reference_and_noise_directions_rows, sensitivities_from_tangents,
+                   window_grammian, window_tangents)
 from .errors import (BoundaryStuck, ConditionsFailed, MaxItersExceeded,
                      ObsMheError, SingularWindow)
 from .grammian import (GrammianReport, ball_samples, grammian_report,
@@ -311,9 +311,10 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
           for _ in range(n_noise_samples)]
     win, xt, zs = _noise_reference_block(sys, t, T, x0, u, [None] + ws, grid)
     center = xt[0, 0]
-    # The candidate terms of the center, a one-row block, serve the
-    # Grammian and the output-noise channel.
-    _, hs, ps = candidate_terms(sys, win, center, u)
+    # The tangents of the center, a one-row block, serve the Grammian and
+    # the output-noise channel.
+    _, hs, ps = window_tangents(sys, [win], center[None, None], u)
+    hs, ps = hs[0], ps[:, 0]
     mu_t = _window_mu(grammian_report(t, T, center, window_grammian(win, hs, ps)))
     hphi = float(np.max(_spectral_norms(hs @ ps)))
     c1 = 2.0 * T * hphi
@@ -380,7 +381,7 @@ def _xi_constants(sys: ControlSystem, u: InputSignal, win: TimeGrid, xi: Array,
             a1 = max(a1, float(np.linalg.norm(hp - hm, 2)) / (2 * delta))
 
         # a2 / g3: operator norms of the noise-to-gradient maps.
-        g = sensitivities_from_terms(win, xi_terms, dys)
+        g = sensitivities_from_tangents(win, *xi_terms[1:], dys)
         gains.append(float(np.linalg.norm(g[:, :n_y], 2))
                      + float(np.linalg.norm(g[:, n_y:], 2)))
     return a1, gains
@@ -408,7 +409,8 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     require("nonnegative", nu=nu)
     require("count", n_xi_samples=n_xi_samples, n_eta_samples=n_eta_samples,
             t_subsample=t_subsample)
-    full, xs, scan = reference_scan(sys, x0, u, T, t_grid, grid_step)
+    wins, xs, scan = reference_scan(sys, x0, u, T, t_grid, grid_step)
+    full = wins[0].base
     t_list = [r.t for r in scan]
     mu_hat = min(_window_mu(r, "; no uniform margin exists") for r in scan)
     rng = np.random.default_rng(seed)
@@ -419,9 +421,8 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     g3_hat = 0.0
     delta = 1e-3
     for i in _spread_indices(len(t_list), t_subsample):
-        t = t_list[i]
-        win = full.subgrid(t - T, t)
-        center = xs[full.index_of(t - T)]
+        t, win = t_list[i], wins[i]
+        center = xs[win.offset]
         etas = [ZERO_NOISE]
         for _ in range(n_eta_samples - 1):
             etas.append(NoiseSignals(

@@ -36,16 +36,17 @@ A window candidate is a row block; only a reference is a single
 trajectory. `flow` and `perturbed_flow` step one state through the
 per-row f (reference flows, warm starts, simulations). `flow_windows`
 and `flow_and_stm_windows` step m starts on each of W windows of one run
-grid with one step count as one block (the scan's STMs and ball samples;
-as one window, every Newton candidate and the difference points of every
-finite-difference Hessian; `flow_and_stm` is the one-row case), and
+grid with one step count as one block: the ball samples and every
+candidate's cost as plain flows, and, with STMs, the tangents of
+`cost.window_tangents`, the one caller of `flow_and_stm_windows` besides
+its one-row case `flow_and_stm`.
 `perturbed_flow_and_sensitivities_rows` steps several process-noise
-draws from one start. Blocks use the optional row callbacks `f_rows`,
-`df_dx_rows` and `domain_guard_rows`, or per-row fallbacks, and row b
-equals the single-row flow from its start bit for bit. Every output and
-output Jacobian comes from `outputs_rows` or `output_jacobians_rows`: one
-`h_rows` or `dh_dx_rows` call (or per-row fallback) on all rows at all
-nodes.
+draws from one start as one block. Blocks use the optional row callbacks
+`f_rows`, `df_dx_rows` and `domain_guard_rows`, or per-row fallbacks,
+and row b equals the single-row flow from its start bit for bit. Every
+output and output Jacobian comes from `outputs_rows` or
+`output_jacobians_rows`: one `h_rows` or `dh_dx_rows` call (or per-row
+fallback) on all rows at all nodes.
 """
 
 from __future__ import annotations
@@ -78,6 +79,16 @@ def _require_step(h: float) -> None:
     """GridMismatch unless the step h is a finite positive number."""
     if not 0.0 < h < math.inf:
         raise GridMismatch(f"step must be finite and positive, got {h}")
+
+
+def _step_count(t0: float, t1: float, h: float) -> int:
+    """The number n >= 1 of steps h from t0 to t1, to within _NODE_TOL
+    relative; GridMismatch unless h is a step that divides [t0, t1]."""
+    _require_step(h)
+    n = round((t1 - t0) / h) if math.isfinite(t1 - t0) else 0
+    if n < 1 or abs(t0 + n * h - t1) > _NODE_TOL * max(1.0, abs(t1)):
+        raise GridMismatch(f"step {h} does not divide interval [{t0}, {t1}]")
+    return n
 
 
 @dataclass(frozen=True)
@@ -190,12 +201,7 @@ class TimeGrid:
 
     @classmethod
     def with_step(cls, t_start: float, t_end: float, h: float) -> "TimeGrid":
-        _require_step(h)
-        n = round((t_end - t_start) / h) if math.isfinite(t_end - t_start) else 0
-        if n < 1 or abs(t_start + n * h - t_end) > _NODE_TOL * max(1.0, abs(t_end)):
-            raise GridMismatch(
-                f"step {h} does not divide interval [{t_start}, {t_end}]")
-        return cls(t_start, t_end, n)
+        return cls(t_start, t_end, _step_count(t_start, t_end, h))
 
     def index_of(self, t: float) -> int:
         if not math.isfinite(t):
@@ -443,6 +449,8 @@ class SampledSignal:
 
     def __post_init__(self):
         _require_step(self.h)
+        if not math.isfinite(self.t0):
+            raise GridMismatch(f"sample-and-hold start must be finite, got {self.t0}")
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("values must be a (n_samples, dim) array")
@@ -450,8 +458,9 @@ class SampledSignal:
 
     @classmethod
     def constant(cls, value, t0: float, t1: float, h: float) -> "SampledSignal":
-        _require_step(h)
-        n = round((t1 - t0) / h)
+        """value held on the n steps h from t0 to t1; GridMismatch unless h
+        divides [t0, t1] (as in `TimeGrid.with_step`)."""
+        n = _step_count(t0, t1, h)
         return cls(t0, h, np.tile(np.asarray(value, dtype=float), (n, 1)))
 
     @classmethod
@@ -897,15 +906,6 @@ def flow_and_stm_windows(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Arra
                             wins[0].h, u0, um, u1)
     _check_guard(sys, xs, "stm")
     return xs, phis
-
-
-def output_jacobians_windows(sys: ControlSystem, xs: Array, wins: Sequence[TimeGrid],
-                             u: InputSignal) -> Array:
-    """`output_jacobians_rows` of a block xs of `flow_windows` or
-    `flow_and_stm_windows` on wins, every row at its own window's node
-    inputs: one `dh_dx_rows` call. Returns (W*m, n+1, n_y, n_x)."""
-    (us,) = _window_inputs(u, wins, 1, 0)  # one input row per window
-    return output_jacobians_rows(sys, xs, us)
 
 
 def perturbed_flow(sys: ControlSystem, s1: float, s2: float, xi: Array,

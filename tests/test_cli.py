@@ -236,6 +236,68 @@ def test_normalize_config_rejects_bad_noise_family():
                               "noise": {"family": "pink"}})
 
 
+@pytest.mark.parametrize("family, key, value", [
+    ("constant", "direction", [0, 0]),
+    ("sinusoid", "direction", [0.0, -0.0]),
+    ("constant", "direction", [1, 0, 0]),
+    ("constant", "direction", [1]),
+    ("constant", "direction", []),
+    ("constant", "direction", "x"),
+    ("constant", "direction", 1.0),
+    ("constant", "direction", [1, "0"]),
+    ("constant", "direction", [1, math.inf]),
+    ("constant", "direction", [1e308, 1e308]),
+    ("sinusoid", "frequency", "fast"),
+    ("sinusoid", "frequency", math.nan),
+    ("sinusoid", "frequency", None),
+    ("sinusoid", "phase", True),
+    ("sinusoid", "phase", -math.inf),
+])
+def test_bad_noise_shape_fields_exit_2(tmp_path, capsys, family, key, value):
+    # Before, these gave NaN noise (EigFailure), DimensionMismatch or an
+    # internal ValueError, each exit 1.
+    cfg = {"system": "circ-default", "grid_step": 0.005,
+           "t_grid": {"start": 1.0, "stop": 1.0, "count": 1},
+           "noise": {"family": family, "amplitude": 1e-3, "apply_to": "both",
+                     key: value}}
+    code, out = run(tmp_path, "mhe-run", cfg)
+    assert code == 2
+    assert f"(field: noise.{key})" in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
+def test_noise_direction_has_the_width_of_each_channel_it_applies_to():
+    # A registered system with n_y = 1 and n_x = 2: a 1-vector direction
+    # fits v alone, a 2-vector w alone.
+    sys_ = ControlSystem(n_x=2, n_u=1, n_y=1, f=lambda x, u: -x, h=lambda x, u: x[:1],
+                         df_dx=lambda x, u: -np.eye(2), dh_dx=lambda x, u: np.eye(1, 2))
+    for direction, fits in (([2.0], ("v",)), ([3.0, 4.0], ("w",))):
+        for apply_to in ("v", "w", "both"):
+            cfg = cli.normalize_config({"system": "circ-default", "noise": {
+                "family": "constant", "amplitude": 0.5, "direction": direction,
+                "apply_to": apply_to}})
+            if apply_to in fits:
+                eta = cli.build_noise(cfg, sys_, 1.0, 0.5)
+                got = eta.v if apply_to == "v" else eta.w
+                np.testing.assert_allclose(got.values[0], 0.5 * np.array(direction)
+                                           / np.linalg.norm(direction))
+            else:
+                with pytest.raises(ConfigError) as info:
+                    cli.build_noise(cfg, sys_, 1.0, 0.5)
+                assert info.value.field == "noise.direction"
+
+
+def test_absent_noise_shape_fields_stay_absent():
+    # Every JSON artifact embeds the expanded config, so no default is
+    # added for them; given ones are kept as they are.
+    nz = cli.normalize_config({"system": "circ-default"})["noise"]
+    assert not {"direction", "frequency", "phase"} & set(nz)
+    given = {"family": "sinusoid", "amplitude": 1e-3, "direction": [1, 2],
+             "frequency": 0.5, "phase": 0}
+    nz = cli.normalize_config({"system": "circ-default", "noise": given})["noise"]
+    assert {k: nz[k] for k in given} == given
+
+
 @pytest.mark.parametrize("noise", [{}, {"family": "constant", "amplitude": 0.001}])
 def test_unknown_hessian_mode_exit_2(tmp_path, noise):
     cfg = {"system": "circ-default", "solver": {"hessian_mode": "newton"},

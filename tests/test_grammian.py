@@ -10,8 +10,10 @@ from obsmhe import (CertificationInconclusive, ControlSystem, EigFailure, GridMi
                     certify_weak_persistence, certify_weak_regular_persistence,
                     check_regular_boundedness, jacobi_eigh,
                     observability_grammian, bearing, flow, gauss_newton_term)
-from obsmhe.grammian import ball_samples, window_grammians
-from conftest import assert_bits_equal
+from obsmhe.cost import window_grammian, window_grammians
+from obsmhe.grammian import ball_samples
+from conftest import (assert_bits_equal, candidate_terms_per_node, oracle_grammian,
+                      oracle_stms)
 
 
 def test_jacobi_matches_numpy_on_random_symmetric():
@@ -141,20 +143,38 @@ def test_boundedness_raises_for_the_first_window_over_the_guard(spi, x0):
 
 
 @pytest.mark.parametrize("system", ["circ", "nonlinear"])
-def test_window_grammians_equal_one_gauss_newton_term_per_window(system, request, x0):
-    # Windows of one length at unordered, overlapping offsets: one STM
-    # block, and the Grammians come back in window order. Windows of two
-    # lengths are not one block.
+def test_window_grammians_equal_the_per_node_oracle(system, request, x0):
+    # Windows of one length at unordered, overlapping offsets: one tangent
+    # block, and the Grammians come back in window order, each equal to
+    # the Grammian of the single-trajectory, per-node terms. Windows of
+    # two lengths are not one block.
     sys_, u = request.getfixturevalue(system)
     grid = TimeGrid.with_step(0.0, 3.0, 0.01)
-    spans = [(1.5, 2.5), (0.5, 1.5), (2.0, 3.0), (0.2, 1.2)]
-    centers = x0 + 0.1 * np.random.default_rng(5).standard_normal((len(spans), 2))
-    got = window_grammians(sys_, [grid.subgrid(a, b) for a, b in spans], centers, u)
-    for (a, b), center, c in zip(spans, centers, got):
-        assert_bits_equal(c, gauss_newton_term(sys_, a, b, center, u, grid))
+    wins = [grid.subgrid(a, b) for a, b in [(1.5, 2.5), (0.5, 1.5), (2.0, 3.0), (0.2, 1.2)]]
+    centers = x0 + 0.1 * np.random.default_rng(5).standard_normal((len(wins), 2))
+    got = window_grammians(sys_, wins, centers, u)
+    for win, center, c in zip(wins, centers, got):
+        _, hs, phis = candidate_terms_per_node(sys_, win, center, u)
+        assert_bits_equal(c, window_grammian(win, hs, phis))
     with pytest.raises(GridMismatch):
         window_grammians(sys_, [grid.subgrid(0.5, 1.5), grid.subgrid(1.0, 2.5)],
                          centers[:2], u)
+
+
+def test_window_grammians_equal_the_closed_form_grammian(linear_oracle):
+    # On x' = Ax + Bu, y = Cx every window of n steps has the Grammian
+    # M = sum w_n Phi_n^T C^T C Phi_n, Phi_n = R(hA)^n, whatever its start.
+    sys_, u = linear_oracle
+    grid = TimeGrid.with_step(0.0, 4.0, 0.0025)
+    want = oracle_grammian(grid.h, 400)
+    assert not np.allclose(oracle_stms(grid.h, 400)[-1], np.eye(2))
+    wins = [grid.subgrid(t - 1.0, t) for t in (2.0, 3.0, 4.0, 1.0)]
+    centers = np.array([[1.0, 0.0], [0.3, -2.0], [-1.0, 5.0], [0.0, 0.0]])
+    got = window_grammians(sys_, wins, centers, u)
+    got.append(gauss_newton_term(sys_, 3.0, 4.0, centers[0], u, grid))
+    got.append(observability_grammian(sys_, 4.0, 1.0, centers[1], u, grid).matrix)
+    for c in got:
+        np.testing.assert_allclose(c, want, rtol=1e-12, atol=0.0)
 
 
 def test_ball_samples_stay_in_ball_and_cover_axes():

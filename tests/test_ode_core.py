@@ -14,7 +14,7 @@ from obsmhe import (ControlSystem, DimensionMismatch, DomainViolation, GridMisma
                     InputSignal, NoiseSignals, SampledSignal, TimeGrid, ZERO_NOISE,
                     check_jacobians, cum_output_error, flow, flow_and_stm,
                     flow_and_stm_windows, flow_windows, gauss_newton_term,
-                    bearing, cost, grammian, noise_sensitivity, ode_core,
+                    bearing, cost, grammian, mhe_solver, noise_sensitivity, ode_core,
                     perturbed_flow,
                     perturbed_flow_and_sensitivities,
                     perturbed_flow_and_sensitivities_rows, stm)
@@ -80,6 +80,14 @@ _NAN, _INF = float("nan"), float("inf")
     lambda: SampledSignal(0.0, _NAN, np.zeros((3, 2))),
     lambda: SampledSignal.constant([1.0, 0.0], 0.0, 1.0, 0.0),
     lambda: SampledSignal.zero(2, 0.0, 1.0, 0.0),
+    # A start that is not finite, or a step that does not divide [t0, t1],
+    # is named where the signal is built, not at its first `at` or as a
+    # shorter signal.
+    lambda: SampledSignal(_NAN, 0.1, np.zeros((3, 2))),
+    lambda: SampledSignal(-_INF, 0.1, np.zeros((3, 2))),
+    lambda: SampledSignal.constant([1.0], 0.0, 1.0, 0.3),
+    lambda: SampledSignal.constant([1.0], 0.0, 0.0, 0.1),
+    lambda: SampledSignal.zero(1, 0.0, _INF, 0.1),
 ])
 def test_bad_steps_and_grids_raise_grid_mismatch(make):
     # Named errors, not ZeroDivisionError, OverflowError or a bare
@@ -324,6 +332,7 @@ def _recording(sys_, calls):
 def test_block_outputs_take_one_row_callback_call(circ, grid2, x0):
     # The outputs of a block come from one h_rows and one dh_dx_rows call
     # on all its rows at all its nodes, each row with its own node input.
+    # The Jacobians come with the tangents, the outputs after them.
     sys_, u = circ
     calls = []
     counted = _recording(sys_, calls)
@@ -331,7 +340,7 @@ def test_block_outputs_take_one_row_callback_call(circ, grid2, x0):
     n, xis = win.n_steps + 1, x0 + 0.01 * np.arange(10.0).reshape(5, 2)
     terms = cost.candidate_terms_rows(counted, win, xis, u)
     assert [(name, xs.shape) for name, xs, _ in calls] == \
-        [("h_rows", (n * 5, 2)), ("dh_dx_rows", (n * 5, 2))]
+        [("dh_dx_rows", (n * 5, 2)), ("h_rows", (n * 5, 2))]
     for _, _, us in calls:
         assert_bits_equal(us, np.repeat(u.at_nodes(win), 5, axis=0))
     for b, xi in enumerate(xis):
@@ -506,6 +515,14 @@ def test_seeded_uniform_noise_is_bounded_seeded_and_drawn_in_order():
     for dim in (2, 3):
         got = SampledSignal.seeded_uniform(rng, 0.0, 0.01, n, dim, amp)
         assert_bits_equal(got.values, _seeded_uniform_values(ref, n, dim, amp))
+
+
+def test_constant_signal_takes_steps_that_divide_its_span_to_grid_tolerance():
+    # The tolerance of TimeGrid.with_step: 0.1 does not divide 0.3 exactly
+    # in floating point.
+    for t1 in (0.3, 0.3 + 1e-12, 0.3 - 1e-12):
+        assert SampledSignal.constant([1.0], 0.0, t1, 0.1).values.shape == (3, 1)
+        TimeGrid.with_step(0.0, t1, 0.1)
 
 
 def test_noise_signals_norm_is_max_of_channels():
@@ -731,6 +748,25 @@ def test_single_starts_of_another_shape_are_named(circ, grid2, bad):
         assert str(info.value) == f"xi has shape {bad.shape}, expected (2,)"
 
 
+def test_gauss_newton_hessian_and_nonuniform_audit_take_no_outputs(circ, grid2, x0):
+    # Both read the window's tangents alone: one dh_dx_rows call on the
+    # Gauss-Newton block, and no h_rows call; the audit adds one for its
+    # noise draws. Results equal those of the system unrecorded.
+    sys_, u = circ
+    calls = []
+    counted = _recording(sys_, calls)
+    win = grid2.subgrid(0.5, 1.5)
+    c = cost.gauss_newton_term(counted, 0.5, 1.5, x0, u, grid2)
+    assert [(name, xs.shape) for name, xs, _ in calls] == \
+        [("dh_dx_rows", ((win.n_steps + 1), 2))]
+    assert_bits_equal(c, cost.gauss_newton_term(sys_, 0.5, 1.5, x0, u, grid2))
+    calls.clear()
+    audit = mhe_solver.audit_nonuniform_stability(counted, x0, u, 1.5, 1.0, 1e-3, grid2)
+    assert [name for name, _, _ in calls] == ["dh_dx_rows", "dh_dx_rows"]
+    assert audit == mhe_solver.audit_nonuniform_stability(sys_, x0, u, 1.5, 1.0, 1e-3,
+                                                          grid2)
+
+
 def test_unicycle_row_blocks_equal_single_trajectories(unicycle, grid2):
     # The one Phi != I system whose blocks step df_dx_rows: every row of a
     # block, its STMs and its candidate terms equal the single-trajectory
@@ -918,8 +954,7 @@ def test_window_block_rows_equal_each_window_alone(system, case):
     u = InputSignal(pieces)
     m = xis.shape[1]
     xs = ode_core.flow_windows(sys_, wins, xis, u)
-    xs_stm, phis = ode_core.flow_and_stm_windows(sys_, wins, xis, u)
-    hs = ode_core.output_jacobians_windows(sys_, xs_stm, wins, u)
+    xs_stm, hs, phis = cost.window_tangents(sys_, wins, xis, u)
     for w, win in enumerate(wins):
         for j in range(m):
             b = w * m + j
@@ -964,9 +999,7 @@ def test_window_block_raises_exactly_when_a_window_uses_a_bad_sample(case, spike
     for block, single in (
             (lambda: ode_core.flow_windows(sys_, wins, xis, u),
              lambda win, x: flow(sys_, win.t_start, win.t_end, x, u, root)),
-            (lambda: ode_core.output_jacobians_windows(
-                sys_, ode_core.flow_and_stm_windows(sys_, wins, xis, u)[0], wins, u),
-             alone)):
+            (lambda: cost.window_tangents(sys_, wins, xis, u), alone)):
         singles = [_violation(lambda: single(win, x[0])) for win, x in zip(wins, xis)]
         message = _violation(block)
         assert (message is not None) == any(singles)

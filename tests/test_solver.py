@@ -21,8 +21,9 @@ from obsmhe import (
 from obsmhe.cost import (fd_gradient, fd_hessian, fd_points, grad_sensitivities,
                          perturbed_reference)
 from obsmhe.grammian import ball_samples
-from conftest import (assert_bits_equal, count_calls, output_jacobians_per_node,
-                      single_flow_and_stm)
+from conftest import (ORACLE_C, assert_bits_equal, count_calls, oracle_grammian,
+                      oracle_inputs_flow, oracle_simpson, oracle_stms,
+                      output_jacobians_per_node, single_flow_and_stm)
 
 OPTS = SolverOptions(ball_radius=0.1)
 
@@ -47,6 +48,62 @@ def test_mhe_curvature_matches_grammian_oracle(circ, x0, grid6):
     sol = solve_mhe(sys_, x0, u, 2.0, 1.0, OPTS, grid6)
     lo, _ = bearing.circ_eigs(1.0, 1.0, 1.0)
     assert sol.hess_min_eig == pytest.approx(2.0 * lo, rel=1e-4)
+
+
+def test_pmhe_and_audit_equal_the_closed_form_oracle(linear_oracle, x0):
+    # On x' = Ax + Bu, y = Cx the window cost is exactly quadratic in the
+    # start: x_n(xi) = Phi_n xi + d_n, d_n the RK4 flow from zero. Its
+    # minimizer solves M xi = b, b = sum w_n Phi_n^T C^T (y_n - C d_n), and
+    # its Hessian is 2 M everywhere.
+    sys_, u = linear_oracle
+    grid = TimeGrid.with_step(0.0, 4.0, 0.0025)
+    n_win = 400
+    rng = np.random.default_rng(21)
+    eta = NoiseSignals(
+        v=SampledSignal.seeded_uniform(rng, 0.0, grid.h, grid.n_steps, 1, 1e-2),
+        w=SampledSignal.seeded_uniform(rng, 0.0, grid.h, grid.n_steps, 2, 1e-2))
+    m = oracle_grammian(grid.h, n_win)
+    _, ys = perturbed_reference(sys_, 4.0, 1.0, x0, u, eta, grid)
+    phis = oracle_stms(grid.h, n_win)
+    resid = ys - oracle_inputs_flow(grid.h, 3.0, n_win, np.zeros(2)) @ ORACLE_C.T
+    b = np.einsum("n,nji,nj->i", oracle_simpson(grid.h, n_win), ORACLE_C @ phis, resid)
+    want = np.linalg.solve(m, b)
+    # grad_tol 1e-9 would stop the damped Newton iteration about 1e-8 from
+    # the minimizer; 1e-12 takes one more iteration to reach it.
+    sol = solve_pmhe(sys_, x0, u, 4.0, 1.0, eta, SolverOptions(grad_tol=1e-12), grid)
+    assert sol.converged
+    np.testing.assert_allclose(sol.xi_star, want, rtol=1e-11, atol=0.0)
+    mu = 2.0 * np.linalg.eigvalsh(m)[0]
+    assert sol.hess_min_eig == pytest.approx(mu, rel=1e-9)
+    # The noise-to-gradient map is the same affine map at every start, so
+    # the gain at the reference is the ball-wide gain, bit for bit.
+    audit = audit_uniform_stability(sys_, x0, u, 1.0, [2.0, 3.0, 4.0], R=0.5, nu=1e-3,
+                                    alpha=0.6, grid_step=grid.h,
+                                    raise_on_failure=False)
+    assert audit.a2_hat == audit.g3_hat > 0.0
+    assert audit.mu_hat == pytest.approx(mu, rel=1e-12)
+
+
+def test_window_end_before_the_horizon_raises_before_any_flow(circ, x0, grid2,
+                                                             monkeypatch):
+    # Every window [t-T, t] is checked where it is built, before the
+    # reference or any tangent flows.
+    sys_, u = circ
+    flows = count_calls(monkeypatch, ode_core.rk4_flow)
+    calls = [
+        lambda: grammian.observability_grammian(sys_, 0.5, 1.0, x0, u, grid2),
+        lambda: grammian.certify_weak_persistence(sys_, x0, u, 1.0, [1.5, 0.5], grid2.h),
+        lambda: grammian.check_regular_boundedness(sys_, x0, u, 1.0, 0.1, [0.5, 1.5], 4,
+                                                   0, grid2.h),
+        lambda: audit_uniform_stability(sys_, x0, u, 1.0, [0.5, 1.5], R=0.02, nu=1e-4,
+                                        alpha=0.6, grid_step=grid2.h),
+        lambda: audit_nonuniform_stability(sys_, x0, u, 0.5, 1.0, 1e-3, grid2),
+        lambda: solve_pmhe(sys_, x0, u, 0.5, 1.0, ZERO_NOISE, OPTS, grid2),
+    ]
+    for call in calls:
+        with pytest.raises(GridMismatch, match=r"t >= T, got t=0\.5, T=1\.0"):
+            call()
+    assert flows == []
 
 
 def test_zero_noise_pmhe_is_bitwise_mhe(circ, x0, grid6):
