@@ -221,20 +221,23 @@ PRESETS = {
 }
 
 
-# Input laws by kind, each built from (landmark, x0, scenario parameters).
+# Input laws by kind: the law, called as law(landmark, x0, **parameters),
+# and the names of the scenario parameters it takes.
 INPUT_LAWS = {
-    "circ": lambda l, x0, p: u_circ(l, x0, p["omega"]),
-    "cst": lambda l, x0, p: u_cst(l, x0, p.get("sigma", 1.0)),
-    "spi": lambda l, x0, p: u_spi(l, x0, p["omega"], p["alpha"]),
+    "circ": (u_circ, ("omega",)),
+    "cst": (u_cst, ("sigma",)),
+    "spi": (u_spi, ("omega", "alpha")),
 }
 
 
 def scenario_from_params(p: dict) -> tuple[ControlSystem, Array, InputSignal]:
     """(system, x0, input) from preset-style parameters: landmark, x0, the
-    input kind and the parameters of its law."""
+    input kind and those parameters of its law that p gives."""
     landmark = np.asarray(p["landmark"], dtype=float)
     x0 = np.asarray(p["x0"], dtype=float)
-    return bearing_system(landmark), x0, INPUT_LAWS[p["input"]](landmark, x0, p)
+    law, names = INPUT_LAWS[p["input"]]
+    return bearing_system(landmark), x0, law(landmark, x0,
+                                              **{k: p[k] for k in names if k in p})
 
 
 def preset_scenario(name: str) -> tuple[ControlSystem, BearingScenario, InputSignal, dict]:

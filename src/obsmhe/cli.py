@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys as _sys
@@ -33,12 +34,13 @@ import numpy as np
 
 from . import bearing
 from .errors import (CertificationInconclusive, ConditionsFailed, ConfigError,
-                     ObsMheError, SingularWindow)
+                     GridMismatch, ObsMheError, SingularWindow)
 from .grammian import certify_weak_regular_persistence
 from .mhe_solver import (HESSIAN_MODES, SolverOptions, audit_uniform_stability,
                          rolling_estimate)
 from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals,
-                       SampledSignal, TimeGrid, ZERO_NOISE, flow, outputs_rows)
+                       SampledSignal, TimeGrid, ZERO_NOISE, flow, is_number,
+                       outputs_rows, require)
 
 # Registry for systems beyond the stock presets: factories return
 # (ControlSystem, x0, InputSignal).
@@ -50,49 +52,29 @@ def register_system(name: str,
     SYSTEM_FACTORIES[name] = factory
 
 
-NOISE_FAMILIES = ("zero", "constant", "sinusoid", "seeded-uniform")
-
-_DEFAULTS = {
-    "T": 1.0,
-    "grid_step": 0.0025,
-    "t_grid": {"start": 1.0, "stop": 6.0, "count": 6},
-    "noise": {"family": "zero", "amplitude": 0.0, "seed": 0, "apply_to": "v"},
-    "solver": {"ball_radius": 0.1, "max_iters": 50, "grad_tol": 1e-9,
-               "hessian_mode": "gauss_newton"},
-    "audit": {"R": 0.02, "alpha": 0.6, "nu": 1e-4, "mu_threshold": 1e-3,
-              "seed": 0, "n_ball_samples": 16, "n_xi_samples": 2,
-              "n_eta_samples": 2, "t_subsample": 3,
-              "singular_tol": None, "witness_step": 0.01},
+# Every config field by its path, with its default and its rule: a
+# `RULES` name or the tuple of the values allowed. A field whose default
+# is _ABSENT stays out of the expanded config unless the config gives it;
+# a field whose default is None may also be null.
+_ABSENT = object()
+_SCHEMA = {
+    "T": (1.0, "positive"), "grid_step": (0.0025, "positive"),
+    "t_grid.start": (1.0, "number"), "t_grid.stop": (6.0, "number"),
+    "t_grid.count": (6, "count"),
+    "noise.family": ("zero", ("zero", "constant", "sinusoid", "seeded-uniform")),
+    "noise.amplitude": (0.0, "nonnegative"), "noise.seed": (0, "whole"),
+    "noise.apply_to": ("v", ("v", "w", "both")),
+    "noise.frequency": (_ABSENT, "number"), "noise.phase": (_ABSENT, "number"),
+    "solver.ball_radius": (0.1, "positive"), "solver.max_iters": (50, "whole"),
+    "solver.grad_tol": (1e-9, "nonnegative"),
+    "solver.hessian_mode": ("gauss_newton", HESSIAN_MODES),
+    "audit.R": (0.02, "positive"), "audit.alpha": (0.6, "fraction"),
+    "audit.nu": (1e-4, "nonnegative"), "audit.mu_threshold": (1e-3, "nonnegative"),
+    "audit.seed": (0, "whole"), "audit.n_ball_samples": (16, "count"),
+    "audit.n_xi_samples": (2, "count"), "audit.n_eta_samples": (2, "count"),
+    "audit.t_subsample": (3, "count"), "audit.singular_tol": (None, "nonnegative"),
+    "audit.witness_step": (0.01, "positive"),
 }
-
-
-# The numeric fields of each section and the rule each must meet (the
-# audit's alpha and singular_tol are checked on their own).
-_NUMERIC_FIELDS = {
-    "t_grid": {"start": "number", "stop": "number", "count": "count"},
-    "noise": {"amplitude": "nonnegative", "seed": "whole"},
-    "solver": {"ball_radius": "positive", "max_iters": "whole",
-               "grad_tol": "nonnegative"},
-    "audit": {"R": "positive", "witness_step": "positive", "nu": "nonnegative",
-              "mu_threshold": "nonnegative", "seed": "whole",
-              "n_ball_samples": "count", "n_xi_samples": "count",
-              "n_eta_samples": "count", "t_subsample": "count"},
-}
-# The parameters each preset input law reads; cst defaults sigma to 1.
-_LAW_PARAMS = {"circ": ("omega",), "cst": ("sigma",), "spi": ("omega", "alpha")}
-_RULES = {
-    "number": ("a number", lambda v: True),
-    "positive": ("a positive number", lambda v: v > 0),
-    "nonnegative": ("a nonnegative number", lambda v: v >= 0),
-    "whole": ("an integer of at least 0", lambda v: v == int(v) and v >= 0),
-    "count": ("an integer of at least 1", lambda v: v == int(v) and v >= 1),
-}
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number; true and false are not numbers here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def _require(cond: bool, field: str, msg: str) -> None:
@@ -100,31 +82,36 @@ def _require(cond: bool, field: str, msg: str) -> None:
         raise ConfigError(msg, field=field)
 
 
-def _require_number(value, field: str, rule: str) -> None:
-    """ConfigError naming the field unless value is a number meeting rule."""
-    desc, ok = _RULES[rule]
-    _require(_is_number(value) and ok(value), field,
-             f"{field.rpartition('.')[2]} must be {desc}")
+def _field(field: str, fn: Callable, /, *args, **kwargs):
+    """fn(*args, **kwargs); a ConfigError naming the field for the
+    ValueError or GridMismatch it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, GridMismatch) as exc:
+        raise ConfigError(str(exc), field=field) from None
 
 
 def _check_preset_params(system: dict) -> None:
     """ConfigError naming the field unless landmark and x0 are two numbers
-    each and the input law's parameters are numbers (spi divides by a
-    nonzero omega)."""
+    each and the parameters of the input law, those given and those it
+    has no default for, are numbers (spi divides by a nonzero omega)."""
     for key in ("landmark", "x0"):
         v = system.get(key)
         _require(isinstance(v, (list, tuple)) and len(v) == 2
-                 and all(_is_number(c) for c in v),
+                 and all(is_number(c) for c in v),
                  f"system.{key}", f"{key} must be a list of two numbers")
-    law = {"sigma": 1.0, **system}
-    for key in _LAW_PARAMS[system["input"]]:
-        _require_number(law.get(key), f"system.{key}", "number")
+    law, names = bearing.INPUT_LAWS[system["input"]]
+    params = inspect.signature(law).parameters
+    for key in names:
+        if key in system or params[key].default is inspect.Parameter.empty:
+            _field(f"system.{key}", require, "number", **{key: system.get(key)})
     if system["input"] == "spi":
-        _require(law["omega"] != 0, "system.omega", "omega must be nonzero for spi")
+        _require(system["omega"] != 0, "system.omega", "omega must be nonzero for spi")
 
 
 def normalize_config(raw: dict) -> dict:
-    """Expand presets and defaults into a fully explicit, validated config."""
+    """Expand presets and `_SCHEMA` defaults into a fully explicit,
+    validated config."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     cfg = json.loads(json.dumps(raw))  # deep copy, JSON-clean
@@ -148,43 +135,25 @@ def normalize_config(raw: dict) -> dict:
                           field="system")
     cfg["system"] = system
 
-    for key in ("T", "grid_step"):
-        cfg.setdefault(key, _DEFAULTS[key])
-        _require_number(cfg[key], key, "positive")
-    for key in ("t_grid", "noise", "solver", "audit"):
-        merged = dict(_DEFAULTS[key])
-        user = cfg.get(key, {})
-        _require(isinstance(user, dict), key, f"{key} must be an object")
-        merged.update(user)
-        cfg[key] = merged
-        for name, rule in _NUMERIC_FIELDS[key].items():
-            _require_number(merged[name], f"{key}.{name}", rule)
+    for path, (default, rule) in _SCHEMA.items():
+        section, _, name = path.rpartition(".")
+        node = cfg.setdefault(section, {}) if section else cfg
+        _require(isinstance(node, dict), section, f"{section} must be an object")
+        if name in node or default is not _ABSENT:
+            value = node.setdefault(name, default)
+            if value is not None or default is not None:
+                _field(path, require, rule, **{name: value})
 
     tg = cfg["t_grid"]
     _require(tg["stop"] >= tg["start"], "t_grid", "stop must be >= start")
-    nz = cfg["noise"]
-    _require(nz["family"] in NOISE_FAMILIES, "noise.family",
-             f"noise family must be one of {NOISE_FAMILIES}")
-    _require(nz.get("apply_to", "v") in ("v", "w", "both"), "noise.apply_to",
-             "apply_to must be v, w, or both")
-    for key in ("frequency", "phase"):
-        if key in nz:
-            _require_number(nz[key], f"noise.{key}", "number")
-    d = nz.get("direction")
+    d = cfg["noise"].get("direction")
     if d is not None:
-        _require(isinstance(d, list) and all(_is_number(c) for c in d),
+        _require(isinstance(d, list) and all(is_number(c) for c in d),
                  "noise.direction", "direction must be a list of numbers")
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(np.array(d, dtype=float))
         _require(0.0 < norm < math.inf, "noise.direction",
                  "direction must have a nonzero finite norm")
-    _require(cfg["solver"]["hessian_mode"] in HESSIAN_MODES, "solver.hessian_mode",
-             f"hessian_mode must be one of {HESSIAN_MODES}")
-    au = cfg["audit"]
-    _require(_is_number(au["alpha"]) and 0.0 < au["alpha"] < 1.0, "audit.alpha",
-             "alpha must lie in (0, 1)")
-    if au["singular_tol"] is not None:
-        _require_number(au["singular_tol"], "audit.singular_tol", "nonnegative")
     # Canonicalize (tuples from preset tables -> lists) so the expanded
     # config is a JSON fixed point: normalize(normalize(x)) == normalize(x).
     return json.loads(json.dumps(cfg))
@@ -199,7 +168,7 @@ def load_config(path: str, seed_override: Optional[int] = None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
     cfg = normalize_config(raw)
     if seed_override is not None:
-        _require_number(seed_override, "--seed", "whole")
+        _field("--seed", require, "whole", seed=seed_override)
         cfg["noise"]["seed"] = seed_override
         cfg["audit"]["seed"] = seed_override
     return cfg
@@ -212,9 +181,18 @@ def build_scenario(cfg: dict) -> tuple[ControlSystem, Array, InputSignal]:
     return SYSTEM_FACTORIES[system["name"]](system)
 
 
-def t_grid_values(cfg: dict) -> list[float]:
-    tg = cfg["t_grid"]
-    return [float(t) for t in np.linspace(tg["start"], tg["stop"], int(tg["count"]))]
+def _windows(cfg: dict) -> tuple[float, list[float], TimeGrid]:
+    """T, the window ends t and their run grid; ConfigError naming the
+    field unless t >= T, grid_step divides [0, max t] and every end t and
+    start t - T is a grid node."""
+    T, tg = float(cfg["T"]), cfg["t_grid"]
+    ts = [float(t) for t in np.linspace(tg["start"], tg["stop"], int(tg["count"]))]
+    _require(ts[0] >= T, "t_grid.start", "every window end must satisfy t >= T")
+    grid = _field("grid_step", TimeGrid.with_step, 0.0, ts[-1], cfg["grid_step"])
+    for t in ts:
+        _field("t_grid", grid.index_of, t)
+        _field("T", grid.index_of, t - T)
+    return T, ts, grid
 
 
 def build_noise(cfg: dict, sys: ControlSystem, t_max: float, h: float) -> NoiseSignals:
@@ -227,7 +205,7 @@ def build_noise(cfg: dict, sys: ControlSystem, t_max: float, h: float) -> NoiseS
     nz = cfg["noise"]
     fam = nz["family"]
     amp = float(nz["amplitude"])
-    apply_to = nz.get("apply_to", "v")
+    apply_to = nz["apply_to"]
     direction = nz.get("direction")
     for channel, dim in (("v", sys.n_y), ("w", sys.n_x)):
         _require(direction is None or apply_to not in (channel, "both")
@@ -310,7 +288,7 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     tg = cfg["t_grid"]
     t_end = float(tg["stop"])
     _require(t_end > 0, "t_grid.stop", "simulation horizon must be positive")
-    grid = TimeGrid.with_step(0.0, t_end, cfg["grid_step"])
+    grid = _field("grid_step", TimeGrid.with_step, 0.0, t_end, cfg["grid_step"])
     xs = flow(sys_, 0.0, t_end, x0, u, grid)
     us = u.at_nodes(grid)
     ys = outputs_rows(sys_, xs[:, None], us)[0]
@@ -330,9 +308,7 @@ def _write_scan(out: Path, windows) -> None:
 
 def cmd_grammian_scan(cfg: dict, out: Path) -> int:
     sys_, x0, u = build_scenario(cfg)
-    T = float(cfg["T"])
-    ts = t_grid_values(cfg)
-    _require(ts[0] >= T, "t_grid.start", "every window end must satisfy t >= T")
+    T, ts, _ = _windows(cfg)
     au = cfg["audit"]
     try:
         cert = certify_weak_regular_persistence(
@@ -367,10 +343,7 @@ def cmd_grammian_scan(cfg: dict, out: Path) -> int:
 
 def cmd_mhe_run(cfg: dict, out: Path) -> int:
     sys_, x0, u = build_scenario(cfg)
-    T = float(cfg["T"])
-    ts = t_grid_values(cfg)
-    _require(ts[0] >= T, "t_grid.start", "every window end must satisfy t >= T")
-    grid = TimeGrid.with_step(0.0, ts[-1], cfg["grid_step"])
+    T, ts, grid = _windows(cfg)
     eta = build_noise(cfg, sys_, ts[-1], grid.h)
     sv = cfg["solver"]
     opts = SolverOptions(ball_radius=float(sv["ball_radius"]),
@@ -402,9 +375,7 @@ def cmd_mhe_run(cfg: dict, out: Path) -> int:
 
 def cmd_stability_audit(cfg: dict, out: Path) -> int:
     sys_, x0, u = build_scenario(cfg)
-    T = float(cfg["T"])
-    ts = t_grid_values(cfg)
-    _require(ts[0] >= T, "t_grid.start", "every window end must satisfy t >= T")
+    T, ts, _ = _windows(cfg)
     au = cfg["audit"]
     try:
         audit = audit_uniform_stability(

@@ -14,7 +14,7 @@ pure; trajectories are integrated per call, except that the windows of
 one estimator run share its reference flows (`_RunReference`).
 
 One body serves everything along a window. A window [t-T, t] is
-`_window_grid`, GridMismatch naming t and T unless t >= T. The states,
+`_window_grid`, GridMismatch naming t and T unless 0 < T <= t. The states,
 output Jacobians and STMs of starts on windows of one length are
 `window_tangents`: one `ode_core.flow_and_stm_windows` block and one
 `dh_dx_rows` call. A Grammian is `window_grammian` of one of its rows
@@ -64,16 +64,16 @@ def simpson_weights(grid: TimeGrid) -> Array:
     return w * (grid.h / 3.0)
 
 
-def fd_step(point: Array, eps: float = 1e-5) -> float:
-    """Central-difference step scaled to the magnitude of the point."""
-    return eps * max(1.0, float(np.linalg.norm(point)))
+def fd_step(point: Array) -> float:
+    """Central-difference step: 1e-5 scaled to the magnitude of the point."""
+    return 1e-5 * max(1.0, float(np.linalg.norm(point)))
 
 
-def fd_gradient(fn: Callable[[Array], Array], x: Array, eps: Optional[float] = None) -> Array:
+def fd_gradient(fn: Callable[[Array], Array], x: Array) -> Array:
     """Central finite differences of fn at x, one column per coordinate of x:
     the gradient of a scalar fn, the Jacobian of a vector fn."""
     x = np.asarray(x, dtype=float)
-    step = fd_step(x) if eps is None else eps
+    step = fd_step(x)
     return np.stack([(fn(x + e) - fn(x - e)) / (2.0 * step)
                      for e in step * np.eye(x.shape[0])], axis=-1)
 
@@ -216,10 +216,15 @@ def hess_cum_error(sys: ControlSystem, t1: float, t2: float, xi1: Array,
 # time 0 and the measured output carries additive noise v on the window.
 # ---------------------------------------------------------------------------
 
+def _require_window(t: float, T: float) -> None:
+    """GridMismatch naming t and T unless 0 < T <= t."""
+    if not 0.0 < T <= t:
+        raise GridMismatch(f"window [t-T, t] needs T > 0 and t >= T, got t={t}, T={T}")
+
+
 def _window_grid(t: float, T: float, grid: TimeGrid) -> TimeGrid:
-    """The window [t-T, t] of grid; GridMismatch unless t >= T."""
-    if not t >= T:
-        raise GridMismatch(f"window [t-T, t] needs t >= T, got t={t}, T={T}")
+    """The window [t-T, t] of grid; `_require_window` first."""
+    _require_window(t, T)
     return grid.subgrid(t - T, t)
 
 

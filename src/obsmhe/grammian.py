@@ -6,17 +6,19 @@ the reference state. Certificates scan a finite set of window end times
 and are therefore *sampled evidence, not a proof*: the underlying
 conditions quantify over all t >= T.
 
-A scan (`reference_scan`) builds its windows with `cost._window_grid`,
-so an end t < T raises GridMismatch before any flow, and then flows the
-reference once. Each window is centered at the reference state at its
-first node, and all windows' Grammians are one `cost.window_grammians`
-block, the body `cost.gauss_newton_term` shares. The boundedness check
-flows the ball samples of all windows as one block too; the flat-cost
-witness reads the scan's reference states. A block's windows have one
-length, each row gets its own window's inputs, and each window's results
-equal those of the window flowed alone, bit for bit. Certificates (and
-CertificationInconclusive) carry the windows they scanned, and the
-uniform stability audit takes its mu_hat and centers from the scan.
+A scan (`reference_scan`) checks every window end against the horizon
+and builds its windows with `cost._window_grid`, so an end t < T or a
+horizon T <= 0 raises GridMismatch before the run grid or any flow, and
+then flows the reference once. Each window is centered at the reference
+state at its first node, and all windows' Grammians are one
+`cost.window_grammians` block, the body `cost.gauss_newton_term` shares.
+The boundedness check flows the ball samples of all windows as one block
+too; the flat-cost witness reads the scan's reference states. A block's
+windows have one length, each row gets its own window's inputs, and each
+window's results equal those of the window flowed alone, bit for bit.
+Certificates (and CertificationInconclusive) carry the windows they
+scanned, and the uniform stability audit takes its mu_hat and centers
+from the scan.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cost import _window_grid, perturbed_cost_from_reference, window_grammians
+from .cost import (_require_window, _window_grid, perturbed_cost_from_reference,
+                   window_grammians)
 from .errors import CertificationInconclusive, DomainViolation, EigFailure, Unbounded
 from .ode_core import (Array, ControlSystem, InputSignal, TimeGrid, flow, flow_windows,
                        outputs_rows, require, require_state)
@@ -36,16 +39,17 @@ SAMPLED_DISCLAIMER = "sampled evidence, not a proof"
 
 _OVERFLOW_GUARD = 1e12
 _FLAT_COST_TOL = 1e-10
+_MAX_SWEEPS = 100
 
 
-def jacobi_eigh(a: Array, max_sweeps: int = 100) -> tuple[Array, Array]:
+def jacobi_eigh(a: Array) -> tuple[Array, Array]:
     """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns (eigenvalues ascending, eigenvectors as columns). Intended for
     the small dense matrices this library produces (n <= 10 or so).
     Raises EigFailure for input that is not square, not finite or not
     exactly symmetric, and if the off-diagonal mass does not vanish within
-    `max_sweeps` sweeps.
+    100 sweeps.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all() \
@@ -54,7 +58,7 @@ def jacobi_eigh(a: Array, max_sweeps: int = 100) -> tuple[Array, Array]:
     n = a.shape[0]
     v = np.eye(n)
     scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
         if off <= 1e-15 * scale:
             break
@@ -76,7 +80,7 @@ def jacobi_eigh(a: Array, max_sweeps: int = 100) -> tuple[Array, Array]:
                 a = rot.T @ a @ rot
                 v = v @ rot
     else:
-        raise EigFailure(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+        raise EigFailure(f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
     d = np.diag(a)
     order = np.argsort(d)
     return d[order], v[:, order]
@@ -170,10 +174,13 @@ def reference_flow(sys: ControlSystem, x0: Array, u: InputSignal, T: float,
                    ) -> tuple[list[float], list[TimeGrid], Array]:
     """Sorted window ends, their windows [t-T, t] on the [0, max t] root
     grid, built before the flow, and the reference states on that grid;
-    ValueError if there are no ends."""
+    ValueError if there are no ends, and GridMismatch naming t and T,
+    before the root grid is built, unless 0 < T <= t for every end t."""
     t_list = sorted(float(t) for t in t_grid)
     if not t_list:
         raise ValueError("t_grid must be nonempty")
+    for t in t_list:
+        _require_window(t, T)
     full = TimeGrid.with_step(0.0, t_list[-1], grid_step)
     wins = [_window_grid(t, T, full) for t in t_list]
     return t_list, wins, flow(sys, 0.0, full.t_end, require_state(sys, x0, "x0"), u, full)
@@ -225,15 +232,19 @@ def certify_weak_persistence(sys: ControlSystem, x0: Array, u: InputSignal,
     scan raises CertificationInconclusive, since a singular Grammian alone
     does not settle the question.
     """
+    return _weak_scan(sys, x0, u, T, t_grid, grid_step, singular_tol, witness_step)[2]
+
+
+def _weak_scan(sys: ControlSystem, x0: Array, u: InputSignal, T: float, t_grid,
+               grid_step: float, singular_tol: Optional[float], witness_step: float
+               ) -> tuple[list[TimeGrid], Array, PersistenceCertificate]:
+    """The windows and reference states of a `reference_scan` and the
+    weak-persistence verdict from them; ValueError before the scan unless
+    singular_tol is None or nonnegative and witness_step is positive."""
+    if singular_tol is not None:
+        require("nonnegative", singular_tol=singular_tol)
+    require("positive", witness_step=witness_step)
     wins, xs, reports = reference_scan(sys, x0, u, T, t_grid, grid_step)
-    return _weak_certificate(sys, u, wins, xs, reports, singular_tol, witness_step)
-
-
-def _weak_certificate(sys: ControlSystem, u: InputSignal, wins: list[TimeGrid],
-                      xs: Array, reports: list[GrammianReport],
-                      singular_tol: Optional[float],
-                      witness_step: float) -> PersistenceCertificate:
-    """The weak-persistence verdict from the windows of a reference scan."""
     tols = [singular_tol if singular_tol is not None else 1e-8 * r.max_eig
             for r in reports]
     worst_i = int(np.argmin([r.min_eig for r in reports]))
@@ -244,7 +255,7 @@ def _weak_certificate(sys: ControlSystem, u: InputSignal, wins: list[TimeGrid],
     t_list = tuple(r.t for r in reports)
 
     if all(r.min_eig > tol for r, tol in zip(reports, tols)):
-        return PersistenceCertificate(
+        return wins, xs, PersistenceCertificate(
             verdict=Verdict.WEAKLY_PERSISTENT_SAMPLED, t_grid=t_list,
             min_eigs=min_eigs, max_eigs=max_eigs, mu_hat=mu_hat,
             threshold=tols[worst_i],
@@ -256,7 +267,7 @@ def _weak_certificate(sys: ControlSystem, u: InputSignal, wins: list[TimeGrid],
             f"window t={worst.t} has a near-singular Grammian (min_eig="
             f"{worst.min_eig:.3e}) but the flat-cost witness check found cost "
             f"{wcost:.3e} >= {_FLAT_COST_TOL:.1e}", windows=tuple(reports))
-    return PersistenceCertificate(
+    return wins, xs, PersistenceCertificate(
         verdict=Verdict.NOT_WEAKLY_PERSISTENT, t_grid=t_list,
         min_eigs=min_eigs, max_eigs=max_eigs, mu_hat=mu_hat,
         threshold=tols[worst_i],
@@ -279,10 +290,12 @@ def certify_weak_regular_persistence(sys: ControlSystem, x0: Array, u: InputSign
     otherwise the verdict falls back to the weak-persistence scan result.
     The scan's reference flow also centres the ball samples.
     """
-    require("positive", R=boundedness_radius)
+    require("positive", boundedness_radius=boundedness_radius)
+    require("nonnegative", mu_threshold=mu_threshold)
     require("count", n_ball_samples=n_ball_samples)
-    wins, xs, reports = reference_scan(sys, x0, u, T, t_grid, grid_step)
-    weak = _weak_certificate(sys, u, wins, xs, reports, singular_tol, witness_step)
+    require("whole", seed=seed)
+    wins, xs, weak = _weak_scan(sys, x0, u, T, t_grid, grid_step, singular_tol,
+                                witness_step)
     if weak.verdict is Verdict.NOT_WEAKLY_PERSISTENT:
         return weak
     if weak.mu_hat < mu_threshold:
@@ -343,6 +356,7 @@ def check_regular_boundedness(sys: ControlSystem, x0: Array, u: InputSignal,
     """
     require("positive", R=R)
     require("count", n_ball_samples=n_ball_samples)
+    require("whole", seed=seed)
     _, wins, xs = reference_flow(sys, x0, u, T, t_grid, grid_step)
     return _ball_boundedness(sys, u, T, R, wins, xs, n_ball_samples, seed,
                              overflow_guard)

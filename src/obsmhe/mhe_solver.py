@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .cost import (WindowProblem, _RunReference, _noise_reference_block,
-                   candidate_terms_rows, fd_hessian, fd_points, grads_from_terms,
-                   reference_and_noise_directions_rows, sensitivities_from_tangents,
-                   window_grammian, window_tangents)
+                   _require_window, candidate_terms_rows, fd_hessian, fd_points,
+                   grads_from_terms, reference_and_noise_directions_rows,
+                   sensitivities_from_tangents, window_grammian, window_tangents)
 from .errors import (BoundaryStuck, ConditionsFailed, MaxItersExceeded,
                      ObsMheError, SingularWindow)
 from .grammian import (GrammianReport, ball_samples, grammian_report,
@@ -52,7 +52,8 @@ class SolverOptions:
             raise ValueError(f"unknown hessian mode {self.hessian_mode!r}; "
                              f"choose from {HESSIAN_MODES}")
         require("positive", ball_radius=self.ball_radius)
-        require("nonnegative", max_iters=self.max_iters, grad_tol=self.grad_tol)
+        require("whole", max_iters=self.max_iters)
+        require("nonnegative", grad_tol=self.grad_tol)
 
     def replace(self, **kw) -> "SolverOptions":
         return dataclasses.replace(self, **kw)
@@ -304,7 +305,9 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     The noise draws and a zero-noise row 0 flow from (0, x0) as one
     `_noise_reference_block`; row 0's state at t - T is the window center.
     """
+    _require_window(t, T)
     require("nonnegative", nu=nu)
+    require("whole", seed=seed)
     require("count", n_noise_samples=n_noise_samples)
     rng = np.random.default_rng(seed)
     ws = [SampledSignal.seeded_uniform(rng, 0.0, grid.h, round(t / grid.h), sys.n_x, nu)
@@ -403,10 +406,10 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     raises ConditionsFailed carrying the full report (set
     raise_on_failure=False to inspect instead).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    require("fraction", alpha=alpha)
     require("positive", R=R)
     require("nonnegative", nu=nu)
+    require("whole", seed=seed)
     require("count", n_xi_samples=n_xi_samples, n_eta_samples=n_eta_samples,
             t_subsample=t_subsample)
     wins, xs, scan = reference_scan(sys, x0, u, T, t_grid, grid_step)
@@ -470,6 +473,7 @@ def multistart_uniqueness(sys: ControlSystem, x0: Array, u: InputSignal,
     """
     require("positive", R=R)
     require("count", n_starts=n_starts)
+    require("whole", seed=seed)
     win, center, ref_out = _RunReference(sys, x0, u, T, ZERO_NOISE, grid).window(t)
     problem = WindowProblem(sys, u, win, ref_out)
     rng = np.random.default_rng(seed)

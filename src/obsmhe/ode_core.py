@@ -56,7 +56,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import repeat
-from numbers import Integral
+from numbers import Integral, Real
+from sys import float_info
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -128,16 +129,14 @@ class ControlSystem:
     dh_dx_rows: Optional[Callable[[Array, Array], Array]] = None
 
     def __post_init__(self):
-        if min(self.n_x, self.n_u, self.n_y) < 1:
-            raise ValueError("dimensions must be positive")
+        require("count", n_x=self.n_x, n_u=self.n_u, n_y=self.n_y)
 
     def guard_ok(self, x: Array) -> bool:
         return self.domain_guard is None or bool(self.domain_guard(x))
 
 
-def check_jacobians(sys: ControlSystem, points: Sequence[tuple[Array, Array]],
-                    eps: float = 1e-6) -> float:
-    """Max deviation of df_dx/dh_dx from central finite differences of f/h.
+def check_jacobians(sys: ControlSystem, points: Sequence[tuple[Array, Array]]) -> float:
+    """Max deviation of df_dx/dh_dx from central differences of f/h, step 1e-6.
 
     Convenience check of the ControlSystem contract; returns the worst
     absolute entry error over the supplied (state, input) test points.
@@ -150,8 +149,8 @@ def check_jacobians(sys: ControlSystem, points: Sequence[tuple[Array, Array]],
             fd = np.empty((dim, sys.n_x))
             for i in range(sys.n_x):
                 e = np.zeros(sys.n_x)
-                e[i] = eps
-                fd[:, i] = (np.asarray(fn(x + e, u)) - np.asarray(fn(x - e, u))) / (2 * eps)
+                e[i] = 1e-6
+                fd[:, i] = (np.asarray(fn(x + e, u)) - np.asarray(fn(x - e, u))) / 2e-6
             worst = max(worst, float(np.max(np.abs(fd - np.asarray(jac(x, u))))))
     return worst
 
@@ -352,8 +351,7 @@ class InputSignal:
         `grid` is the TimeGrid whose span (t0, h, n) is, sliced from its
         root's staging; without it the span is a root of its own.
         """
-        if n < 1:
-            raise ValueError("stage_values needs at least one step")
+        require("count", n=n)
         i, root = 0, (t0, h, n)
         if grid is not None:
             if (t0, h, n) != (grid.t_start, grid.h, grid.n_steps):
@@ -842,18 +840,35 @@ def _window_inputs(u: InputSignal, wins: Sequence[TimeGrid], m: int,
             for g in gathered]
 
 
-# What `require` checks: the rule's wording and its test.
-_RULES = {"positive": ("must be positive", lambda v: v > 0),
-          "nonnegative": ("must be nonnegative", lambda v: v >= 0),
-          "count": ("must be at least 1", lambda v: v >= 1)}
+def is_number(v) -> bool:
+    """Whether v is a real, not a bool, in the float range; numpy scalars pass."""
+    return isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= float_info.max
 
 
-def require(rule: str, **values: float) -> None:
-    """ValueError naming the first of the values that breaks the rule."""
-    text, ok = _RULES[rule]
+# The one table of argument rules, for the library (`require`) and the
+# CLI's config fields: each rule's wording and its test of a number.
+RULES = {
+    "number": ("must be a number", lambda v: True),
+    "positive": ("must be positive", lambda v: v > 0),
+    "nonnegative": ("must be nonnegative", lambda v: v >= 0),
+    "whole": ("must be nonnegative and whole", lambda v: v >= 0 and v == int(v)),
+    "count": ("must be at least 1 and whole", lambda v: v >= 1 and v == int(v)),
+    "fraction": ("must lie in (0, 1)", lambda v: 0 < v < 1),
+}
+
+
+def require(rule, /, **values) -> None:
+    """ValueError naming the first of the values that breaks the rule: a
+    `RULES` name, which only a number (`is_number`) can meet, or the tuple
+    of the values allowed."""
     for name, v in values.items():
-        if not ok(v):
-            raise ValueError(f"{name} {text}, got {v}")
+        if isinstance(rule, tuple):
+            ok, text = v in rule, f"must be one of {rule}"
+        else:
+            text, test = RULES[rule]
+            ok = is_number(v) and test(v)
+        if not ok:
+            raise ValueError(f"{name} {text}, got {v!r}")
 
 
 def require_state(sys: ControlSystem, x: Array, name: str) -> Array:

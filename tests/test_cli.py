@@ -164,6 +164,50 @@ def test_bad_t_grid_exit_2(tmp_path):
     assert code == 2
 
 
+def _assert_config_error(tmp_path, capsys, command, cfg, field):
+    code, out = run(tmp_path, command, cfg)
+    assert code == 2
+    assert f"(field: {field})" in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "grammian-scan", "mhe-run",
+                                     "stability-audit"])
+def test_grid_step_that_does_not_divide_the_run_exit_2(tmp_path, capsys, command):
+    # 0.7 does not divide [0, 6]; before, each verb exited 1 with GridMismatch.
+    _assert_config_error(tmp_path, capsys, command,
+                         {"system": "circ-default", "grid_step": 0.7}, "grid_step")
+
+
+@pytest.mark.parametrize("command", ["grammian-scan", "mhe-run", "stability-audit"])
+def test_window_ends_off_the_grid_exit_2(tmp_path, capsys, command):
+    # 1, 2.667, 4.333, 6: the inner ends are not nodes of the 0.0025 grid;
+    # before, mhe-run wrote a failed row per window and the others exited 1.
+    _assert_config_error(tmp_path, capsys, command,
+                         {"system": "circ-default",
+                          "t_grid": {"start": 1.0, "stop": 6.0, "count": 4}}, "t_grid")
+
+
+@pytest.mark.parametrize("command", ["grammian-scan", "mhe-run", "stability-audit"])
+def test_window_starts_off_the_grid_exit_2(tmp_path, capsys, command):
+    # Every window start t - 0.3333 falls between nodes.
+    _assert_config_error(tmp_path, capsys, command,
+                         {"system": "circ-default", "T": 0.3333}, "T")
+
+
+def test_input_law_parameters_come_from_the_law_table(tmp_path, capsys):
+    # A law's parameters are those `bearing.INPUT_LAWS` names: cst without a
+    # sigma takes u_cst's default of 1, and circ without an omega is a
+    # config error naming it.
+    cfg = cli.normalize_config({"system": {"preset": "circ-default", "input": "cst"}})
+    assert "sigma" not in cfg["system"]
+    _, x0, u = cli.build_scenario(cfg)
+    np.testing.assert_array_equal(u.at(0.0), -x0)
+    _assert_config_error(tmp_path, capsys, "simulate",
+                         {"system": {"preset": "cst-default", "input": "circ"}},
+                         "system.omega")
+
+
 def test_missing_config_file_exit_2(tmp_path):
     out = tmp_path / "out"
     code = cli.main(["simulate", "--config", str(tmp_path / "nope.json"),
@@ -360,7 +404,7 @@ def test_invalid_audit_value_exit_2(tmp_path, capsys, command, field, value):
     # Out-of-range values are config errors naming the field, not internal
     # errors, failed margins, failed windows or silently truncated counts.
     # Audit fields are named by their key alone, others by their path.
-    path = f"audit.{field}" if field in cli._DEFAULTS["audit"] else field
+    path = f"audit.{field}" if f"audit.{field}" in cli._SCHEMA else field
     *sections, key = path.split(".")
     cfg = {"system": "circ-default"}
     node = cfg

@@ -6,6 +6,8 @@ magnitudes, and audit constants can all be checked against oracles.
 """
 
 import dataclasses
+import math
+import re
 import sys
 
 import numpy as np
@@ -50,29 +52,48 @@ def test_mhe_curvature_matches_grammian_oracle(circ, x0, grid6):
     assert sol.hess_min_eig == pytest.approx(2.0 * lo, rel=1e-4)
 
 
+def _oracle_minimizer(ys, h, t0, n):
+    """The closed-form minimizer of the oracle's window of n steps h from t0
+    against the outputs ys at its nodes: the solve of M xi = b.
+
+    On x' = Ax + Bu, y = Cx the window cost is exactly quadratic in the
+    start: x_n(xi) = Phi_n xi + d_n, d_n the RK4 flow from zero. Its
+    minimizer solves M xi = b, b = sum w_n Phi_n^T C^T (y_n - C d_n), and
+    its Hessian is 2 M everywhere."""
+    resid = ys - oracle_inputs_flow(h, t0, n, np.zeros(2)) @ ORACLE_C.T
+    b = np.einsum("n,nji,nj->i", oracle_simpson(h, n), ORACLE_C @ oracle_stms(h, n),
+                  resid)
+    return np.linalg.solve(oracle_grammian(h, n), b)
+
+
+def _assert_near(got, want, rel):
+    """got within rel of want, relative to the norm of want."""
+    assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+# grad_tol 1e-9 would stop the damped Newton iteration about 1e-8 from the
+# oracle's minimizer; 1e-12 takes one more iteration to reach it.
+ORACLE_OPTS = SolverOptions(grad_tol=1e-12)
+
+
+def _oracle_noise(grid, scale=1.0, with_w=True):
+    """The oracle tests' seeded v, then w, at 1e-2 on the grid, times scale."""
+    rng = np.random.default_rng(21)
+    v, w = (SampledSignal.seeded_uniform(rng, 0.0, grid.h, grid.n_steps, dim, 1e-2)
+            .scaled(scale) for dim in (1, 2))
+    return NoiseSignals(v=v, w=w if with_w else None)
+
+
 def test_pmhe_and_audit_equal_the_closed_form_oracle(linear_oracle, x0):
-    # On x' = Ax + Bu, y = Cx the window cost is exactly quadratic in the
-    # start: x_n(xi) = Phi_n xi + d_n, d_n the RK4 flow from zero. Its
-    # minimizer solves M xi = b, b = sum w_n Phi_n^T C^T (y_n - C d_n), and
-    # its Hessian is 2 M everywhere.
     sys_, u = linear_oracle
     grid = TimeGrid.with_step(0.0, 4.0, 0.0025)
-    n_win = 400
-    rng = np.random.default_rng(21)
-    eta = NoiseSignals(
-        v=SampledSignal.seeded_uniform(rng, 0.0, grid.h, grid.n_steps, 1, 1e-2),
-        w=SampledSignal.seeded_uniform(rng, 0.0, grid.h, grid.n_steps, 2, 1e-2))
-    m = oracle_grammian(grid.h, n_win)
+    eta = _oracle_noise(grid)
+    m = oracle_grammian(grid.h, 400)
     _, ys = perturbed_reference(sys_, 4.0, 1.0, x0, u, eta, grid)
-    phis = oracle_stms(grid.h, n_win)
-    resid = ys - oracle_inputs_flow(grid.h, 3.0, n_win, np.zeros(2)) @ ORACLE_C.T
-    b = np.einsum("n,nji,nj->i", oracle_simpson(grid.h, n_win), ORACLE_C @ phis, resid)
-    want = np.linalg.solve(m, b)
-    # grad_tol 1e-9 would stop the damped Newton iteration about 1e-8 from
-    # the minimizer; 1e-12 takes one more iteration to reach it.
-    sol = solve_pmhe(sys_, x0, u, 4.0, 1.0, eta, SolverOptions(grad_tol=1e-12), grid)
+    sol = solve_pmhe(sys_, x0, u, 4.0, 1.0, eta, ORACLE_OPTS, grid)
     assert sol.converged
-    np.testing.assert_allclose(sol.xi_star, want, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(sol.xi_star, _oracle_minimizer(ys, grid.h, 3.0, 400),
+                               rtol=1e-11, atol=0.0)
     mu = 2.0 * np.linalg.eigvalsh(m)[0]
     assert sol.hess_min_eig == pytest.approx(mu, rel=1e-9)
     # The noise-to-gradient map is the same affine map at every start, so
@@ -82,27 +103,80 @@ def test_pmhe_and_audit_equal_the_closed_form_oracle(linear_oracle, x0):
                                     raise_on_failure=False)
     assert audit.a2_hat == audit.g3_hat > 0.0
     assert audit.mu_hat == pytest.approx(mu, rel=1e-12)
+    # The window Grammian does not depend on the window or the noise.
+    nonuniform = audit_nonuniform_stability(sys_, x0, u, 4.0, 1.0, 1e-2, grid)
+    assert nonuniform.mu_t == pytest.approx(mu, rel=1e-12)
+
+
+def test_fie_rolling_and_multistart_equal_the_closed_form_oracle(linear_oracle, x0):
+    sys_, u = linear_oracle
+    grid = TimeGrid.with_step(0.0, 4.0, 0.0025)
+    fie = solve_fie(sys_, x0, u, 2.0, ORACLE_OPTS, grid, x_init=x0 + np.array([0.02, 0.02]))
+    _, ys = perturbed_reference(sys_, 2.0, 2.0, x0, u, ZERO_NOISE, grid)
+    assert fie.converged and fie.iterations > 0
+    _assert_near(fie.xi_star, _oracle_minimizer(ys, grid.h, 0.0, 800), 1e-11)
+
+    eta = _oracle_noise(grid, with_w=False)
+    results = rolling_estimate(sys_, x0, u, [2.0, 3.0, 4.0], 1.0, eta, ORACLE_OPTS, grid)
+    for r in results:
+        _, ys = perturbed_reference(sys_, r.t, 1.0, x0, u, eta, grid)
+        assert r.solution.converged
+        _assert_near(r.solution.xi_star, _oracle_minimizer(ys, grid.h, r.t - 1.0, 400),
+                     1e-11)
+
+    # Every start of the quadratic window reaches its one minimizer.
+    report = multistart_uniqueness(sys_, x0, u, 2.0, 1.0, R=0.5, n_starts=6, seed=3,
+                                   opts=ORACLE_OPTS, grid=grid)
+    _, ys = perturbed_reference(sys_, 2.0, 1.0, x0, u, ZERO_NOISE, grid)
+    want = _oracle_minimizer(ys, grid.h, 1.0, 400)
+    assert report.unique and len(report.solutions) == 6
+    for sol in report.solutions:
+        _assert_near(sol.xi_star, want, 1e-11)
+
+
+def test_pmhe_error_is_linear_in_the_noise(linear_oracle, x0):
+    # The minimizer is affine in the measured outputs and they are affine in
+    # (v, w), so doubling the noise doubles the estimate's displacement.
+    sys_, u = linear_oracle
+    grid = TimeGrid.with_step(0.0, 4.0, 0.0025)
+
+    def solve(eta):
+        return solve_pmhe(sys_, x0, u, 4.0, 1.0, eta, ORACLE_OPTS, grid)
+
+    clean = solve(ZERO_NOISE).xi_star
+    once, twice = (solve(_oracle_noise(grid, scale)).xi_star for scale in (1.0, 2.0))
+    np.testing.assert_allclose(twice - clean, 2.0 * (once - clean), rtol=1e-9, atol=0.0)
+    once, twice = (solve(_oracle_noise(grid, scale, with_w=False)) for scale in (1.0, 2.0))
+    assert twice.error_to_reference / once.error_to_reference == pytest.approx(2.0, rel=1e-9)
 
 
 def test_window_end_before_the_horizon_raises_before_any_flow(circ, x0, grid2,
                                                              monkeypatch):
-    # Every window [t-T, t] is checked where it is built, before the
-    # reference or any tangent flows.
+    # Every window [t-T, t] is checked where it is built, and the scans
+    # check every end before they build the run grid, so an end that is not
+    # after 0 (or not a number) and a horizon that is not positive name t
+    # and T before the reference or any tangent flows.
     sys_, u = circ
     flows = count_calls(monkeypatch, ode_core.rk4_flow)
     calls = [
-        lambda: grammian.observability_grammian(sys_, 0.5, 1.0, x0, u, grid2),
-        lambda: grammian.certify_weak_persistence(sys_, x0, u, 1.0, [1.5, 0.5], grid2.h),
-        lambda: grammian.check_regular_boundedness(sys_, x0, u, 1.0, 0.1, [0.5, 1.5], 4,
-                                                   0, grid2.h),
-        lambda: audit_uniform_stability(sys_, x0, u, 1.0, [0.5, 1.5], R=0.02, nu=1e-4,
-                                        alpha=0.6, grid_step=grid2.h),
-        lambda: audit_nonuniform_stability(sys_, x0, u, 0.5, 1.0, 1e-3, grid2),
-        lambda: solve_pmhe(sys_, x0, u, 0.5, 1.0, ZERO_NOISE, OPTS, grid2),
+        lambda t, T: grammian.observability_grammian(sys_, t, T, x0, u, grid2),
+        lambda t, T: grammian.certify_weak_persistence(sys_, x0, u, T, [t], grid2.h),
+        lambda t, T: grammian.check_regular_boundedness(sys_, x0, u, T, 0.1, [t], 4, 0,
+                                                        grid2.h),
+        lambda t, T: audit_uniform_stability(sys_, x0, u, T, [t], R=0.02, nu=1e-4,
+                                             alpha=0.6, grid_step=grid2.h),
+        lambda t, T: audit_nonuniform_stability(sys_, x0, u, t, T, 1e-3, grid2),
+        lambda t, T: solve_pmhe(sys_, x0, u, t, T, ZERO_NOISE, OPTS, grid2),
     ]
-    for call in calls:
-        with pytest.raises(GridMismatch, match=r"t >= T, got t=0\.5, T=1\.0"):
-            call()
+    for t, T in [(0.5, 1.0), (-0.5, 1.0), (0.0, 1.0), (float("nan"), 1.0),
+                 (1.5, 0.0), (1.5, -1.0)]:
+        for call in calls:
+            with pytest.raises(GridMismatch,
+                               match=re.escape(f"needs T > 0 and t >= T, got t={t}, T={T}")):
+                call(t, T)
+    # The scans check an early end among later ones too.
+    with pytest.raises(GridMismatch, match=r"t >= T, got t=0\.5, T=1\.0"):
+        grammian.certify_weak_persistence(sys_, x0, u, 1.0, [1.5, 0.5], grid2.h)
     assert flows == []
 
 
@@ -391,6 +465,66 @@ def test_nonuniform_audit_rejects_negative_noise_bound(circ, x0, grid6):
     sys_, u = circ
     with pytest.raises(ValueError, match="nu must be nonnegative"):
         audit_nonuniform_stability(sys_, x0, u, 2.0, 1.0, -1.0, grid6)
+
+
+def _entry_points(sys_, x0, u, grid):
+    """The library entry points whose arguments have config counterparts,
+    each called on a valid window with keyword overrides."""
+    return {
+        "audit_nonuniform_stability": lambda **kw: audit_nonuniform_stability(
+            sys_, x0, u, 2.0, 1.0, 1e-3, grid, **kw),
+        "audit_uniform_stability": lambda **kw: audit_uniform_stability(
+            sys_, x0, u, 1.0, [2.0], grid_step=grid.h,
+            **{"R": 0.02, "nu": 1e-4, "alpha": 0.6, **kw}),
+        "multistart_uniqueness": lambda **kw: multistart_uniqueness(
+            sys_, x0, u, 2.0, 1.0, opts=OPTS, grid=grid,
+            **{"R": 0.1, "n_starts": 2, "seed": 0, **kw}),
+        "certify_weak_persistence": lambda **kw: grammian.certify_weak_persistence(
+            sys_, x0, u, 1.0, [2.0], grid.h, **kw),
+        "certify_weak_regular_persistence":
+            lambda **kw: grammian.certify_weak_regular_persistence(
+                sys_, x0, u, 1.0, [2.0], grid.h, **kw),
+        "check_regular_boundedness": lambda **kw: grammian.check_regular_boundedness(
+            sys_, x0, u, 1.0, t_grid=[2.0], grid_step=grid.h,
+            **{"R": 0.1, "n_ball_samples": 4, "seed": 0, **kw}),
+        "SolverOptions": lambda **kw: SolverOptions(**kw),
+    }
+
+
+_COUNTS = [("audit_nonuniform_stability", "n_noise_samples"),
+           ("audit_uniform_stability", "n_xi_samples"),
+           ("audit_uniform_stability", "n_eta_samples"),
+           ("audit_uniform_stability", "t_subsample"),
+           ("multistart_uniqueness", "n_starts"),
+           ("certify_weak_regular_persistence", "n_ball_samples"),
+           ("check_regular_boundedness", "n_ball_samples")]
+_SEEDED = ["audit_nonuniform_stability", "audit_uniform_stability",
+           "multistart_uniqueness", "certify_weak_regular_persistence",
+           "check_regular_boundedness"]
+_CERTIFICATES = ["certify_weak_persistence", "certify_weak_regular_persistence"]
+_BAD_ARGUMENTS = (
+    [(entry, arg, v) for entry, arg in _COUNTS for v in (2.5, True, math.nan, math.inf)]
+    + [(entry, "seed", v) for entry in _SEEDED for v in (-1, 1.5)]
+    + [("SolverOptions", "max_iters", 2.5)]
+    + [(entry, "witness_step", math.nan) for entry in _CERTIFICATES]
+    + [("certify_weak_regular_persistence", "mu_threshold", math.nan)]
+    + [(entry, "singular_tol", -1) for entry in _CERTIFICATES]
+    + [("audit_uniform_stability", "alpha", v) for v in (0.0, 1.0, math.nan)])
+
+
+@pytest.mark.parametrize("entry, arg, value", _BAD_ARGUMENTS)
+def test_bad_arguments_raise_value_errors_naming_them_before_any_flow(
+        circ, x0, grid2, monkeypatch, entry, arg, value):
+    # Counts and seeds must be whole numbers, and every argument with a
+    # config counterpart meets the rule of its config field
+    # (`ode_core.RULES`): a named ValueError, never a bare TypeError from
+    # numpy or a silent run.
+    sys_, u = circ
+    flows = count_calls(monkeypatch, ode_core.rk4_flow)
+    call = _entry_points(sys_, x0, u, grid2)[entry]
+    with pytest.raises(ValueError, match=rf"^{arg} must "):
+        call(**{arg: value})
+    assert flows == []
 
 
 def test_hess_fd_equals_per_point_gradients(nonlinear, x0, grid6):
