@@ -50,6 +50,13 @@ uses (`ode_core.outputs_rows`, `ode_core.output_jacobians_rows`: one
 `h_rows` or `dh_dx_rows` call with one input row per node). Reports the
 milliseconds of each.
 
+Then times `mhe_solver.audit_nonuniform_stability` on the spiral input
+from x0 = (1, 0), with T = 2, nu = 1e-3 and windows ending at t = 3, 4,
+..., 8 of the run grid [0, 8] at h = 0.0025, as in the non-uniform
+audits of an obsbench `audit` round. Reports the milliseconds of each
+call and the steps and row-steps of its tangent flows (every
+`ode_core._rk4_tangents` call, a B-row step counting as B row-steps).
+
     python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
 """
 
@@ -59,7 +66,7 @@ import time
 
 import numpy as np
 
-from obsmhe import InputSignal, ode_core
+from obsmhe import InputSignal, TimeGrid, audit_nonuniform_stability, ode_core
 from obsmhe.bearing import bearing_system, u_circ, u_spi
 from obsmhe.cost import gauss_newton_term, window_grammians
 from obsmhe.grammian import ball_samples
@@ -133,6 +140,7 @@ def main():
     bench_staging(args.repeats)
     bench_windows(args.repeats)
     bench_single(args.repeats)
+    bench_nonuniform_audit(args.repeats)
 
 
 def _stage_per_step(fn, t0, h, n):
@@ -236,6 +244,33 @@ def bench_single(repeats):
     )
     for label, job in jobs:
         print(f"{label:<50}{bench(job, repeats) * 1e3:>10.2f}")
+
+
+def bench_nonuniform_audit(repeats):
+    landmark, x0 = np.zeros(2), np.array([1.0, 0.0])
+    sys_ = bearing_system(landmark)
+    u = u_spi(landmark, x0, 1.0, 0.3)
+    grid = TimeGrid.with_step(0.0, 8.0, 0.0025)
+    tangents = ode_core._rk4_tangents
+    steps = []
+
+    def counted(f, dfdx, x0, z0, h, u0, *rest):
+        steps.append((len(u0), len(u0) * int(np.prod(x0.shape[:-1]))))
+        return tangents(f, dfdx, x0, z0, h, u0, *rest)
+
+    print(f"\nnon-uniform audit, spiral, T = 2, h = {grid.h}, best of {repeats} runs\n")
+    print(f"{'t':<6}{'ms':>10}{'tangent steps':>16}{'row-steps':>12}")
+    for t in (3.0, 4.0, 5.0, 6.0, 7.0, 8.0):
+        def job():
+            return audit_nonuniform_stability(sys_, x0, u, t, 2.0, 1e-3, grid, seed=1)
+        ode_core._rk4_tangents = counted
+        try:
+            steps.clear()
+            job()
+            n, rows = map(sum, zip(*steps))
+        finally:
+            ode_core._rk4_tangents = tangents
+        print(f"{t:<6}{bench(job, repeats) * 1e3:>10.2f}{n:>16}{rows:>12}")
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import bearing
+from .cost import _window_grid
 from .errors import (CertificationInconclusive, ConditionsFailed, ConfigError,
                      GridMismatch, ObsMheError, SingularWindow)
 from .grammian import certify_weak_regular_persistence
@@ -183,15 +184,16 @@ def build_scenario(cfg: dict) -> tuple[ControlSystem, Array, InputSignal]:
 
 def _windows(cfg: dict) -> tuple[float, list[float], TimeGrid]:
     """T, the window ends t and their run grid; ConfigError naming the
-    field unless t >= T, grid_step divides [0, max t] and every end t and
-    start t - T is a grid node."""
+    field unless t >= T, grid_step divides [0, max t], every end t and
+    start t - T is a grid node and every window [t - T, t] has an even
+    number of steps (`cost._window_grid`)."""
     T, tg = float(cfg["T"]), cfg["t_grid"]
     ts = [float(t) for t in np.linspace(tg["start"], tg["stop"], int(tg["count"]))]
     _require(ts[0] >= T, "t_grid.start", "every window end must satisfy t >= T")
     grid = _field("grid_step", TimeGrid.with_step, 0.0, ts[-1], cfg["grid_step"])
     for t in ts:
         _field("t_grid", grid.index_of, t)
-        _field("T", grid.index_of, t - T)
+        _field("T", _window_grid, t, T, grid)
     return T, ts, grid
 
 

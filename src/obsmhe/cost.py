@@ -14,7 +14,8 @@ pure; trajectories are integrated per call, except that the windows of
 one estimator run share its reference flows (`_RunReference`).
 
 One body serves everything along a window. A window [t-T, t] is
-`_window_grid`, GridMismatch naming t and T unless 0 < T <= t. The states,
+`_window_grid`, GridMismatch naming t and T unless 0 < T <= t and the
+window has an even number of steps. The states,
 output Jacobians and STMs of starts on windows of one length are
 `window_tangents`: one `ode_core.flow_and_stm_windows` block and one
 `dh_dx_rows` call. A Grammian is `window_grammian` of one of its rows
@@ -23,9 +24,13 @@ Hessian, is one window), and the candidate terms behind every gradient
 and finite-difference Hessian add one output call
 (`candidate_terms_rows`). A candidate's cost flows as a one-row
 `ode_core.flow_windows` block, several noise draws of one reference as
-one `_noise_reference_block`. Only references flow as single
-trajectories, and every output and output Jacobian takes one
-row-callback call (`ode_core.outputs_rows`, `output_jacobians_rows`).
+one `_noise_reference_block`. The non-uniform audit's noise block,
+`_center_and_noise_block`, splits that flow at the window start and
+restarts the zero-noise row at Z = I there, so its row 0 carries the
+center's window STM and no step of [0, t] is integrated twice. Only
+references flow as single trajectories, and every output and output
+Jacobian takes one row-callback call (`ode_core.outputs_rows`,
+`output_jacobians_rows`).
 """
 
 from __future__ import annotations
@@ -37,8 +42,9 @@ import numpy as np
 
 from .errors import GridMismatch
 from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals, SampledSignal,
-                       TimeGrid, _window_inputs, flow, flow_and_stm_windows,
-                       flow_windows, output_jacobians_rows, outputs_rows, perturbed_flow,
+                       TimeGrid, _tangent_rows_on, _window_inputs, flow,
+                       flow_and_stm_windows, flow_windows, output_jacobians_rows,
+                       outputs_rows, perturbed_flow,
                        perturbed_flow_and_sensitivities_rows, require_state,
                        require_width)
 
@@ -223,9 +229,16 @@ def _require_window(t: float, T: float) -> None:
 
 
 def _window_grid(t: float, T: float, grid: TimeGrid) -> TimeGrid:
-    """The window [t-T, t] of grid; `_require_window` first."""
+    """The window [t-T, t] of grid; `_require_window` first, then
+    GridMismatch naming t, T and the step count unless the window has an
+    even number of steps: every window cost and Grammian is a composite
+    Simpson integral over it."""
     _require_window(t, T)
-    return grid.subgrid(t - T, t)
+    win = grid.subgrid(t - T, t)
+    if win.n_steps % 2:
+        raise GridMismatch(f"window [t-T, t] needs an even number of steps for "
+                           f"composite Simpson, got {win.n_steps} at t={t}, T={T}")
+    return win
 
 
 class _RunReference:
@@ -378,7 +391,10 @@ def _noise_reference_block(sys: ControlSystem, t: float, T: float, x0: Array,
     meaning zero noise), flowed from (0, x0) on the [0, t] span of the run
     grid as one block, with their sensitivities along dws (default: the
     n_x constant unit directions). [:, b] equals the window slice of
-    `perturbed_flow_and_sensitivities` under ws[b] bit for bit."""
+    `perturbed_flow_and_sensitivities` under ws[b] bit for bit. The uniform
+    audit and `grad_sensitivity_w` take their references from it; the
+    non-uniform audit, which also needs the window STM of its center,
+    takes the same rows split at t-T (`_center_and_noise_block`)."""
     x0 = require_state(sys, x0, "x0")
     win = _window_grid(t, T, grid)
     full = grid.subgrid(0.0, t)
@@ -387,6 +403,42 @@ def _noise_reference_block(sys: ControlSystem, t: float, T: float, x0: Array,
     xs, zs = perturbed_flow_and_sensitivities_rows(sys, t, x0, u, ws, dws, full)
     i0 = win.offset - full.offset
     return win, xs[i0:], zs[i0:]
+
+
+def _center_and_noise_block(sys: ControlSystem, t: float, T: float, x0: Array,
+                            u: InputSignal, ws: Sequence[SampledSignal],
+                            grid: TimeGrid) -> tuple[TimeGrid, Array, Array]:
+    """(win, states (n+1, 1+B, n_x), tangents (n+1, 1+B, n_x, n_x)) on the
+    window [t-T, t] of the zero-noise reference (row 0) and of the
+    w-perturbed references of the B draws ws (rows 1..B), flowed from
+    (0, x0) on the run grid so that each step of [0, t] is integrated once.
+
+    [0, t-T] flows as one `perturbed_flow_and_sensitivities_rows` block of
+    [None] + ws along the n_x constant unit directions; it is empty when
+    t = T. The window then flows as one `_tangent_rows_on` block from the
+    states and tangents at t-T: row 0 restarts at Z = I with no forcing,
+    so its tangents are the STMs Phi(s, t-T) of the window center, and the
+    draw rows continue their sensitivities. A flow split at a node equals
+    the whole flow bit for bit, so row 0 equals the `window_tangents` of
+    the center and rows 1..B the `_noise_reference_block` rows of ws.
+    """
+    x0 = require_state(sys, x0, "x0")
+    win = _window_grid(t, T, grid)
+    n_x, rows, eye = sys.n_x, [None] + list(ws), np.eye(sys.n_x)
+    full = grid.subgrid(0.0, t)
+    if win.offset > full.offset:
+        dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in eye]
+        xs, zs = perturbed_flow_and_sensitivities_rows(sys, win.t_start, x0, u, rows,
+                                                       dws, full)
+        xs, zs = xs[-1], zs[-1]
+    else:
+        xs, zs = np.broadcast_to(x0, (len(rows), n_x)), np.zeros((len(rows), n_x, n_x))
+    zs[0] = eye
+    forcing = np.zeros((win.n_steps, len(rows), n_x + n_x * n_x))
+    for b, w in enumerate(ws, 1):
+        forcing[:, b, :n_x] = w.step_values(win.t_start, win.h, win.n_steps)
+    forcing[:, 1:, n_x:] = eye.ravel()
+    return (win,) + _tangent_rows_on(sys, win, xs, zs, u, forcing)
 
 
 def reference_and_noise_directions_rows(sys: ControlSystem, t: float, T: float,

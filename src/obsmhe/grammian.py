@@ -366,7 +366,9 @@ def _ball_boundedness(sys: ControlSystem, u: InputSignal, T: float, R: float,
                       wins: Sequence[TimeGrid], xs: Array, n_ball_samples: int,
                       seed: int, overflow_guard: float) -> BoundednessReport:
     """`check_regular_boundedness` of the windows wins, ascending, around
-    the reference states xs on their root grid."""
+    the reference states xs on their root grid; the count and the seed,
+    whole numbers, run as integers."""
+    n_ball_samples, seed = int(n_ball_samples), int(seed)
     rng = np.random.default_rng(seed)
     points = np.stack([ball_samples(rng, xs[win.offset], R, n_ball_samples)
                        for win in wins])

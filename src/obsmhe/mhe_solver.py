@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import (WindowProblem, _RunReference, _noise_reference_block,
+from .cost import (WindowProblem, _RunReference, _center_and_noise_block,
                    _require_window, candidate_terms_rows, fd_hessian, fd_points,
                    grads_from_terms, reference_and_noise_directions_rows,
-                   sensitivities_from_tangents, window_grammian, window_tangents)
+                   sensitivities_from_tangents, window_grammian)
 from .errors import (BoundaryStuck, ConditionsFailed, MaxItersExceeded,
                      ObsMheError, SingularWindow)
 from .grammian import (GrammianReport, ball_samples, grammian_report,
@@ -302,31 +302,32 @@ def audit_nonuniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     their noise sensitivities. Raises SingularWindow when the window
     Grammian is numerically singular (K_t would be meaningless).
 
-    The noise draws and a zero-noise row 0 flow from (0, x0) as one
-    `_noise_reference_block`; row 0's state at t - T is the window center.
+    A zero-noise row 0 and the noise draws flow from (0, x0) as one
+    `_center_and_noise_block`, which integrates each step of [0, t] once:
+    row 0's state at t - T is the window center and its window tangents
+    are the center's STMs, which give mu_t and C1; the draw rows' states
+    and sensitivities give C2. One `dh_dx_rows` call serves all rows.
     """
     _require_window(t, T)
     require("nonnegative", nu=nu)
     require("whole", seed=seed)
     require("count", n_noise_samples=n_noise_samples)
+    seed, n_noise_samples = int(seed), int(n_noise_samples)
     rng = np.random.default_rng(seed)
     ws = [SampledSignal.seeded_uniform(rng, 0.0, grid.h, round(t / grid.h), sys.n_x, nu)
           for _ in range(n_noise_samples)]
-    win, xt, zs = _noise_reference_block(sys, t, T, x0, u, [None] + ws, grid)
-    center = xt[0, 0]
-    # The tangents of the center, a one-row block, serve the Grammian and
-    # the output-noise channel.
-    _, hs, ps = window_tangents(sys, [win], center[None, None], u)
-    hs, ps = hs[0], ps[:, 0]
-    mu_t = _window_mu(grammian_report(t, T, center, window_grammian(win, hs, ps)))
-    hphi = float(np.max(_spectral_norms(hs @ ps)))
+    win, xt, zs = _center_and_noise_block(sys, t, T, x0, u, ws, grid)
+    hs = output_jacobians_rows(sys, xt, u.at_nodes(win))
+    # Row 0: the center's window STMs serve the Grammian and the
+    # output-noise channel, laid out contiguous as a one-row STM block's.
+    center, ps = xt[0, 0], np.ascontiguousarray(zs[:, 0])
+    mu_t = _window_mu(grammian_report(t, T, center, window_grammian(win, hs[0], ps)))
+    hphi = float(np.max(_spectral_norms(hs[0] @ ps)))
     c1 = 2.0 * T * hphi
 
-    noise_hs = output_jacobians_rows(sys, xt[:, 1:], u.at_nodes(win))
     c2 = 0.0
-    for b in range(n_noise_samples):
-        sup = float(np.max(_spectral_norms(noise_hs[b])
-                           * _spectral_norms(zs[:, b + 1])))
+    for b in range(1, n_noise_samples + 1):
+        sup = float(np.max(_spectral_norms(hs[b]) * _spectral_norms(zs[:, b])))
         c2 = max(c2, 2.0 * T * hphi * sup)
     return NonuniformStabilityAudit(t=t, T=T, nu=nu, mu_t=mu_t, C1_t=c1, C2_t=c2)
 
@@ -412,6 +413,8 @@ def audit_uniform_stability(sys: ControlSystem, x0: Array, u: InputSignal,
     require("whole", seed=seed)
     require("count", n_xi_samples=n_xi_samples, n_eta_samples=n_eta_samples,
             t_subsample=t_subsample)
+    seed, n_xi_samples, n_eta_samples, t_subsample = (
+        int(seed), int(n_xi_samples), int(n_eta_samples), int(t_subsample))
     wins, xs, scan = reference_scan(sys, x0, u, T, t_grid, grid_step)
     full = wins[0].base
     t_list = [r.t for r in scan]
@@ -474,6 +477,7 @@ def multistart_uniqueness(sys: ControlSystem, x0: Array, u: InputSignal,
     require("positive", R=R)
     require("count", n_starts=n_starts)
     require("whole", seed=seed)
+    n_starts, seed = int(n_starts), int(seed)
     win, center, ref_out = _RunReference(sys, x0, u, T, ZERO_NOISE, grid).window(t)
     problem = WindowProblem(sys, u, win, ref_out)
     rng = np.random.default_rng(seed)

@@ -41,12 +41,14 @@ candidate's cost as plain flows, and, with STMs, the tangents of
 `cost.window_tangents`, the one caller of `flow_and_stm_windows` besides
 its one-row case `flow_and_stm`.
 `perturbed_flow_and_sensitivities_rows` steps several process-noise
-draws from one start as one block. Blocks use the optional row callbacks
-`f_rows`, `df_dx_rows` and `domain_guard_rows`, or per-row fallbacks,
-and row b equals the single-row flow from its start bit for bit. Every
-output and output Jacobian comes from `outputs_rows` or
-`output_jacobians_rows`: one `h_rows` or `dh_dx_rows` call (or per-row
-fallback) on all rows at all nodes.
+draws from one start as one block, and `_tangent_rows_on` steps a block
+on from given states and tangents over one window (the non-uniform
+audit's window, its center row restarted at Z = I). Blocks use the
+optional row callbacks `f_rows`, `df_dx_rows` and `domain_guard_rows`,
+or per-row fallbacks, and row b equals the single-row flow from its
+start bit for bit. Every output and output Jacobian comes from
+`outputs_rows` or `output_jacobians_rows`: one `h_rows` or `dh_dx_rows`
+call (or per-row fallback) on all rows at all nodes.
 """
 
 from __future__ import annotations
@@ -981,6 +983,26 @@ def perturbed_flow_and_sensitivities_rows(
                    axis=-1)
     xs, zs = rk4_flow_sens(_f_rows(sys), _df_dx_rows(sys), xi, sub.h, u0, um, u1,
                            wv, dwv)
+    _check_guard(sys, xs, "noise_sensitivity")
+    return xs, zs
+
+
+def _tangent_rows_on(sys: ControlSystem, win: TimeGrid, xs: Array, zs: Array,
+                    u: InputSignal, forcing: Array) -> tuple[Array, Array]:
+    """`_rk4_tangents` of a block on the span win of a run grid: B rows
+    continued from the states xs, (B, n_x), and tangents zs, (B, n_x, k),
+    at its start, every row at win's stage inputs, with the forcing
+    [w_i; vec F_i] of each step and row, (n, B, n_x + n_x*k).
+
+    Returns states (n+1, B, n_x) and tangents (n+1, B, n_x, k). A flow
+    split at a node equals the whole flow bit for bit, so a row continued
+    from the end of its `perturbed_flow_and_sensitivities_rows` row
+    equals that row flowed on to win's end, and a row from zs = I with no
+    forcing equals its `flow_and_stm_windows` row.
+    """
+    u0, um, u1 = _window_inputs(u, [win], 1, 1)
+    xs, zs = _rk4_tangents(_f_rows(sys), _df_dx_rows(sys), xs, zs, win.h, u0, um, u1,
+                           forcing)
     _check_guard(sys, xs, "noise_sensitivity")
     return xs, zs
 

@@ -195,6 +195,20 @@ def test_window_starts_off_the_grid_exit_2(tmp_path, capsys, command):
                          {"system": "circ-default", "T": 0.3333}, "T")
 
 
+@pytest.mark.parametrize("command", ["grammian-scan", "mhe-run", "stability-audit"])
+@pytest.mark.parametrize("T, n", [(0.0025, 1), (0.0075, 3)])
+def test_odd_step_windows_exit_2(tmp_path, capsys, command, T, n):
+    # A window of an odd number of 0.0025 steps is no Simpson window;
+    # before, grammian-scan and stability-audit exited 1 with GridMismatch
+    # and mhe-run wrote a failed row.
+    code, out = run(tmp_path, command,
+                    {"system": "circ-default", "T": T,
+                     "t_grid": {"start": 1.0, "stop": 1.0, "count": 1}})
+    assert code == 2
+    assert f"got {n} at t=1.0, T={T} (field: T)" in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
 def test_input_law_parameters_come_from_the_law_table(tmp_path, capsys):
     # A law's parameters are those `bearing.INPUT_LAWS` names: cst without a
     # sigma takes u_cst's default of 1, and circ without an omega is a

@@ -134,9 +134,10 @@ def _own_flows(sys_, x0, u, t, T, eta, grid):
 
 @st.composite
 def horizon_and_ends(draw, n=240):
-    """A horizon of k_T steps and up to 5 ascending window ends, in steps,
-    each at least k_T; ends may repeat."""
-    k_T = draw(st.integers(1, n))
+    """A horizon of an even number k_T of steps (every window is a Simpson
+    window) and up to 5 ascending window ends, in steps, each at least k_T;
+    ends may repeat."""
+    k_T = 2 * draw(st.integers(1, n // 2))
     return k_T, sorted(draw(st.lists(st.integers(k_T, n), min_size=1, max_size=5)))
 
 

@@ -750,8 +750,9 @@ def test_single_starts_of_another_shape_are_named(circ, grid2, bad):
 
 def test_gauss_newton_hessian_and_nonuniform_audit_take_no_outputs(circ, grid2, x0):
     # Both read the window's tangents alone: one dh_dx_rows call on the
-    # Gauss-Newton block, and no h_rows call; the audit adds one for its
-    # noise draws. Results equal those of the system unrecorded.
+    # Gauss-Newton block, and no h_rows call; the audit takes one on its
+    # center and its 3 noise draws together. Results equal those of the
+    # system unrecorded.
     sys_, u = circ
     calls = []
     counted = _recording(sys_, calls)
@@ -762,7 +763,8 @@ def test_gauss_newton_hessian_and_nonuniform_audit_take_no_outputs(circ, grid2, 
     assert_bits_equal(c, cost.gauss_newton_term(sys_, 0.5, 1.5, x0, u, grid2))
     calls.clear()
     audit = mhe_solver.audit_nonuniform_stability(counted, x0, u, 1.5, 1.0, 1e-3, grid2)
-    assert [name for name, _, _ in calls] == ["dh_dx_rows", "dh_dx_rows"]
+    assert [(name, xs.shape) for name, xs, _ in calls] == \
+        [("dh_dx_rows", (4 * (win.n_steps + 1), 2))]
     assert audit == mhe_solver.audit_nonuniform_stability(sys_, x0, u, 1.5, 1.0, 1e-3,
                                                           grid2)
 

@@ -103,6 +103,19 @@ def test_pmhe_and_audit_equal_the_closed_form_oracle(linear_oracle, x0):
                                     raise_on_failure=False)
     assert audit.a2_hat == audit.g3_hat > 0.0
     assert audit.mu_hat == pytest.approx(mu, rel=1e-12)
+    # d2f = d2h = 0: the Hessian is 2M at every start and every noise, so
+    # the exact a1_hat is 0 and the audit reads only the nested-FD
+    # roundoff. Each gradient is a Simpson sum of the same unit-size terms
+    # as H, with a roundoff of a few eps |H| (allowed: 2). An FD Hessian
+    # entry divides a difference of two gradients by 2 fd_step, a1 divides
+    # a difference of two FD Hessians by 2 delta, and the 2-norm of an n_x
+    # by n_x error is at most n_x times its largest entry: a1_hat <= n_x
+    # 2 eps |H| / (fd_step delta), with fd_step at its smallest (1e-5) and
+    # the audit's delta = 1e-3. Floor 1.2e-7; measured 5.1e-8 (numpy
+    # 2.4.6, x86_64).
+    floor = sys_.n_x * 2.0 * np.finfo(float).eps * np.linalg.norm(2.0 * m, 2) / (
+        cost.fd_step(np.zeros(sys_.n_x)) * 1e-3)
+    assert 0.0 <= audit.a1_hat <= floor
     # The window Grammian does not depend on the window or the noise.
     nonuniform = audit_nonuniform_stability(sys_, x0, u, 4.0, 1.0, 1e-2, grid)
     assert nonuniform.mu_t == pytest.approx(mu, rel=1e-12)
@@ -177,6 +190,32 @@ def test_window_end_before_the_horizon_raises_before_any_flow(circ, x0, grid2,
     # The scans check an early end among later ones too.
     with pytest.raises(GridMismatch, match=r"t >= T, got t=0\.5, T=1\.0"):
         grammian.certify_weak_persistence(sys_, x0, u, 1.0, [1.5, 0.5], grid2.h)
+    assert flows == []
+
+
+@pytest.mark.parametrize("t, T, n", [(1.5, 0.015, 3), (2.0, 1.005, 201)])
+def test_odd_step_window_raises_before_any_flow(circ, x0, grid2, monkeypatch, t, T, n):
+    # Every window cost and Grammian is a composite Simpson integral, so a
+    # window of an odd number of steps names t, T and its step count where
+    # it is built, before the reference or any tangent flows.
+    sys_, u = circ
+    flows = count_calls(monkeypatch, ode_core.rk4_flow)
+    calls = [
+        lambda: grammian.observability_grammian(sys_, t, T, x0, u, grid2),
+        lambda: grammian.certify_weak_persistence(sys_, x0, u, T, [t], grid2.h),
+        lambda: grammian.check_regular_boundedness(sys_, x0, u, T, 0.1, [t], 4, 0,
+                                                   grid2.h),
+        lambda: audit_uniform_stability(sys_, x0, u, T, [t], R=0.02, nu=1e-4,
+                                        alpha=0.6, grid_step=grid2.h),
+        lambda: audit_nonuniform_stability(sys_, x0, u, t, T, 1e-3, grid2),
+        lambda: solve_pmhe(sys_, x0, u, t, T, ZERO_NOISE, OPTS, grid2),
+        lambda: cost.grad_sensitivity_w(sys_, t, T, x0, x0, u, ZERO_NOISE, grid2,
+                                        SampledSignal.zero(2, 0.0, 2.0, grid2.h)),
+    ]
+    for call in calls:
+        with pytest.raises(GridMismatch, match=re.escape(
+                f"even number of steps for composite Simpson, got {n} at t={t}, T={T}")):
+            call()
     assert flows == []
 
 
@@ -527,6 +566,32 @@ def test_bad_arguments_raise_value_errors_naming_them_before_any_flow(
     assert flows == []
 
 
+def _assert_same_result(a, b):
+    """Equal results, field by field: equal bits for arrays, equal values
+    of one type otherwise, so a count or seed kept as 2.0 shows."""
+    assert type(a) is type(b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_same_result(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_result(x, y)
+    elif isinstance(a, np.ndarray):
+        assert_bits_equal(a, b)
+    else:
+        assert a == b
+
+
+@pytest.mark.parametrize("entry, arg", _COUNTS + [(entry, "seed") for entry in _SEEDED])
+def test_whole_float_counts_and_seeds_run_as_integers(circ, x0, grid2, entry, arg):
+    # The rules `count` and `whole` accept 2.0; the entry point then runs
+    # it as the integer 2.
+    sys_, u = circ
+    call = _entry_points(sys_, x0, u, grid2)[entry]
+    _assert_same_result(call(**{arg: 2.0}), call(**{arg: 2}))
+
+
 def test_hess_fd_equals_per_point_gradients(nonlinear, x0, grid6):
     # The block of difference points gives the Hessian of one gradient
     # per point, bit for bit (nonlinear: the per-row fallbacks).
@@ -574,38 +639,44 @@ def test_nonuniform_audit_rejects_no_noise_draws(circ, x0, grid6):
                                    n_noise_samples=0)
 
 
-def test_nonuniform_audit_integrates_each_noise_draw_once(spi, x0, monkeypatch):
-    # The perturbed states and the n_x sensitivities of every draw come
-    # from one augmented integration of a block with one row per draw,
-    # plus a zero-noise row whose state at t - T is the window center; no
-    # separate perturbed flow and no reference flow. One window STM, a
-    # one-row block from the center, serves the Grammian and the
-    # output-noise channel.
+@pytest.mark.parametrize("t", [3.0, 2.0])
+def test_nonuniform_audit_integrates_each_noise_draw_once(spi, x0, monkeypatch, t):
+    # The center, the perturbed states of every draw and their tangents
+    # come from tangent blocks of one row for the zero-noise center and
+    # one per draw, whose steps cover [0, t] once: no perturbed flow, no
+    # reference flow and no separate window STM block. At t = T the
+    # window is the whole span and one block suffices.
     sys_, u = spi
     flows = count_calls(monkeypatch, ode_core.perturbed_flow)
     plain = count_calls(monkeypatch, ode_core.flow)
-    sens = count_calls(monkeypatch, ode_core.rk4_flow_sens)
-    blocks = count_calls(monkeypatch, ode_core.flow_and_stm_windows)
+    stm_blocks = count_calls(monkeypatch, ode_core.flow_and_stm_windows)
+    bodies = count_calls(monkeypatch, cost.window_tangents)
+    tangents = count_calls(monkeypatch, ode_core._rk4_tangents)
     grid = TimeGrid.with_step(0.0, 3.0, 0.01)
-    audit_nonuniform_stability(sys_, x0, u, 3.0, 2.0, 1e-3, grid, n_noise_samples=3)
-    assert (len(flows), len(plain)) == (0, 0)
-    # flow_and_stm_windows(sys, wins, xis, u)
-    assert [([(w.t_start, w.t_end) for w in args[1]], args[2].shape) for args in blocks] \
-        == [([(1.0, 3.0)], (1, 1, sys_.n_x))]
-    # rk4_flow_sens(f, dfdx, x0, h, u0, um, u1, w, dw): w is (n, 1 + 3, n_x)
-    assert [args[7].shape for args in sens] == [(grid.n_steps, 4, sys_.n_x)]
+    audit_nonuniform_stability(sys_, x0, u, t, 2.0, 1e-3, grid, n_noise_samples=3)
+    assert (len(flows), len(plain), len(stm_blocks), len(bodies)) == (0, 0, 0, 0)
+    # _rk4_tangents(f, dfdx, x0, z0, h, u0, um, u1, forcing): x0 is (1 + 3, n_x)
+    assert [args[2].shape for args in tangents] == [(4, sys_.n_x)] * (1 + (t > 2.0))
+    assert sum(len(args[5]) for args in tangents) == round(t / grid.h)
 
 
 def test_noise_sensitivity_users_flow_one_reference_block(spi, x0, monkeypatch):
-    # The non-uniform audit and the process-noise gradient sensitivity each
-    # take their references and sensitivities from one augmented block.
+    # The non-uniform audit flows the references and sensitivities of its
+    # draws up to the window start as one augmented block, and the window
+    # on from there; the process-noise gradient sensitivity takes its
+    # reference and sensitivity from one augmented block on [0, t].
     sys_, u = spi
     blocks = count_calls(monkeypatch, ode_core.perturbed_flow_and_sensitivities_rows)
     grid = TimeGrid.with_step(0.0, 3.0, 0.01)
     audit_nonuniform_stability(sys_, x0, u, 3.0, 2.0, 1e-3, grid, n_noise_samples=3)
-    assert len(blocks) == 1
+    # perturbed_flow_and_sensitivities_rows(sys, t_end, xi, u, ws, dws, grid)
+    assert [(args[1], len(args[4]), len(args[5])) for args in blocks] \
+        == [(1.0, 4, sys_.n_x)]
     dw = SampledSignal.constant([1.0, 0.0], 0.0, 3.0, grid.h)
     cost.grad_sensitivity_w(sys_, 3.0, 2.0, x0, x0, u, ZERO_NOISE, grid, dw)
+    assert [(args[1], len(args[4]), len(args[5])) for args in blocks[1:]] \
+        == [(3.0, 1, 1)]
+    audit_nonuniform_stability(sys_, x0, u, 2.0, 2.0, 1e-3, grid, n_noise_samples=3)
     assert len(blocks) == 2
 
 
@@ -623,10 +694,11 @@ def _nonuniform_reference(sys_, x0, u, t, T, nu, grid, seed, n_noise_samples):
     norms = mhe_solver._spectral_norms
     hphi = float(np.max(norms(hs @ ps)))
     rng = np.random.default_rng(seed)
-    dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(2)]
+    n_x = sys_.n_x
+    dws = [SampledSignal.constant(e, 0.0, t, full.h) for e in np.eye(n_x)]
     c2 = 0.0
     for _ in range(n_noise_samples):
-        w = SampledSignal.seeded_uniform(rng, 0.0, full.h, full.n_steps, 2, nu)
+        w = SampledSignal.seeded_uniform(rng, 0.0, full.h, full.n_steps, n_x, nu)
         xt, zs = ode_core.perturbed_flow_and_sensitivities(sys_, t, x0, u, w, dws, full)
         i0 = full.index_of(t - T)
         sup = float(np.max(norms(output_jacobians_per_node(sys_, xt[i0:], us))
@@ -636,14 +708,17 @@ def _nonuniform_reference(sys_, x0, u, t, T, nu, grid, seed, n_noise_samples):
                                                C1_t=2.0 * T * hphi, C2_t=c2)
 
 
-@pytest.mark.parametrize("system", ["spi", "nonlinear"])
+@pytest.mark.parametrize("system", ["spi", "nonlinear", "unicycle"])
 @pytest.mark.parametrize("t, T, h", [(3.0, 2.0, 0.01), (2.0, 2.0, 0.01),
                                      (5.0, 1.5, 0.005), (3.3, 1.0, 0.01)])
 def test_nonuniform_audit_equals_per_draw_reference(system, request, x0, t, T, h):
-    # The zero-noise row's state at t - T is the window center, and the
-    # noise rows' output Jacobians come from one call across the rows (on
-    # `nonlinear`, Phi != I and the per-row fallbacks).
-    sys_, u = request.getfixturevalue(system)
+    # The zero-noise row's state at t - T is the window center, its window
+    # tangents are the center's STMs, and every row's output Jacobians
+    # come from one call across the rows (on `nonlinear` and the unicycle,
+    # Phi != I; on `nonlinear`, the per-row fallbacks). t = T flows the
+    # window alone.
+    sys_, u, *start = request.getfixturevalue(system)
+    x0 = start[0] if start else x0
     grid = TimeGrid.with_step(0.0, 6.0, h)
     got = audit_nonuniform_stability(sys_, x0, u, t, T, 1e-3, grid, seed=9)
     want = _nonuniform_reference(sys_, x0, u, t, T, 1e-3, grid, 9, 3)
