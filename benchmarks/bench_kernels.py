@@ -1,16 +1,21 @@
 """Throughput of the RK4 loop and of the tangent flows built on it.
 
-Times, on the 2D bearing system over one revolution of the circle input:
-`ode_core.rk4_flow` with and without process noise w;
-`ode_core.rk4_flow_stm`, which is `rk4_flow` on the augmented state
-[x; vec Phi] with Phi(0) = I; `ode_core.rk4_flow_sens` (augmented, Z(0) = 0)
-with k = 1 and k = n_x noise directions; `rk4_flow` on one state
-(B = 1, per-row f) and on a block of B = 20 stacked states (the system's
-f_rows), as in a one-window `ode_core.flow_windows`; `rk4_flow_stm` on
-row blocks of B = 1, 2 n_x (the difference points of one FD Hessian) and
-21 (the block of one uniform-audit ball point), as in a one-window
-`ode_core.flow_and_stm_windows`; and
-`rk4_flow_sens` on B = 3 noise draws with per-row forcing, as in
+Times, on the 2D bearing system over one revolution of the circle input,
+the two kernels that every flow steps through its body (`ode_core._flow_on`
+or `ode_core._tangents_on`): the plain kernel `ode_core.rk4_flow`, and
+the tangent kernel `ode_core._rk4_tangents`, `rk4_flow` on the augmented
+state [x; vec Z] with the forcing [w; vec F] it lays out as one array,
+through its one-line callers `ode_core.rk4_flow_stm` (Z(0) = I, no
+forcing) and `ode_core.rk4_flow_sens` (Z(0) = 0, F the noise directions).
+That is: `rk4_flow` with and without process noise w; `rk4_flow_stm`;
+`rk4_flow_sens` with k = 1 and k = n_x noise directions; `rk4_flow` on
+one state (B = 1, per-row f, as in `ode_core.flow`) and on a block of
+B = 20 stacked states (the system's f_rows), as in a one-window
+`ode_core.flow_windows`; `rk4_flow_stm` on row blocks of B = 1, 2 n_x
+(the difference points of one FD Hessian) and 21 (the block of one
+uniform-audit ball point), as in a one-window
+`ode_core.flow_and_stm_windows`; and `rk4_flow_sens` on B = 3 noise
+draws with per-row noise, as in
 `ode_core.perturbed_flow_and_sensitivities_rows`. Reports thousands of
 steps per second, counting one step of a B-row block as B steps.
 
@@ -57,7 +62,10 @@ audits of an obsbench `audit` round. Reports the milliseconds of each
 call and the steps and row-steps of its tangent flows (every
 `ode_core._rk4_tangents` call, a B-row step counting as B row-steps).
 
-    python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--steps 2000] [--repeats 5]
+
+It calls the private `ode_core._rk4_tangents` directly, so the test
+suite runs it with --steps 40 --repeats 1 (`tests/test_structure.py`).
 """
 
 import argparse

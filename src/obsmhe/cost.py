@@ -27,7 +27,9 @@ and finite-difference Hessian add one output call
 one `_noise_reference_block`. The non-uniform audit's noise block,
 `_center_and_noise_block`, splits that flow at the window start and
 restarts the zero-noise row at Z = I there, so its row 0 carries the
-center's window STM and no step of [0, t] is integrated twice. Only
+center's window STM and no step of [0, t] is integrated twice. Its
+window leg hands each row's noise steps and noise directions to
+`ode_core._tangents_on`; only `ode_core` lays out the forcing. Only
 references flow as single trajectories, and every output and output
 Jacobian takes one row-callback call (`ode_core.outputs_rows`,
 `output_jacobians_rows`).
@@ -40,9 +42,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import DimensionMismatch, GridMismatch
 from .ode_core import (Array, ControlSystem, InputSignal, NoiseSignals, SampledSignal,
-                       TimeGrid, _tangent_rows_on, _window_inputs, flow,
+                       TimeGrid, _noise_steps, _tangents_on, _window_inputs, flow,
                        flow_and_stm_windows, flow_windows, output_jacobians_rows,
                        outputs_rows, perturbed_flow,
                        perturbed_flow_and_sensitivities_rows, require_state,
@@ -368,9 +370,19 @@ def grad_sensitivities(sys: ControlSystem, win: TimeGrid, xi: Array,
     perturbations, one column each: -2 * integral of (H Phi)^T dy(s).
 
     Each dy holds the measured-output shift at the window nodes,
-    (n_nodes, n_y). All k columns share the `window_tangents` at xi.
+    (n_nodes, n_y); DimensionMismatch naming the first that does not, and
+    ValueError for no shifts, before any flow. All k columns share the
+    `window_tangents` at xi.
     """
-    _, hs, phis = window_tangents(sys, [win], require_state(sys, xi, "xi")[None, None], u)
+    xi = require_state(sys, xi, "xi")
+    if not len(dys):
+        raise ValueError("need at least one output shift")
+    shape = (win.n_steps + 1, sys.n_y)
+    for j, dy in enumerate(dys):
+        if np.shape(dy) != shape:
+            raise DimensionMismatch(f"output shift {j} has shape {np.shape(dy)}, "
+                                    f"expected (n_nodes, n_y) = {shape}")
+    _, hs, phis = window_tangents(sys, [win], xi[None, None], u)
     return sensitivities_from_tangents(win, hs[0], phis[:, 0], dys)
 
 
@@ -415,12 +427,13 @@ def _center_and_noise_block(sys: ControlSystem, t: float, T: float, x0: Array,
 
     [0, t-T] flows as one `perturbed_flow_and_sensitivities_rows` block of
     [None] + ws along the n_x constant unit directions; it is empty when
-    t = T. The window then flows as one `_tangent_rows_on` block from the
-    states and tangents at t-T: row 0 restarts at Z = I with no forcing,
-    so its tangents are the STMs Phi(s, t-T) of the window center, and the
-    draw rows continue their sensitivities. A flow split at a node equals
-    the whole flow bit for bit, so row 0 equals the `window_tangents` of
-    the center and rows 1..B the `_noise_reference_block` rows of ws.
+    t = T. The window then flows as one `ode_core._tangents_on` block from
+    the states and tangents at t-T: row 0 restarts at Z = I with no noise
+    and no directions, so its tangents are the STMs Phi(s, t-T) of the
+    window center, and the draw rows continue their sensitivities. A flow
+    split at a node equals the whole flow bit for bit, so row 0 equals the
+    `window_tangents` of the center and rows 1..B the
+    `_noise_reference_block` rows of ws.
     """
     x0 = require_state(sys, x0, "x0")
     win = _window_grid(t, T, grid)
@@ -434,11 +447,10 @@ def _center_and_noise_block(sys: ControlSystem, t: float, T: float, x0: Array,
     else:
         xs, zs = np.broadcast_to(x0, (len(rows), n_x)), np.zeros((len(rows), n_x, n_x))
     zs[0] = eye
-    forcing = np.zeros((win.n_steps, len(rows), n_x + n_x * n_x))
-    for b, w in enumerate(ws, 1):
-        forcing[:, b, :n_x] = w.step_values(win.t_start, win.h, win.n_steps)
-    forcing[:, 1:, n_x:] = eye.ravel()
-    return (win,) + _tangent_rows_on(sys, win, xs, zs, u, forcing)
+    dw = np.zeros((len(rows), n_x, n_x))
+    dw[1:] = eye
+    return (win,) + _tangents_on(sys, [win], xs, zs, u, _noise_steps(rows, win, n_x),
+                                 np.broadcast_to(dw, (win.n_steps,) + dw.shape))
 
 
 def reference_and_noise_directions_rows(sys: ControlSystem, t: float, T: float,

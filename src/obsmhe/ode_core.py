@@ -24,31 +24,34 @@ break the order of the scheme; breakpoints off the grid raise
 GridMismatch. Process noise is sample-and-hold: one value per step,
 constant across the four stages.
 
-Tangents are not kernels of their own. `rk4_flow_stm` (Z(0) = I) and
-`rk4_flow_sens` (Z(0) = 0, per-step forcing [w; vec F]) run `rk4_flow`
-on the augmented state [x; vec Z] with f_aug = (f(x, u), dfdx(x, u) @ Z),
-so states, state-transition matrices and the sensitivities to any number
-of noise directions come out of one integration on the same RK4 stages.
-The augmented state may be one row or a block of B rows, (B, n_x +
-n_x*k), with the noise forcing shared by the rows or given per row.
+Tangents are not kernels of their own. `_rk4_tangents` runs `rk4_flow`
+on the augmented state [x; vec Z] with f_aug = (f(x, u), dfdx(x, u) @ Z)
+and the per-step forcing [w; vec F], which it alone lays out, so states,
+state-transition matrices (Z(0) = I, `rk4_flow_stm`) and the
+sensitivities to any number of noise directions (Z(0) = 0, F the
+directions, `rk4_flow_sens`) come out of one integration on the same RK4
+stages. The augmented state may be one row or a block of B rows, with
+the noise and its directions shared by the rows or given per row.
 
-A window candidate is a row block; only a reference is a single
-trajectory. `flow` and `perturbed_flow` step one state through the
-per-row f (reference flows, warm starts, simulations). `flow_windows`
-and `flow_and_stm_windows` step m starts on each of W windows of one run
-grid with one step count as one block: the ball samples and every
-candidate's cost as plain flows, and, with STMs, the tangents of
-`cost.window_tangents`, the one caller of `flow_and_stm_windows` besides
-its one-row case `flow_and_stm`.
+Every flow goes through one of two bodies, which stage a span's inputs,
+step the kernel and check the states: `_flow_on` (`rk4_flow`) and
+`_tangents_on` (`_rk4_tangents`). A window candidate is a row block;
+only a reference is a single trajectory. `flow` and `perturbed_flow`
+step one state through the per-row f (reference flows, warm starts,
+simulations). `flow_windows` and `flow_and_stm_windows` step m starts
+on each of W windows of one run grid with one step count as one block:
+the ball samples and every candidate's cost as plain flows, and, with
+STMs, the tangents of `cost.window_tangents`, the one caller of
+`flow_and_stm_windows` besides its one-row case `flow_and_stm`.
 `perturbed_flow_and_sensitivities_rows` steps several process-noise
-draws from one start as one block, and `_tangent_rows_on` steps a block
-on from given states and tangents over one window (the non-uniform
-audit's window, its center row restarted at Z = I). Blocks use the
-optional row callbacks `f_rows`, `df_dx_rows` and `domain_guard_rows`,
-or per-row fallbacks, and row b equals the single-row flow from its
-start bit for bit. Every output and output Jacobian comes from
-`outputs_rows` or `output_jacobians_rows`: one `h_rows` or `dh_dx_rows`
-call (or per-row fallback) on all rows at all nodes.
+draws from one start as one block, and the non-uniform audit steps its
+window on from given states and tangents (`cost._center_and_noise_block`).
+Blocks use the optional row callbacks `f_rows`, `df_dx_rows` and
+`domain_guard_rows`, or per-row fallbacks, and row b equals the
+single-row flow from its start bit for bit. Every output and output
+Jacobian comes from `outputs_rows` or `output_jacobians_rows`: one
+`h_rows` or `dh_dx_rows` call (or per-row fallback) on all rows at all
+nodes.
 """
 
 from __future__ import annotations
@@ -215,10 +218,12 @@ class TimeGrid:
         return i
 
     def subgrid(self, t0: float, t1: float) -> "TimeGrid":
-        """The nodes of this grid from t0 to t1, as an index range of the root."""
+        """The nodes of this grid from t0 to t1, as an index range of the
+        root; GridMismatch naming t0 and t1 unless t1 is a later node."""
         i0, i1 = self.index_of(t0), self.index_of(t1)
         if i1 <= i0:
-            raise GridMismatch("empty subgrid")
+            raise GridMismatch(f"empty subgrid from t0={t0} to t1={t1}: "
+                               "t1 must be a later node than t0")
         base, h = self.base, self.h
         k0, k1 = self.offset + i0, self.offset + i1
         return TimeGrid(base.t_start + k0 * h, base.t_start + k1 * h, i1 - i0, base, k0)
@@ -571,8 +576,8 @@ def rk4_flow(f, x0: Array, h: float, u0: Array, um: Array, u1: Array,
     returns (B, n_x). `w` is None or holds the process noise of each step,
     read as w[i] at step i: one row per step, (n, n_x), which a block
     shares across its rows, or one row per step and per block row,
-    (n, B, n_x). Each of these may be a per-step view (`_StepRows`) that
-    builds step i when it is read; each is read once per step. Every
+    (n, B, n_x). The stage inputs may be per-step views (`_StepRows`)
+    that build step i when it is read; each is read once per step. Every
     operation between the f calls is elementwise, so row b of the result
     equals, bit for bit, the flow of x0[b] alone under its own inputs and
     noise when f's rows equal its per-row results. Returns the states at
@@ -601,24 +606,35 @@ def rk4_flow(f, x0: Array, h: float, u0: Array, um: Array, u1: Array,
 
 
 def _rk4_tangents(f, dfdx, x0: Array, z0: Array, h: float, u0: Array,
-                  um: Array, u1: Array,
-                  forcing: Optional[Array] = None) -> tuple[Array, Array]:
-    """Co-integrate x' = f(x, u) and Z' = dfdx(x, u) @ Z, Z of shape
-    (n_x, k), from (x0, z0): `rk4_flow` on the augmented state [x; vec Z].
+                  um: Array, u1: Array, w: Optional[Array] = None,
+                  dw: Optional[Array] = None) -> tuple[Array, Array]:
+    """Co-integrate x' = f(x, u) + w and Z' = dfdx(x, u) @ Z + F, Z of
+    shape (n_x, k), from (x0, z0): `rk4_flow` on the augmented state
+    [x; vec Z] with the per-step forcing [w_i; vec F_i].
 
     x0 is one state (n_x,) or a block (B, n_x); z0 is (n_x, k), shared by
     every row of a block, or one per row, (B, n_x, k). For a block, f and
-    dfdx take stacked rows and return (B, n_x) and (B, n_x, n_x).
-    `forcing` is None or [w_i; vec F_i] per step, read as forcing[i]:
-    (n_x + n_x*k,) or, per row, (B, n_x + n_x*k), added to [x'; vec Z'].
-    Returns (states, zs) of shapes (n+1,) + x0.shape and (n+1,)
-    + x0.shape[:-1] + (n_x, k), with zs[0] == z0 exactly.
+    dfdx take stacked rows and return (B, n_x) and (B, n_x, n_x). `w` and
+    `dw` (the forcing F) are None, adding nothing, or hold one value per
+    step shared by the rows, (n, n_x) and (n, n_x, k), or one per step
+    and row, (n, B, n_x) and (n, B, n_x, k); the forcing is laid out
+    here, once, as one array. Returns (states, zs) of shapes (n+1,)
+    + x0.shape and (n+1,) + x0.shape[:-1] + (n_x, k), with zs[0] == z0
+    exactly.
     """
     nx, k = z0.shape[-2:]
     rows = x0.shape[:-1]
     xz0 = np.empty(rows + (nx + nx * k,))
     xz0[..., :nx] = x0
     xz0[..., nx:] = z0.reshape(z0.shape[:-2] + (nx * k,))
+    forcing = None
+    if w is not None or dw is not None:
+        forcing = np.zeros((len(u0),) + xz0.shape)
+        by_row = np.moveaxis(forcing, 0, -2)  # rows + (n, n_x + n_x*k)
+        if w is not None:
+            by_row[..., :nx] = np.moveaxis(w, 0, -2)
+        if dw is not None:
+            by_row[..., nx:] = np.moveaxis(dw.reshape(dw.shape[:-2] + (nx * k,)), 0, -2)
 
     def f_aug(xz: Array, ui: Array) -> Array:
         x = xz[..., :nx]
@@ -653,38 +669,24 @@ def rk4_flow_sens(f, dfdx, x0: Array, h: float, u0: Array, um: Array,
     (n+1,) + rows + (n_x,) and (n+1,) + rows + (n_x, k), rows being ()
     or (B,).
     """
-    n, nx, k = dw.shape
-    rows = w.shape[1:-1]
-    forcing = _StepRows(rows + (nx + nx * k,), (w, dw.reshape(n, nx * k)))
-    return _rk4_tangents(f, dfdx, np.broadcast_to(x0, rows + (nx,)),
-                         np.zeros((nx, k)), h, u0, um, u1, forcing)
+    return _rk4_tangents(f, dfdx, np.broadcast_to(x0, w.shape[1:]),
+                         np.zeros(dw.shape[-2:]), h, u0, um, u1, w, dw)
 
 
 class _StepRows:
-    """A per-step array of n steps whose step i, of shape `step_shape`, is
-    built only when `rk4_flow` reads it: the step-i values of the parts
-    side by side in the last axis, each broadcast over the rows, the rows
-    taken as `groups` equal groups. So values that many rows of a block
-    share, the noise directions of `rk4_flow_sens` or a window's inputs
-    repeated for each of its rows, are not copied into every row for all
-    steps at once."""
+    """The per-step inputs of W windows, (n, W, n_u), with each window's
+    row repeated for its m rows of a block when `rk4_flow` reads a step,
+    (W*m, n_u), so they are not copied into every row for all steps at
+    once."""
 
-    def __init__(self, step_shape: tuple, parts: Sequence[Array], groups: int = 1):
-        self.step_shape, self.groups = step_shape, groups
-        ends = np.cumsum([part.shape[-1] for part in parts]).tolist()
-        self.parts = [(part, slice(end - part.shape[-1], end))
-                      for part, end in zip(parts, ends)]
+    def __init__(self, values: Array, m: int):
+        self.values, self.m = values, m
 
     def __len__(self) -> int:
-        return len(self.parts[0][0])
+        return len(self.values)
 
     def __getitem__(self, i: int) -> Array:
-        out = np.empty(self.step_shape)
-        rows = out if self.groups == 1 else out.reshape(
-            (self.groups, -1, self.step_shape[-1]))
-        for part, cols in self.parts:
-            rows[..., cols] = part[i]
-        return out
+        return np.repeat(self.values[i], self.m, axis=0)
 
 
 def _per_row(fn: Callable[[Array, Array], Array]) -> Callable[[Array, Array], Array]:
@@ -773,12 +775,81 @@ def _check_guard(sys: ControlSystem, xs: Array, where: str) -> None:
         raise DomainViolation(f"domain guard failed during {where}")
 
 
-def _span(grid: TimeGrid, s1: float, s2: float, u: InputSignal) -> TimeGrid:
-    if s2 < s1:
-        raise GridMismatch("s1 must not exceed s2")
-    sub = grid.subgrid(s1, s2)
-    u.check_breakpoints_on(sub)
-    return sub
+def _window_inputs(u: InputSignal, wins: Sequence[TimeGrid], m: int,
+                   which: int) -> list:
+    """The inputs of W windows of one run grid with one step count n, each
+    window's repeated for m rows of a block, window-major: for which = 1
+    its stage inputs (u0, um, u1) at the n steps, for which = 0 its inputs
+    at the n + 1 nodes. Window w's inputs are the slice of the run grid's
+    staging that `stage_values` or `at_nodes` serves for it, and they
+    raise DomainViolation and GridMismatch as those and the flows on each
+    window do. One window gets what those serve, (n, n_u) or (n + 1, n_u):
+    one input row per step, shared by every row. Several windows get them
+    gathered at once, (W*m, n_u) rows per step: as arrays when m = 1,
+    otherwise as `_StepRows` that repeat each window's row when a step is
+    read."""
+    base, n = wins[0].base, wins[0].n_steps
+    if any(win.base != base or win.n_steps != n for win in wins):
+        raise GridMismatch("windows of one block need one run grid and one step count")
+    for win in wins:
+        u.check_breakpoints_on(win)
+    if len(wins) == 1:
+        win = wins[0]
+        return list(u.stage_values(win.t_start, win.h, n, win)) if which \
+            else [u.at_nodes(win)]
+    staging = _staging(u, base.t_start, base.h, base.n_steps)
+    starts = np.array([win.offset for win in wins])
+    count = n + 1 - which
+    for i0 in starts.tolist():
+        _check_span(staging[3], which, i0, count, u.bound)
+    index = starts + np.arange(count)[:, None]
+    gathered = [v[index] for v in staging[:1 if which == 0 else 3]]
+    return gathered if m == 1 else [_StepRows(g, m) for g in gathered]
+
+
+def _flow_on(sys: ControlSystem, wins: Sequence[TimeGrid], x0: Array,
+             u: InputSignal, w: Optional[Array], where: str) -> Array:
+    """`rk4_flow` on the windows wins of one run grid with one step count,
+    each row at its own window's stage inputs, checked by `_check_guard`
+    as `where`: one state (n_x,) on one window through the per-row f, or
+    a block (W*m, n_x), m rows a window, window-major, through the row f.
+    `w` is None or the process noise of each step as `rk4_flow` reads it.
+    """
+    single = x0.ndim == 1
+    u0, um, u1 = _window_inputs(u, wins, 1 if single else len(x0) // len(wins), 1)
+    xs = rk4_flow(sys.f if single else _f_rows(sys), x0, wins[0].h, u0, um, u1, w)
+    _check_guard(sys, xs, where)
+    return xs
+
+
+def _tangents_on(sys: ControlSystem, wins: Sequence[TimeGrid], x0: Array, z0: Array,
+                 u: InputSignal, w: Optional[Array] = None,
+                 dw: Optional[Array] = None) -> tuple[Array, Array]:
+    """`_rk4_tangents` of a block x0, (W*m, n_x), m rows a window,
+    window-major, from the tangents z0 on the windows wins of one run
+    grid with one step count, each row at its own window's stage inputs,
+    through the row f and df_dx. Without noise (w and dw None) the
+    states are checked as "stm", with it as "noise_sensitivity".
+
+    A flow split at a node equals the whole flow bit for bit, so a block
+    continued from the end of another equals the whole block flowed on.
+    """
+    u0, um, u1 = _window_inputs(u, wins, len(x0) // len(wins), 1)
+    xs, zs = _rk4_tangents(_f_rows(sys), _df_dx_rows(sys), x0, z0, wins[0].h,
+                           u0, um, u1, w, dw)
+    _check_guard(sys, xs, "stm" if w is None and dw is None else "noise_sensitivity")
+    return xs, zs
+
+
+def _noise_steps(ws: Sequence[Optional[SampledSignal]], span: TimeGrid,
+                n_x: int) -> Array:
+    """The process noise of each draw in ws on the steps of span, one row
+    per draw, None read as zero: (n, len(ws), n_x)."""
+    wv = np.zeros((span.n_steps, len(ws), n_x))
+    for b, w in enumerate(ws):
+        if w is not None:
+            wv[:, b] = w.step_values(span.t_start, span.h, span.n_steps)
+    return wv
 
 
 def flow(sys: ControlSystem, s1: float, s2: float, xi: Array, u: InputSignal,
@@ -786,11 +857,7 @@ def flow(sys: ControlSystem, s1: float, s2: float, xi: Array, u: InputSignal,
     """States of x' = f(x, u) from (s1, xi) at every grid node in [s1, s2]:
     a reference flow, one trajectory through the per-row f."""
     xi = require_state(sys, xi, "xi")
-    sub = _span(grid, s1, s2, u)
-    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
-    xs = rk4_flow(sys.f, xi, sub.h, u0, um, u1)
-    _check_guard(sys, xs, "flow")
-    return xs
+    return _flow_on(sys, [grid.subgrid(s1, s2)], xi, u, None, "flow")
 
 
 def stm(sys: ControlSystem, s1: float, s2: float, xi: Array, u: InputSignal,
@@ -804,42 +871,8 @@ def flow_and_stm(sys: ControlSystem, s1: float, s2: float, xi: Array,
     """State and STM trajectories co-integrated on the same RK4 stages:
     the one-row case of `flow_and_stm_windows` on the span [s1, s2]."""
     xi = require_state(sys, xi, "xi")
-    xs, phis = flow_and_stm_windows(sys, [_span(grid, s1, s2, u)], xi[None, None], u)
+    xs, phis = flow_and_stm_windows(sys, [grid.subgrid(s1, s2)], xi[None, None], u)
     return xs[:, 0], phis[:, 0]
-
-
-def _window_inputs(u: InputSignal, wins: Sequence[TimeGrid], m: int,
-                   which: int) -> list:
-    """The inputs of W windows of one run grid with one step count n, each
-    window's repeated for m rows of a block, window-major: for which = 1
-    its stage inputs (u0, um, u1) at the n steps, for which = 0 its inputs
-    at the n + 1 nodes. Window w's inputs are the slice of the run grid's
-    staging that `stage_values` or `at_nodes` serves for it, and they
-    raise DomainViolation and GridMismatch as those and the flows on each
-    window do. One window gets those slices themselves, (n, n_u) or
-    (n + 1, n_u): one input row per step, shared by every row. Several
-    windows get them gathered at once, (W*m, n_u) rows per step: as arrays
-    when m = 1, otherwise as `_StepRows` that repeat each window's row
-    when a step is read."""
-    base, n = wins[0].base, wins[0].n_steps
-    if any(win.base != base or win.n_steps != n for win in wins):
-        raise GridMismatch("windows of one block need one run grid and one step count")
-    for win in wins:
-        u.check_breakpoints_on(win)
-    staging = _staging(u, base.t_start, base.h, base.n_steps)
-    starts = np.array([win.offset for win in wins])
-    count = n + 1 - which
-    for i0 in starts.tolist():
-        _check_span(staging[3], which, i0, count, u.bound)
-    values = staging[:1 if which == 0 else 3]
-    if len(wins) == 1:
-        return [v[wins[0].offset:wins[0].offset + count] for v in values]
-    index = starts + np.arange(count)[:, None]
-    gathered = [v[index] for v in values]
-    if m == 1:
-        return gathered
-    return [_StepRows((len(wins) * m,) + g.shape[2:], (g[:, :, None],), len(wins))
-            for g in gathered]
 
 
 def is_number(v) -> bool:
@@ -905,10 +938,7 @@ def flow_windows(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Array,
     makes the block raise DomainViolation.
     """
     xis = _window_starts(sys, wins, xis)
-    u0, um, u1 = _window_inputs(u, wins, xis.shape[1], 1)
-    xs = rk4_flow(_f_rows(sys), xis.reshape(-1, sys.n_x), wins[0].h, u0, um, u1)
-    _check_guard(sys, xs, "flow")
-    return xs
+    return _flow_on(sys, wins, xis.reshape(-1, sys.n_x), u, None, "flow")
 
 
 def flow_and_stm_windows(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Array,
@@ -918,11 +948,7 @@ def flow_and_stm_windows(sys: ControlSystem, wins: Sequence[TimeGrid], xis: Arra
     (n+1, W*m, n_x, n_x); row w*m + j equals the tangent flow of xis[w, j]
     alone on wins[w] bit for bit."""
     xis = _window_starts(sys, wins, xis)
-    u0, um, u1 = _window_inputs(u, wins, xis.shape[1], 1)
-    xs, phis = rk4_flow_stm(_f_rows(sys), _df_dx_rows(sys), xis.reshape(-1, sys.n_x),
-                            wins[0].h, u0, um, u1)
-    _check_guard(sys, xs, "stm")
-    return xs, phis
+    return _tangents_on(sys, wins, xis.reshape(-1, sys.n_x), np.eye(sys.n_x), u)
 
 
 def perturbed_flow(sys: ControlSystem, s1: float, s2: float, xi: Array,
@@ -931,12 +957,9 @@ def perturbed_flow(sys: ControlSystem, s1: float, s2: float, xi: Array,
     """States of x' = f(x, u) + w; with w = None this is exactly `flow`."""
     xi = require_state(sys, xi, "xi")
     require_width(w, sys.n_x, "process noise w")
-    sub = _span(grid, s1, s2, u)
-    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
+    sub = grid.subgrid(s1, s2)
     wv = None if w is None else w.step_values(sub.t_start, sub.h, sub.n_steps)
-    xs = rk4_flow(sys.f, xi, sub.h, u0, um, u1, wv)
-    _check_guard(sys, xs, "perturbed_flow")
-    return xs
+    return _flow_on(sys, [sub], xi, u, wv, "perturbed_flow")
 
 
 def perturbed_flow_and_sensitivities(sys: ControlSystem, t_end: float, xi: Array,
@@ -969,42 +992,17 @@ def perturbed_flow_and_sensitivities_rows(
     xi = require_state(sys, xi, "xi")
     if not ws:
         raise ValueError("need at least one noise draw")
+    if not dws:
+        raise ValueError("need at least one noise direction")
     for w in ws:
         require_width(w, sys.n_x, "process noise w")
     for dw in dws:
         require_width(dw, sys.n_x, "noise direction dw")
-    sub = _span(grid, 0.0, t_end, u)
-    u0, um, u1 = u.stage_values(sub.t_start, sub.h, sub.n_steps, sub)
-    wv = np.zeros((sub.n_steps, len(ws), sys.n_x))
-    for b, w in enumerate(ws):
-        if w is not None:
-            wv[:, b] = w.step_values(sub.t_start, sub.h, sub.n_steps)
+    sub = grid.subgrid(0.0, t_end)
     dwv = np.stack([dw.step_values(sub.t_start, sub.h, sub.n_steps) for dw in dws],
                    axis=-1)
-    xs, zs = rk4_flow_sens(_f_rows(sys), _df_dx_rows(sys), xi, sub.h, u0, um, u1,
-                           wv, dwv)
-    _check_guard(sys, xs, "noise_sensitivity")
-    return xs, zs
-
-
-def _tangent_rows_on(sys: ControlSystem, win: TimeGrid, xs: Array, zs: Array,
-                    u: InputSignal, forcing: Array) -> tuple[Array, Array]:
-    """`_rk4_tangents` of a block on the span win of a run grid: B rows
-    continued from the states xs, (B, n_x), and tangents zs, (B, n_x, k),
-    at its start, every row at win's stage inputs, with the forcing
-    [w_i; vec F_i] of each step and row, (n, B, n_x + n_x*k).
-
-    Returns states (n+1, B, n_x) and tangents (n+1, B, n_x, k). A flow
-    split at a node equals the whole flow bit for bit, so a row continued
-    from the end of its `perturbed_flow_and_sensitivities_rows` row
-    equals that row flowed on to win's end, and a row from zs = I with no
-    forcing equals its `flow_and_stm_windows` row.
-    """
-    u0, um, u1 = _window_inputs(u, [win], 1, 1)
-    xs, zs = _rk4_tangents(_f_rows(sys), _df_dx_rows(sys), xs, zs, win.h, u0, um, u1,
-                           forcing)
-    _check_guard(sys, xs, "noise_sensitivity")
-    return xs, zs
+    return _tangents_on(sys, [sub], np.broadcast_to(xi, (len(ws), sys.n_x)),
+                        np.zeros(dwv.shape[1:]), u, _noise_steps(ws, sub, sys.n_x), dwv)
 
 
 def noise_sensitivity(sys: ControlSystem, t_end: float, xi: Array, u: InputSignal,

@@ -1,12 +1,14 @@
 """Window cost, analytic derivatives, and noise sensitivities."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from obsmhe import (DimensionMismatch, GridMismatch, NoiseSignals,
                     SampledSignal, TimeGrid, ZERO_NOISE, cost, flow,
-                    noise_sensitivity, perturbed_flow,
+                    noise_sensitivity, ode_core, perturbed_flow,
                     perturbed_flow_and_sensitivities)
 from obsmhe.cost import (cum_output_error, fd_gradient, fd_hessian, fd_points,
                          fd_step, gauss_newton_term,
@@ -15,7 +17,8 @@ from obsmhe.cost import (cum_output_error, fd_gradient, fd_hessian, fd_points,
                          grad_sensitivity_w, hess_cum_error,
                          noise_output_directions, perturbed_cost, perturbed_reference,
                          reference_and_noise_directions_rows, simpson_weights)
-from conftest import assert_bits_equal, output_jacobians_per_node, outputs_per_node
+from conftest import (assert_bits_equal, count_calls, output_jacobians_per_node,
+                      outputs_per_node)
 
 
 def test_simpson_weights_integrate_cubics_exactly():
@@ -244,6 +247,22 @@ def test_sensitivity_v_is_noise_independent(circ, grid6, x0):
                              NoiseSignals(v=dv.scaled(0.3 - eps)), grid6)
     np.testing.assert_allclose(a, (gp - gm) / (2 * eps), atol=1e-9)
     assert big.norm == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("shape", [(201, 1), (1, 2), (201,), (202, 2)])
+def test_grad_sensitivities_rejects_misshaped_output_shifts(circ, grid2, x0, monkeypatch,
+                                                            shape):
+    # Each shift is (n_nodes, n_y) = (201, 2) on [1, 2]; none is broadcast,
+    # and the shapes are checked before the tangent flow.
+    sys_, u = circ
+    win = grid2.subgrid(1.0, 2.0)
+    flows = count_calls(monkeypatch, ode_core.rk4_flow)
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            f"output shift 1 has shape {shape}, expected (n_nodes, n_y) = (201, 2)")):
+        grad_sensitivities(sys_, win, x0, u, [np.ones((201, 2)), np.ones(shape)])
+    with pytest.raises(ValueError, match="need at least one output shift"):
+        grad_sensitivities(sys_, win, x0, u, [])
+    assert flows == []
 
 
 @pytest.mark.parametrize("system", ["circ", "nonlinear"])

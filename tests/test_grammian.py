@@ -12,8 +12,8 @@ from obsmhe import (CertificationInconclusive, ControlSystem, EigFailure, GridMi
                     observability_grammian, bearing, flow, gauss_newton_term)
 from obsmhe.cost import window_grammian, window_grammians
 from obsmhe.grammian import ball_samples
-from conftest import (assert_bits_equal, candidate_terms_per_node, oracle_grammian,
-                      oracle_stms)
+from conftest import (ORACLE_A, ORACLE_C, assert_bits_equal, candidate_terms_per_node,
+                      oracle_grammian, oracle_stms)
 
 
 def test_jacobi_matches_numpy_on_random_symmetric():
@@ -175,6 +175,39 @@ def test_window_grammians_equal_the_closed_form_grammian(linear_oracle):
     got.append(observability_grammian(sys_, 4.0, 1.0, centers[1], u, grid).matrix)
     for c in got:
         np.testing.assert_allclose(c, want, rtol=1e-12, atol=0.0)
+
+
+def _expm(m):
+    """exp(m) by scaling and squaring: a 20-term Taylor series of
+    m / 2^s, |m / 2^s|_1 <= 1/4, squared s times."""
+    s = max(0, int(np.ceil(np.log2(np.linalg.norm(m, 1) / 0.25))))
+    term = out = np.eye(len(m))
+    for j in range(1, 20):
+        term = term @ (m / 2.0 ** s) / j
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def test_window_grammians_converge_to_the_van_loan_grammian(linear_oracle):
+    # The continuous Grammian of a window of length T on x' = Ax + Bu,
+    # y = Cx is W = F22^T F12, F = exp([[-A^T, C^T C], [0, A]] T) (Van
+    # Loan, IEEE TAC 1978). RK4 STMs with composite Simpson are fourth
+    # order: halving h divides the error by 16.
+    sys_, u = linear_oracle
+    n = 2
+    f = _expm(np.block([[-ORACLE_A.T, ORACLE_C.T @ ORACLE_C],
+                        [np.zeros((n, n)), ORACLE_A]]))
+    want = f[n:, n:].T @ f[:n, n:]
+    errors = []
+    for h in (0.05, 0.025, 0.0125, 0.00625):
+        grid = TimeGrid.with_step(0.0, 4.0, h)
+        got = window_grammians(sys_, [grid.subgrid(3.0, 4.0)], np.array([[1.0, 0.0]]), u)
+        errors.append(np.linalg.norm(got[0] - want) / np.linalg.norm(want))
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert all(15.5 < r < 16.5 for r in ratios), ratios
+    assert errors[-1] < 3e-10, errors
 
 
 def test_ball_samples_stay_in_ball_and_cover_axes():

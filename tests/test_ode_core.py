@@ -18,7 +18,7 @@ from obsmhe import (ControlSystem, DimensionMismatch, DomainViolation, GridMisma
                     perturbed_flow,
                     perturbed_flow_and_sensitivities,
                     perturbed_flow_and_sensitivities_rows, stm)
-from conftest import (assert_bits_equal, candidate_terms_per_node,
+from conftest import (assert_bits_equal, candidate_terms_per_node, count_calls,
                       output_jacobians_per_node, single_flow_and_stm)
 
 
@@ -57,6 +57,22 @@ def test_grid_subgrid_and_index_of():
         g.subgrid(0.5, 0.5)
     with pytest.raises(GridMismatch):
         g.index_of(0.123)
+
+
+@pytest.mark.parametrize("s1, s2", [(1.0, 0.5), (1.0, 1.0)])
+def test_empty_and_reversed_spans_name_their_times(circ, grid2, x0, s1, s2):
+    sys_, u = circ
+    message = rf"empty subgrid from t0={s1} to t1={s2}: t1 must be a later node"
+    for call in (lambda: grid2.subgrid(s1, s2),
+                 lambda: flow(sys_, s1, s2, x0, u, grid2),
+                 lambda: perturbed_flow(sys_, s1, s2, x0, u, None, grid2),
+                 lambda: flow_and_stm(sys_, s1, s2, x0, u, grid2)):
+        with pytest.raises(GridMismatch, match=message):
+            call()
+    # The sensitivities run from 0, so only t_end = 0 leaves them no step.
+    dw = SampledSignal.constant([1.0, 0.0], 0.0, 2.0, grid2.h)
+    with pytest.raises(GridMismatch, match=r"from t0=0\.0 to t1=0\.0"):
+        perturbed_flow_and_sensitivities(sys_, 0.0, x0, u, None, [dw], grid2)
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -838,6 +854,19 @@ def test_row_forced_sensitivities_match_per_draw_calls(system, request, grid2, x
         assert_bits_equal(zs[:, b], zb)
     with pytest.raises(ValueError, match="noise draw"):
         perturbed_flow_and_sensitivities_rows(sys_, 2.0, x0, u, [], dws, grid2)
+
+
+def test_empty_noise_directions_are_rejected_before_any_flow(circ, grid2, x0,
+                                                             monkeypatch):
+    sys_, u = circ
+    flows = count_calls(monkeypatch, ode_core.rk4_flow)
+    for call in (lambda: perturbed_flow_and_sensitivities(sys_, 1.0, x0, u, None, [],
+                                                          grid2),
+                 lambda: perturbed_flow_and_sensitivities_rows(sys_, 1.0, x0, u, [None],
+                                                               [], grid2)):
+        with pytest.raises(ValueError, match="need at least one noise direction"):
+            call()
+    assert flows == []
 
 
 def test_rk4_flow_per_row_noise_equals_per_row_flows(circ, grid2, x0):

@@ -13,6 +13,14 @@ comes from `cost.window_tangents`, so it and the one-row
 `ode_core.flow_and_stm` are the only callers of
 `ode_core.flow_and_stm_windows`.
 
+Every flow goes through one of two bodies in `ode_core`: `_flow_on`,
+the one caller of the plain kernel `rk4_flow` besides the tangent
+kernel `_rk4_tangents`, and `_tangents_on`, the one caller of
+`_rk4_tangents` besides its wrappers `rk4_flow_stm` and `rk4_flow_sens`.
+Only the two bodies check the states (`_check_guard`). The kernel
+benchmark, which calls `_rk4_tangents` and `stage_values` directly,
+runs on a short flow.
+
 Every argument rule is defined once, in `ode_core.RULES`: no other module
 defines a rule table or a number predicate, every literal rule handed to
 `require` is one of its names, and `cli._SCHEMA` is the only table of
@@ -20,12 +28,18 @@ config defaults.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from obsmhe import cli
 from obsmhe.ode_core import RULES
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "obsmhe"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "obsmhe"
 OUTPUT_CALLBACKS = ("h", "dh_dx", "h_rows", "dh_dx_rows")
 # (module, function) allowed to use a system's output callbacks.
 ALLOWED = {("ode_core", "outputs_rows"), ("ode_core", "output_jacobians_rows"),
@@ -111,6 +125,33 @@ def test_the_scan_finds_stm_block_calls():
               "    return ode_core.flow_and_stm_windows(sys, wins, xis, u), flow_windows\n")
     assert [line for _, line in _calls_to(ast.parse(source), "flow_and_stm_windows")] \
         == [2, 3]
+
+
+# The ode_core functions allowed to call each kernel and the state check.
+KERNEL_CALLERS = {
+    "rk4_flow": {"_flow_on", "_rk4_tangents"},
+    "_rk4_tangents": {"_tangents_on", "rk4_flow_stm", "rk4_flow_sens"},
+    "_check_guard": {"_flow_on", "_tangents_on"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CALLERS))
+def test_only_the_two_flow_bodies_call_the_kernels(name):
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= {(path.stem, function) for function, _ in _calls_to(tree, name)}
+    assert callers == {("ode_core", function) for function in KERNEL_CALLERS[name]}
+
+
+def test_the_kernel_benchmark_runs():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"),
+         "--steps", "40", "--repeats", "1"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 # Argument rules have one definition: the table `ode_core.RULES`, checked
